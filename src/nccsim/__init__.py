@@ -47,15 +47,18 @@ from .estimators import (
     separate_variance,
 )
 from .harness import (
+    CHUNK,
     METHODS,
     STATISTICS,
     OperatingCharacteristics,
     ReplicateArrays,
+    ReplicateError,
     ReplicateResult,
     Scenario,
     Statistic,
     collect_replicates,
     replicate_stream,
+    replicate_trial,
     run_replicate,
     run_scenario,
     scenario_grid,

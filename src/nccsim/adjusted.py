@@ -78,14 +78,23 @@ class EstimateRecord:
 def conditional_bias_estimate(theta1_hat, config: DesignConfig):
     """Plug-in estimate of the conditional bias given continuation.
 
-    Evaluates ``rho * se1 * hazard(c1 - theta1_hat / se1)``. When the implied
-    continuation probability falls below ``SF_FLOOR`` the correction is
-    capped at ``CAP_FACTOR * rho * se1`` so an extreme plug-in value cannot
-    blow up the adjustment. Broadcasts over arrays of ``theta1_hat``.
+    Evaluates ``rho * se1 * hazard(c1 - theta1_hat / se1)`` at the design's
+    constants; see :func:`bias_correction`. Broadcasts over arrays of
+    ``theta1_hat``.
     """
-    rho = config.rho
-    se1 = config.period1_se
-    c1 = futility_cutoff(config.alpha1)
+    return bias_correction(
+        theta1_hat, futility_cutoff(config.alpha1), config.rho, config.period1_se
+    )
+
+
+def bias_correction(theta1_hat, c1: float, rho: float, se1: float):
+    """``rho * se1 * hazard(c1 - theta1_hat / se1)`` for precomputed constants.
+
+    When the implied continuation probability falls below ``SF_FLOOR`` the
+    correction is capped at ``CAP_FACTOR * rho * se1`` so an extreme plug-in
+    value cannot blow up the adjustment. Broadcasts over arrays of
+    ``theta1_hat``.
+    """
     gamma = c1 - np.asarray(theta1_hat, dtype=float) / se1
     sf = normal.sf(gamma)
     capped = sf < SF_FLOOR
@@ -146,8 +155,9 @@ def bootstrap_mae_estimates(
     sigma = config.sigma
     c1 = futility_cutoff(config.alpha1)
     se1 = sigma * math.sqrt(1.0 / n11 + 1.0 / n01)
-    rho = config.rho
     info = _info_from_counts(n01, n11, n02, n12, sigma)
+    # the correction uses the design's rho and se1, as conditional_bias_estimate does
+    rho, design_se1 = config.rho, config.period1_se
 
     rng = np.random.default_rng(settings.seed)
     b = settings.b
@@ -200,7 +210,7 @@ def bootstrap_mae_estimates(
                 theta1_hat = m12 - m02
             else:
                 theta1_hat = cumvue_from_means(pooled, info, c1)
-            collected[m].append(base - conditional_bias_estimate(theta1_hat, config))
+            collected[m].append(base - bias_correction(theta1_hat, c1, rho, design_se1))
         need -= take.size
 
     return {m: np.concatenate(parts)[:b] for m, parts in collected.items()}

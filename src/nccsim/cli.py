@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .adjusted import BootstrapSettings
 from .bias import BiasInputs, conditional_bias, marginal_bias
-from .datagen import simulate_trial
 from .design import (
     DesignConfig,
     TimeTrendSpec,
@@ -32,7 +32,7 @@ from .harness import (
     STATISTICS,
     OperatingCharacteristics,
     Scenario,
-    replicate_stream,
+    replicate_trial,
     run_replicate,
     run_scenario,
     scenario_grid,
@@ -418,9 +418,7 @@ def run_single(args, out=None) -> int:
             file=out,
         )
     if args.csv is not None:
-        data = simulate_trial(
-            scenario.config, replicate_stream(args.seed, scenario, 0, 0)
-        )
+        data = replicate_trial(scenario, args.seed, 0)
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as handle:
@@ -464,7 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, type=Path, help="output directory")
     sim.add_argument("--replicates", type=int, default=None, help="override replicate count")
     sim.add_argument("--bootstrap-b", type=int, default=None, help="override bootstrap resamples (0 disables)")
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (at least 1; capped at the usable CPUs)",
+    )
 
     ana = sub.add_parser("analytic", help="closed-form bias curves as CSV")
     ana.add_argument("--out", required=True, type=Path)
@@ -478,19 +479,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def resolve_workers(requested: int) -> int:
+    """Check ``--workers`` and cap it at the CPUs this process may use.
+
+    Results do not depend on the worker count, so the cap changes only how
+    long a run takes.
+    """
+    if requested < 1:
+        raise ConfigError(f"--workers must be >= 1, got {requested}")
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        usable = os.cpu_count() or 1
+    return min(requested, usable)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
+            workers = resolve_workers(args.workers)
             scenarios = parse_config(
                 args.config,
                 replicates_override=args.replicates,
                 bootstrap_b_override=args.bootstrap_b,
             )
-            results = [
-                run_scenario(s, args.seed, workers=args.workers) for s in scenarios
-            ]
+            results = [run_scenario(s, args.seed, workers=workers) for s in scenarios]
             csv_path, json_path = emit_results(results, args.out, args.seed)
             print(f"wrote {csv_path} and {json_path}")
             return 0

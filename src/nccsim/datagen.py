@@ -1,4 +1,4 @@
-"""Patient-level response generation for the two-period platform layout.
+"""Trial generation for the two-period platform layout.
 
 Patients are enumerated in recruitment order: the period-1 slots come first
 (arm 1 and control interleaved by block randomization at the configured
@@ -6,7 +6,15 @@ allocation ratio), then the period-2 slots (control, arm 1, arm 2). The
 linear time trend is evaluated on that recruitment index against the maximum
 planned sample size, so the drift is balanced across concurrent arms in
 expectation. The full trial, including the arm-1 period-2 cell, is always
-generated; an interim stop is applied afterwards by dropping that cell.
+generated; an interim stop is applied afterwards by ignoring that cell.
+
+Every analysis is a function of the five cell means, so trials are drawn as
+cell means, a batch at a time (:func:`draw_trials`). Responses are normal
+with known ``sigma``, so a cell mean is exactly ``Normal(theta_k + drift,
+sigma^2 / n)``, where ``drift`` is the mean trend over the cell's
+recruitment slots. Patient rows are built only where they are needed, by
+:func:`expand_trial`, which draws them from their exact conditional
+distribution given the cell means.
 """
 
 from __future__ import annotations
@@ -93,33 +101,36 @@ class TrialDataset:
         )
 
 
-def _interleaved_arms(counts, arms, rng: np.random.Generator) -> np.ndarray:
-    """Block-randomized arm sequence for one period.
+#: Arm and period of each cell, in ``CELLS`` order.
+_CELL_ARM = np.array([k for k, _ in CELLS])
+_CELL_PERIOD = np.array([s for _, s in CELLS])
+
+
+def _interleaved_arms(counts, arms, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Block-randomized arm sequences for one period, one row per trial.
 
     Blocks contain the smallest integer multiple of the allocation ratio and
     are shuffled independently, so every prefix is close to the target ratio.
     """
     g = math.gcd(*counts)
-    block = np.repeat(np.asarray(arms, dtype=np.int64), [c // g for c in counts])
-    tiled = np.tile(block, (g, 1))
-    return rng.permuted(tiled, axis=1).ravel()
+    block = np.repeat(np.asarray(arms, dtype=np.int8), [c // g for c in counts])
+    tiled = np.tile(block, (size * g, 1))
+    return rng.permuted(tiled, axis=1).reshape(size, -1)
 
 
-def simulate_trial(config: DesignConfig, seed) -> TrialDataset:
-    """Draw one full trial. Identical ``(config, seed)`` give identical data.
+def _recruitment_arms(config: DesignConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``(size, total_planned)`` arm labels in recruitment order."""
+    p1 = _interleaved_arms((config.n01, config.n11), (0, 1), rng, size)
+    p2 = _interleaved_arms((config.n02, config.n12, config.n22), (0, 1, 2), rng, size)
+    return np.concatenate([p1, p2], axis=1)
 
-    Responses are ``Normal(theta_k + f(j), sigma^2)`` with the control
-    response in period 1 fixed at 0; all estimands are differences, so the
-    baseline level is immaterial.
-    """
-    rng = np.random.default_rng(seed)
-    arms_p1 = _interleaved_arms((config.n01, config.n11), (0, 1), rng)
-    arms_p2 = _interleaved_arms((config.n02, config.n12, config.n22), (0, 1, 2), rng)
-    arm = np.concatenate([arms_p1, arms_p2])
-    period = np.repeat(np.array([1, 2], dtype=np.int64), [arms_p1.size, arms_p2.size])
+
+def _patient_layout(config: DesignConfig, arm: np.ndarray):
+    """Patient index, period and mean drift of each recruitment slot."""
     total = arm.size
+    p1 = config.n01 + config.n11
     patient = np.arange(1, total + 1, dtype=np.int64)
-
+    period = np.repeat(np.array([1, 2], dtype=np.int64), [p1, total - p1])
     spec = config.trend
     if spec.pattern is TrendPattern.LINEAR:
         drift = spec.lam * (patient - 1) / (total - 1)
@@ -127,7 +138,97 @@ def simulate_trial(config: DesignConfig, seed) -> TrialDataset:
         drift = np.where(period == 2, spec.lam, 0.0)
     else:
         drift = np.zeros(total)
+    return patient, period, drift
 
+
+@dataclass(frozen=True)
+class TrialDraws:
+    """A batch of trials drawn as their five cell means.
+
+    ``means`` has one row per trial, columns in ``CELLS`` order (NaN for an
+    empty cell). ``arms`` holds each trial's recruitment-order arm labels
+    when the cell means depend on them (a linear trend), else ``None``.
+    """
+
+    means: np.ndarray
+    arms: np.ndarray | None
+
+
+def draw_trials(config: DesignConfig, rng: np.random.Generator, size: int) -> TrialDraws:
+    """Draw ``size`` trials as cell means, exactly in distribution.
+
+    A cell mean is ``theta_k + drift + sigma / sqrt(n) * Z``. The drift is 0
+    without a trend, ``lam`` in period 2 for a stepwise trend, and for a
+    linear trend the mean of ``lam * (j - 1) / (total - 1)`` over the cell's
+    recruitment slots ``j``, which the block randomization places at random.
+    """
+    counts = np.array([config.n01, config.n11, config.n02, config.n12, config.n22])
+    spec = config.trend
+    arms = None
+    if spec.pattern is TrendPattern.LINEAR:
+        arms = _recruitment_arms(config, rng, size)
+        total = arms.shape[1]
+        slot = np.arange(total, dtype=float)
+        p1 = config.n01 + config.n11
+        # slot sums of arms 1 and 2; each control cell takes the rest of its period
+        s11 = np.where(arms[:, :p1] == 1, slot[:p1], 0.0).sum(axis=1)
+        s12 = np.where(arms[:, p1:] == 1, slot[p1:], 0.0).sum(axis=1)
+        s22 = np.where(arms[:, p1:] == 2, slot[p1:], 0.0).sum(axis=1)
+        sums = np.column_stack([
+            slot[:p1].sum() - s11, s11, slot[p1:].sum() - s12 - s22, s12, s22,
+        ])
+        drift = spec.lam / (total - 1) * sums / np.maximum(counts, 1)
+    else:
+        step = spec.lam if spec.pattern is TrendPattern.STEPWISE else 0.0
+        drift = np.where(_CELL_PERIOD == 2, step, 0.0)
+
+    effect = np.array([0.0, config.theta1, config.theta2])[_CELL_ARM]
+    scale = config.sigma / np.sqrt(np.maximum(counts, 1))
+    means = effect + drift + scale * rng.standard_normal((size, len(CELLS)))
+    means[:, counts == 0] = np.nan
+    return TrialDraws(means=means, arms=arms)
+
+
+def expand_trial(
+    config: DesignConfig, draws: TrialDraws, row: int, rng: np.random.Generator
+) -> TrialDataset:
+    """Patient rows of trial ``row`` of ``draws``, consistent with its means.
+
+    Given a cell mean ``m``, the responses of the cell are distributed as
+    ``m + (d_i - mean(d)) + sigma * (e_i - mean(e))`` with ``d`` the
+    patients' drifts and ``e`` fresh standard normals, so expanding a drawn
+    trial is exact. The recruitment order is the drawn one when ``draws``
+    kept it, else it is drawn here.
+    """
+    if draws.arms is None:
+        arm = _recruitment_arms(config, rng, 1)[0]
+    else:
+        arm = draws.arms[row]
+    arm = arm.astype(np.int64)
+    patient, period, drift = _patient_layout(config, arm)
+    cell = arm + 2 * (period - 1)  # index into CELLS
+    counts = np.maximum(np.bincount(cell, minlength=len(CELLS)), 1)
+    noise = rng.standard_normal(arm.size)
+    residual = (
+        drift - (np.bincount(cell, drift, len(CELLS)) / counts)[cell]
+        + config.sigma * (noise - (np.bincount(cell, noise, len(CELLS)) / counts)[cell])
+    )
+    y = draws.means[row][cell] + residual
+    return TrialDataset(patient=patient, arm=arm, period=period, y=y)
+
+
+def simulate_trial(config: DesignConfig, seed) -> TrialDataset:
+    """Draw one full trial at patient level. Identical ``(config, seed)``
+    give identical data.
+
+    Responses are ``Normal(theta_k + f(j), sigma^2)`` with the control
+    response in period 1 fixed at 0; all estimands are differences, so the
+    baseline level is immaterial. The law is that of :func:`draw_trials`
+    followed by :func:`expand_trial`; the simulation harness uses those.
+    """
+    rng = np.random.default_rng(seed)
+    arm = _recruitment_arms(config, rng, 1)[0].astype(np.int64)
+    patient, period, drift = _patient_layout(config, arm)
     effect = np.array([0.0, config.theta1, config.theta2])
-    y = effect[arm] + drift + config.sigma * rng.standard_normal(total)
+    y = effect[arm] + drift + config.sigma * rng.standard_normal(arm.size)
     return TrialDataset(patient=patient, arm=arm, period=period, y=y)

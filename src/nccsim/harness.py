@@ -1,9 +1,17 @@
 """Replication engine: scenarios, deterministic seeding, parallel execution.
 
-Every replicate is keyed by ``(master seed, scenario id, replicate index)``
-through independent seed-sequence streams, so results are bit-identical for
-any worker count and any execution order. Aggregation reduces per-replicate
-arrays in index order.
+Replicates are drawn and analysed in chunks of ``CHUNK`` consecutive
+indices. The trials of chunk ``c`` are drawn as cell means from a seed
+stream keyed by ``(master seed, scenario id, c)``, and the interim decision,
+every estimate, bias correction and known-sigma test is computed for the
+whole chunk in one numpy pass, with the design's constants computed once per
+scenario. Replicate ``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``.
+Patient rows are built only for the bootstrap of a continuing replicate,
+from a stream keyed by ``(master seed, scenario id, i)``; the bootstrap
+resamples from a stream keyed by the same triple and the bootstrap seed.
+Results are therefore bit-identical for any worker count and execution
+order, and :func:`run_replicate` replays any single replicate exactly.
+Aggregation reduces per-replicate arrays in index order.
 """
 
 from __future__ import annotations
@@ -12,24 +20,41 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from . import normal
 from .adjusted import (
     METHOD_SEPARATE,
     METHOD_UNADJUSTED,
+    BootstrapError,
     BootstrapSettings,
     EstimateRecord,
-    _mae_record,
+    bias_correction,
     bootstrap_variances,
     method_label,
-    separate_test,
-    unadjusted_test,
 )
-from .datagen import simulate_trial
-from .design import DesignConfig, TimeTrendSpec, TrendPattern, validate
-from .estimators import InterimResult, interim_z
-from .theta1 import Theta1Method
+from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial
+from .design import DesignConfig, TimeTrendSpec, TrendPattern, futility_cutoff, validate
+from .estimators import (
+    InterimResult,
+    model_based_from_means,
+    model_based_variance,
+    separate_variance,
+)
+from .theta1 import (
+    InformationLevels,
+    Theta1Method,
+    cumvue_from_means,
+    information_levels,
+    pooled_from_means,
+)
+
+# The single-trial, patient-row API stays importable from here.
+from .adjusted import separate_test, unadjusted_test  # noqa: F401
+from .datagen import simulate_trial  # noqa: F401
+from .estimators import interim_z  # noqa: F401
 
 THETA1_METHODS = (
     Theta1Method.POOLED,
@@ -38,15 +63,11 @@ THETA1_METHODS = (
     Theta1Method.CUMVUE,
 )
 
+#: The mean-adjusted methods, one per arm-1 plug-in.
+ADJUSTED_METHODS = tuple(method_label(m) for m in THETA1_METHODS)
+
 #: Output order of the estimator methods.
-METHODS = (
-    METHOD_UNADJUSTED,
-    METHOD_SEPARATE,
-    method_label(Theta1Method.POOLED),
-    method_label(Theta1Method.PERIOD1),
-    method_label(Theta1Method.PERIOD2),
-    method_label(Theta1Method.CUMVUE),
-)
+METHODS = (METHOD_UNADJUSTED, METHOD_SEPARATE) + ADJUSTED_METHODS
 
 #: Output order of the reported statistics.
 STATISTICS = (
@@ -61,6 +82,9 @@ STATISTICS = (
 
 #: Fraction of failed replicates above which a scenario is marked invalid.
 MAX_FAILURE_FRACTION = 0.01
+
+#: Replicates drawn and analysed together; also the unit of work of a pool.
+CHUNK = 512
 
 HYPOTHESES = ("null", "alternative")
 
@@ -81,6 +105,17 @@ class Scenario:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         validate(self.config)
+        if self.config.n12 < 1:
+            raise ValueError(
+                "n12 must be >= 1 in a simulated scenario: a continuing arm 1 "
+                "is analysed with its period-2 patients"
+            )
+        if self.bootstrap is not None:
+            seed = self.bootstrap.seed
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError(
+                    f"bootstrap seed must be a non-negative integer, got {seed!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -119,59 +154,307 @@ class ReplicateResult:
     records: dict[str, EstimateRecord]
 
 
+class ReplicateError(RuntimeError):
+    """An unexpected error while running replicates, with their key."""
+
+
 def _scenario_key(scenario_id: str) -> int:
     digest = hashlib.sha256(scenario_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
+def _chunk_stream(master_seed: int, scenario: Scenario, chunk: int) -> np.random.SeedSequence:
+    """Seed stream of the trials of one chunk. Its two-element spawn key
+    never coincides with the three- and four-element replicate keys."""
+    return np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(_scenario_key(scenario.scenario_id), chunk)
+    )
+
+
 def replicate_stream(
     master_seed: int, scenario: Scenario, replicate_index: int, stream: int
 ) -> np.random.SeedSequence:
-    """Independent seed stream for one replicate (stream 0: data, 1: bootstrap)."""
+    """Independent seed stream for one replicate (stream 0: its patient rows;
+    the bootstrap uses stream 1 keyed further by the bootstrap seed)."""
     return np.random.SeedSequence(
         entropy=master_seed,
         spawn_key=(_scenario_key(scenario.scenario_id), replicate_index, stream),
     )
 
 
+# --- the batched analysis -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScenarioConstants:
+    """Everything in the analysis that depends on the design alone."""
+
+    c1: float
+    se1: float
+    rho: float
+    info: InformationLevels
+    z_alpha: float
+    var_model_based: float
+    var_separate: float
+
+
+def scenario_constants(config: DesignConfig) -> ScenarioConstants:
+    """Compute the design's constants; once per scenario, not per replicate."""
+    n = (config.n01, config.n11, config.n02, config.n12, config.n22)
+    return ScenarioConstants(
+        c1=futility_cutoff(config.alpha1),
+        se1=config.period1_se,
+        rho=config.rho,
+        info=information_levels(config),
+        z_alpha=normal.quantile(1.0 - config.alpha),
+        var_model_based=model_based_variance(*n, config.sigma),
+        var_separate=separate_variance(config.n02, config.n22, config.sigma),
+    )
+
+
+@dataclass(frozen=True)
+class PointEstimates:
+    """Interim look and point estimates of a batch of trials, one entry per
+    trial. A stop is a mask: stopped trials take the separate estimate and
+    a zero correction under every method."""
+
+    z11: np.ndarray
+    continued: np.ndarray
+    estimates: dict[str, np.ndarray]
+    corrections: dict[str, np.ndarray]
+
+
+def point_estimates(
+    config: DesignConfig, constants: ScenarioConstants, means: np.ndarray
+) -> PointEstimates:
+    """Analyse ``(n, 5)`` cell means (``CELLS`` order) of trials of ``config``."""
+    m01, m11, m02, m12, m22 = means.T
+    z11 = (m11 - m01) / constants.se1
+    continued = z11 >= constants.c1
+    separate = m22 - m02
+
+    cont = np.flatnonzero(continued)
+    c01, c11, c02, c12, c22 = means[cont].T
+    n = (config.n01, config.n11, config.n02, config.n12)
+    model_based = model_based_from_means(c01, c11, c02, c12, c22, *n)
+    pooled = pooled_from_means(c01, c11, c02, c12, *n)
+    plug_ins = {
+        Theta1Method.POOLED: pooled,
+        Theta1Method.PERIOD1: c11 - c01,
+        Theta1Method.PERIOD2: c12 - c02,
+        Theta1Method.CUMVUE: cumvue_from_means(pooled, constants.info, constants.c1),
+    }
+
+    def on_continued(values, stopped):
+        out = np.array(stopped, dtype=float)
+        out[cont] = values
+        return out
+
+    zero = np.zeros(separate.size)
+    estimates = {
+        METHOD_UNADJUSTED: on_continued(model_based, separate),
+        METHOD_SEPARATE: separate,
+    }
+    corrections = {METHOD_UNADJUSTED: zero, METHOD_SEPARATE: zero}
+    for method, theta1_hat in plug_ins.items():
+        correction = bias_correction(theta1_hat, constants.c1, constants.rho, constants.se1)
+        label = method_label(method)
+        estimates[label] = on_continued(model_based - correction, separate)
+        corrections[label] = on_continued(correction, zero)
+    return PointEstimates(z11, continued, estimates, corrections)
+
+
+def _variances(
+    point: PointEstimates, constants: ScenarioConstants, bootstrap: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Per-trial variance behind each method's test; NaN where it has none.
+
+    Stopped trials use the known-sigma separate variance under every method.
+    Continuing ones use the model-based variance (unadjusted) or the
+    bootstrap variance (adjusted methods, NaN when not bootstrapped).
+    """
+    cont = point.continued
+    separate = np.full(cont.size, constants.var_separate)
+    out = {
+        METHOD_UNADJUSTED: np.where(cont, constants.var_model_based, separate),
+        METHOD_SEPARATE: separate,
+    }
+    for label in ADJUSTED_METHODS:
+        out[label] = np.where(cont, bootstrap[label], separate)
+    return out
+
+
+def _t_statistic(estimate: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """``estimate / sqrt(variance)``; a zero variance gives 0 or +/-inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = estimate / np.sqrt(variance)
+    degenerate = np.where(estimate == 0.0, 0.0, np.copysign(np.inf, estimate))
+    return np.where(variance > 0.0, t, np.where(np.isnan(variance), np.nan, degenerate))
+
+
+# --- chunks -------------------------------------------------------------------
+
+
+def _chunk_rows(scenario: Scenario, chunk: int) -> range:
+    start = chunk * CHUNK
+    return range(start, min(start + CHUNK, scenario.replicates))
+
+
+def _draw_chunk(scenario: Scenario, master_seed: int, chunk: int) -> TrialDraws:
+    rng = np.random.default_rng(_chunk_stream(master_seed, scenario, chunk))
+    return draw_trials(scenario.config, rng, len(_chunk_rows(scenario, chunk)))
+
+
+def _replicate_trial(
+    scenario: Scenario, master_seed: int, index: int, draws: TrialDraws
+) -> TrialDataset:
+    rng = np.random.default_rng(replicate_stream(master_seed, scenario, index, 0))
+    return expand_trial(scenario.config, draws, index % CHUNK, rng)
+
+
+def replicate_trial(scenario: Scenario, master_seed: int, index: int) -> TrialDataset:
+    """Patient rows of replicate ``index``: the trial its analysis saw."""
+    _check_index(scenario, index)
+    draws = _draw_chunk(scenario, master_seed, index // CHUNK)
+    return _replicate_trial(scenario, master_seed, index, draws)
+
+
+def _bootstrap_replicate(
+    scenario: Scenario, master_seed: int, index: int, draws: TrialDraws
+) -> dict[str, float]:
+    """Bootstrap variance of every adjusted method for one continuing
+    replicate; the resamples are shared by all methods."""
+    data = _replicate_trial(scenario, master_seed, index, draws)
+    settings = BootstrapSettings(
+        b=scenario.bootstrap.b,
+        seed=np.random.SeedSequence(
+            entropy=master_seed,
+            spawn_key=(
+                _scenario_key(scenario.scenario_id), index, 1, int(scenario.bootstrap.seed)
+            ),
+        ),
+    )
+    variances = bootstrap_variances(data, scenario.config, settings, THETA1_METHODS)
+    return {method_label(m): v for m, v in variances.items()}
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    point: PointEstimates
+    variances: dict[str, np.ndarray]
+    failed: np.ndarray
+
+
+def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
+    return ReplicateError(
+        f"scenario {scenario.scenario_id!r}, {which}, master seed {master_seed}: "
+        f"{type(exc).__name__}: {exc}"
+    )
+
+
+def _run_chunk(
+    scenario: Scenario,
+    master_seed: int,
+    chunk: int,
+    constants: ScenarioConstants,
+    only: int | None = None,
+) -> _Chunk:
+    """Draw and analyse one chunk. The bootstrap runs for every continuing
+    replicate, or for replicate ``only`` alone.
+
+    A :class:`BootstrapError` marks a replicate failed, except for ``only``,
+    where it propagates. Any other error raises :class:`ReplicateError`.
+    """
+    rows = _chunk_rows(scenario, chunk)
+    try:
+        draws = _draw_chunk(scenario, master_seed, chunk)
+        point = point_estimates(scenario.config, constants, draws.means)
+    except Exception as exc:
+        which = f"replicates {rows.start}..{rows.stop - 1}"
+        raise _keyed_error(scenario, master_seed, which, exc) from exc
+    failed = np.zeros(len(rows), dtype=bool)
+    bootstrap = {label: np.full(len(rows), np.nan) for label in ADJUSTED_METHODS}
+    if scenario.bootstrap is not None:
+        for row in np.flatnonzero(point.continued):
+            index = rows[row]
+            if only is not None and index != only:
+                continue
+            try:
+                variances = _bootstrap_replicate(scenario, master_seed, index, draws)
+            except BootstrapError:
+                if only is not None:
+                    raise
+                failed[row] = True
+                continue
+            except Exception as exc:
+                raise _keyed_error(scenario, master_seed, f"replicate {index}", exc) from exc
+            for label, value in variances.items():
+                bootstrap[label][row] = value
+    return _Chunk(point, _variances(point, constants, bootstrap), failed)
+
+
+def _rejections(estimate, variance, z_alpha: float) -> np.ndarray:
+    """1 / 0 per trial, -1 where the method has no test."""
+    flags = (_t_statistic(estimate, variance) > z_alpha).astype(np.int8)
+    flags[np.isnan(variance)] = -1
+    return flags
+
+
+def _collect_chunk(
+    scenario: Scenario, master_seed: int, constants: ScenarioConstants, chunk: int
+) -> ReplicateArrays:
+    result = _run_chunk(scenario, master_seed, chunk, constants)
+    estimates = result.point.estimates
+    return ReplicateArrays(
+        continued=result.point.continued,
+        failed=result.failed,
+        estimates=estimates,
+        rejected={
+            m: _rejections(estimates[m], result.variances[m], constants.z_alpha)
+            for m in METHODS
+        },
+    )
+
+
+def _check_index(scenario: Scenario, index: int) -> None:
+    if not 0 <= index < scenario.replicates:
+        raise ValueError(
+            f"replicate index {index} outside 0..{scenario.replicates - 1}"
+        )
+
+
 def run_replicate(
     scenario: Scenario, master_seed: int, replicate_index: int
 ) -> ReplicateResult:
-    """Simulate one trial and produce records for every estimator method.
+    """Replay one replicate: draw and analyse its chunk, bootstrap it alone
+    (when configured and it continues) and return its records.
 
-    The interim decision is taken once; on a stop the arm-1 period-2 cell is
-    dropped and every method collapses to the concurrent-only analysis. The
-    bootstrap (when configured) runs once per replicate and its resamples are
-    shared by all adjusted-method variances.
+    The numbers are bit-identical to the replicate's entries in
+    :func:`collect_replicates`. A bootstrap failure raises
+    :class:`BootstrapError`.
     """
-    config = scenario.config
-    data = simulate_trial(config, replicate_stream(master_seed, scenario, replicate_index, 0))
-    interim = interim_z(data, config)
-    analysis = data if interim.continued else data.drop_arm1_period2()
-
-    records = {
-        METHOD_UNADJUSTED: unadjusted_test(analysis, config, interim),
-        METHOD_SEPARATE: separate_test(analysis, config, interim),
-    }
-    variances: dict[Theta1Method, float] = {}
-    if interim.continued and scenario.bootstrap is not None:
-        settings = BootstrapSettings(
-            b=scenario.bootstrap.b,
-            seed=np.random.SeedSequence(
-                entropy=master_seed,
-                spawn_key=(
-                    _scenario_key(scenario.scenario_id),
-                    replicate_index,
-                    1,
-                    int(scenario.bootstrap.seed),
-                ),
-            ),
+    _check_index(scenario, replicate_index)
+    constants = scenario_constants(scenario.config)
+    chunk, row = divmod(replicate_index, CHUNK)
+    result = _run_chunk(scenario, master_seed, chunk, constants, only=replicate_index)
+    point = result.point
+    continued = bool(point.continued[row])
+    records = {}
+    for m in METHODS:
+        estimate = point.estimates[m][row : row + 1]
+        variance = result.variances[m][row : row + 1]
+        tested = not np.isnan(variance[0])
+        records[m] = EstimateRecord(
+            method=m,
+            estimate=float(estimate[0]),
+            continued=continued,
+            bias_correction=float(point.corrections[m][row]),
+            variance=float(variance[0]) if tested else None,
+            t_statistic=float(_t_statistic(estimate, variance)[0]) if tested else None,
+            rejected=bool(_rejections(estimate, variance, constants.z_alpha)[0])
+            if tested else None,
         )
-        variances = bootstrap_variances(analysis, config, settings, THETA1_METHODS)
-    for m in THETA1_METHODS:
-        records[method_label(m)] = _mae_record(
-            analysis, config, interim, m, variances.get(m)
-        )
+    interim = InterimResult(z11=float(point.z11[row]), c1=constants.c1, continued=continued)
     return ReplicateResult(interim=interim, records=records)
 
 
@@ -184,54 +467,38 @@ def _empty_arrays(n: int) -> ReplicateArrays:
     )
 
 
-def _collect_range(
-    scenario: Scenario, master_seed: int, start: int, stop: int
-) -> ReplicateArrays:
-    out = _empty_arrays(stop - start)
-    for offset, rep in enumerate(range(start, stop)):
-        try:
-            result = run_replicate(scenario, master_seed, rep)
-        except Exception:
-            out.failed[offset] = True
-            continue
-        out.continued[offset] = result.interim.continued
-        for m in METHODS:
-            record = result.records[m]
-            out.estimates[m][offset] = record.estimate
-            if record.rejected is not None:
-                out.rejected[m][offset] = int(record.rejected)
-    return out
-
-
 def collect_replicates(
     scenario: Scenario, master_seed: int, workers: int = 1
 ) -> ReplicateArrays:
-    """Run all replicates, optionally on a process pool.
+    """Run all replicates chunk by chunk, optionally on a process pool.
 
-    Results are stitched by replicate index, so the output is identical for
-    any ``workers`` value.
+    The pool runs whole chunks and is started only when there is more than
+    one. Results are stitched by replicate index, so the output is identical
+    for any ``workers`` value. Only a :class:`BootstrapError` counts as a
+    failed replicate; any other error raises :class:`ReplicateError`.
     """
-    n = scenario.replicates
-    if workers <= 1 or n < 2:
-        return _collect_range(scenario, master_seed, 0, n)
-    n_chunks = min(n, workers * 4)
-    bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
-    out = _empty_arrays(n)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (int(a), pool.submit(_collect_range, scenario, master_seed, int(a), int(b)))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        for start, future in futures:
-            part = future.result()
-            stop = start + part.continued.size
-            out.continued[start:stop] = part.continued
-            out.failed[start:stop] = part.failed
-            for m in METHODS:
-                out.estimates[m][start:stop] = part.estimates[m]
-                out.rejected[m][start:stop] = part.rejected[m]
+    n_chunks = -(-scenario.replicates // CHUNK)
+    constants = scenario_constants(scenario.config)
+    args = (repeat(scenario), repeat(master_seed), repeat(constants), range(n_chunks))
+    out = _empty_arrays(scenario.replicates)
+    if workers <= 1 or n_chunks == 1:
+        _stitch(out, map(_collect_chunk, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
+            _stitch(out, pool.map(_collect_chunk, *args))
     return out
+
+
+def _stitch(out: ReplicateArrays, parts) -> None:
+    start = 0
+    for part in parts:
+        stop = start + part.continued.size
+        out.continued[start:stop] = part.continued
+        out.failed[start:stop] = part.failed
+        for m in METHODS:
+            out.estimates[m][start:stop] = part.estimates[m]
+            out.rejected[m][start:stop] = part.rejected[m]
+        start = stop
 
 
 def _mean_statistic(values: np.ndarray) -> Statistic:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from nccsim.cli import (
     analytic_rows,
     main,
     parse_config,
+    resolve_workers,
 )
 
 GRID_PLAN = """\
@@ -172,6 +174,42 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(plan), "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_are_rejected(self, tmp_path, capsys, workers):
+        plan = write_plan(tmp_path, CUSTOM_PLAN)
+        code = main([
+            "simulate", "--config", str(plan), "--seed", "1",
+            "--out", str(tmp_path / "o"), "--workers", workers,
+        ])
+        assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_workers_are_capped_at_the_usable_cpus(self, tmp_path, monkeypatch):
+        import nccsim.cli as cli_module
+
+        usable = len(os.sched_getaffinity(0))
+        assert resolve_workers(usable + 1) == usable
+        seen = []
+        real = cli_module.run_scenario
+
+        def recording(scenario, seed, workers=1):
+            seen.append(workers)
+            return real(scenario, seed, workers=workers)
+
+        monkeypatch.setattr(cli_module, "run_scenario", recording)
+        plan = write_plan(tmp_path, CUSTOM_PLAN)
+        outputs = []
+        for workers in (usable + 1, 1):
+            out = tmp_path / f"w{workers}"
+            assert main([
+                "simulate", "--config", str(plan), "--seed", "1",
+                "--out", str(out), "--workers", str(workers),
+            ]) == 0
+            outputs.append((out / "results.csv").read_bytes())
+        assert seen == [usable, 1]
+        assert outputs[0] == outputs[1]
 
 
 class TestAnalyticCommand:

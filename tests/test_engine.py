@@ -1,0 +1,236 @@
+"""The batched replicate engine: cell-means draws, expansion to patient rows,
+the vectorised analysis against the scalar one, chunk seeding and errors."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
+
+import nccsim.harness as harness_module
+from nccsim import (
+    CELLS,
+    CHUNK,
+    BootstrapError,
+    BootstrapSettings,
+    DesignConfig,
+    METHODS,
+    ReplicateError,
+    Scenario,
+    Theta1Method,
+    TimeTrendSpec,
+    TrendPattern,
+    bootstrap_variance,
+    collect_replicates,
+    interim_z,
+    method_label,
+    replicate_trial,
+    run_replicate,
+    run_scenario,
+    separate_estimate,
+    separate_test,
+    simulate_trial,
+    unadjusted_test,
+)
+from nccsim.adjusted import _mae_record
+from nccsim.datagen import draw_trials, expand_trial
+from nccsim.estimators import InterimResult
+from nccsim.harness import point_estimates, scenario_constants
+from conftest import default_config
+
+CELL_SIZE = st.integers(1, 12)
+
+
+@st.composite
+def designs(draw):
+    pattern = draw(st.sampled_from(list(TrendPattern)))
+    return DesignConfig(
+        n01=draw(CELL_SIZE), n11=draw(CELL_SIZE), n02=draw(CELL_SIZE),
+        n12=draw(CELL_SIZE), n22=draw(CELL_SIZE),
+        alpha1=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98))),
+        sigma=draw(st.floats(0.2, 3.0)),
+        theta1=draw(st.floats(-1.0, 1.0)),
+        theta2=draw(st.floats(-1.0, 1.0)),
+        trend=TimeTrendSpec(pattern, draw(st.floats(-0.5, 0.5))),
+    )
+
+
+class TestBatchedCoreMatchesScalarPath:
+    @settings(max_examples=150, deadline=None)
+    @given(config=designs(), seed=st.integers(0, 2**32 - 1))
+    def test_every_row_matches_the_scalar_analysis_of_its_expansion(self, config, seed):
+        rng = np.random.default_rng(seed)
+        draws = draw_trials(config, rng, 4)
+        constants = scenario_constants(config)
+        point = point_estimates(config, constants, draws.means)
+        for row in range(4):
+            data = expand_trial(config, draws, row, rng)
+            for i, cell in enumerate(CELLS):
+                assert abs(data.mean(*cell) - draws.means[row, i]) <= 1e-12
+
+            continued = bool(point.continued[row])
+            scalar = interim_z(data, config)
+            if abs(point.z11[row] - constants.c1) > 1e-9:
+                assert scalar.continued == continued
+            assert abs(scalar.z11 - point.z11[row]) <= 1e-10
+
+            interim = InterimResult(point.z11[row], constants.c1, continued)
+            analysis = data if continued else data.drop_arm1_period2()
+            records = {
+                "unadjusted": unadjusted_test(analysis, config, interim),
+                "separate": separate_test(analysis, config, interim),
+            }
+            for method in Theta1Method:
+                records[method_label(method)] = _mae_record(
+                    analysis, config, interim, method, None
+                )
+            for m in METHODS:
+                assert abs(records[m].estimate - point.estimates[m][row]) <= 1e-10, m
+                assert abs(records[m].bias_correction - point.corrections[m][row]) <= 1e-10, m
+
+
+class TestCellMeansDraw:
+    def test_standardized_means_are_standard_normal(self):
+        config = default_config(
+            n01=20, n11=30, n02=40, n12=10, n22=25, theta1=0.3, theta2=-0.2,
+            sigma=2.0, trend=TimeTrendSpec(TrendPattern.STEPWISE, 0.15),
+        )
+        means = draw_trials(config, np.random.default_rng(5), 20_000).means
+        centre = np.array([0.0, 0.3, 0.15, 0.45, -0.05])
+        z = (means - centre) / (2.0 / np.sqrt([20, 30, 40, 10, 25]))
+        for column in z.T:
+            assert stats.kstest(column, "norm").pvalue > 1e-3
+
+    def test_linear_drift_means_match_their_expectation(self):
+        # with negligible noise a cell mean is its mean drift; in expectation
+        # every cell of a period gets the period's mean slot drift
+        config = default_config(
+            n01=20, n11=40, n02=30, n12=15, n22=30, sigma=1e-9,
+            trend=TimeTrendSpec(TrendPattern.LINEAR, 0.15),
+        )
+        means = draw_trials(config, np.random.default_rng(8), 4000).means
+        total, p1 = config.total_planned, 60
+        expected = 0.15 / (total - 1) * np.array(
+            [(p1 - 1) / 2] * 2 + [(p1 + total - 1) / 2] * 3
+        )
+        se = means.std(axis=0, ddof=1) / math.sqrt(means.shape[0])
+        assert np.all(np.abs(means.mean(axis=0) - expected) < 4 * se)
+
+    def test_empty_cell_has_no_mean(self):
+        draws = draw_trials(default_config(n12=0), np.random.default_rng(1), 3)
+        assert np.all(np.isnan(draws.means[:, 3]))
+        assert not np.any(np.isnan(draws.means[:, [0, 1, 2, 4]]))
+
+
+def _scenario(replicates, bootstrap=None, scenario_id="engine", **overrides):
+    config = default_config(**overrides)
+    return Scenario(scenario_id, config, "alternative" if config.theta2 else "null",
+                    replicates, bootstrap)
+
+
+def _assert_same_arrays(a, b):
+    assert np.array_equal(a.continued, b.continued)
+    assert np.array_equal(a.failed, b.failed)
+    for m in METHODS:
+        assert np.array_equal(a.estimates[m], b.estimates[m], equal_nan=True), m
+        assert np.array_equal(a.rejected[m], b.rejected[m]), m
+
+
+class TestChunks:
+    SCENARIO = _scenario(
+        2 * CHUNK + 37,
+        BootstrapSettings(b=5, seed=2),
+        n01=30, n11=30, n02=30, n12=30, n22=30,
+        trend=TimeTrendSpec(TrendPattern.LINEAR, 0.15),
+    )
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return collect_replicates(self.SCENARIO, 71, workers=1)
+
+    def test_worker_count_does_not_change_arrays(self, serial):
+        _assert_same_arrays(serial, collect_replicates(self.SCENARIO, 71, workers=2))
+
+    @pytest.mark.parametrize("index", [0, CHUNK - 1, CHUNK, 2 * CHUNK + 36])
+    def test_run_replicate_replays_exactly(self, serial, index):
+        result = run_replicate(self.SCENARIO, 71, index)
+        assert result.interim.continued == serial.continued[index]
+        for m in METHODS:
+            record = result.records[m]
+            assert record.estimate == serial.estimates[m][index], m
+            flag = -1 if record.rejected is None else int(record.rejected)
+            assert flag == serial.rejected[m][index], m
+
+    def test_replicate_index_is_checked(self):
+        with pytest.raises(ValueError, match="replicate index"):
+            run_replicate(self.SCENARIO, 71, self.SCENARIO.replicates)
+
+    def test_replicate_trial_is_what_the_analysis_saw(self):
+        scenario = _scenario(10)
+        for index in range(10):
+            result = run_replicate(scenario, 3, index)
+            data = replicate_trial(scenario, 3, index)
+            assert interim_z(data, scenario.config).continued == result.interim.continued
+            assert separate_estimate(data) == pytest.approx(
+                result.records["separate"].estimate, abs=1e-12
+            )
+
+    def test_without_linear_trend_a_replicate_does_not_depend_on_the_count(self):
+        short = collect_replicates(_scenario(40), 5)
+        long = collect_replicates(_scenario(CHUNK + 3), 5)
+        for m in METHODS:
+            assert np.array_equal(short.estimates[m], long.estimates[m][:40])
+
+
+class TestFailures:
+    def test_unexpected_error_propagates_with_its_key(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness_module, "bootstrap_variances", broken)
+        scenario = _scenario(50, BootstrapSettings(b=5), scenario_id="broken")
+        with pytest.raises(RuntimeError, match=r"'broken', replicate \d+, master seed 13") as info:
+            run_scenario(scenario, 13)
+        assert isinstance(info.value, ReplicateError)
+        assert str(info.value.__cause__) == "injected"
+
+    def test_error_outside_the_bootstrap_names_the_chunk(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness_module, "point_estimates", broken)
+        with pytest.raises(ReplicateError, match=r"replicates 0\.\.19, master seed 13"):
+            run_scenario(_scenario(20), 13)
+
+    def test_replay_of_a_failed_replicate_raises_bootstrap_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise BootstrapError("injected")
+
+        monkeypatch.setattr(harness_module, "bootstrap_variances", failing)
+        scenario = _scenario(50, BootstrapSettings(b=5), alpha1=1.0)
+        with pytest.raises(BootstrapError):
+            run_replicate(scenario, 13, 7)
+
+
+class TestScenarioChecks:
+    @pytest.mark.parametrize("seed", [np.random.SeedSequence(3), 1.7, -1, True])
+    def test_bootstrap_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="bootstrap seed"):
+            _scenario(20, BootstrapSettings(b=20, seed=seed))
+
+    def test_integer_bootstrap_seeds_are_accepted(self):
+        _scenario(20, BootstrapSettings(b=20, seed=3))
+        _scenario(20, BootstrapSettings(b=20, seed=np.int64(3)))
+
+    def test_direct_bootstrap_keeps_accepting_any_numpy_seed(self):
+        config = default_config(n01=10, n11=10, n02=10, n12=10, n22=10, alpha1=1.0)
+        data = simulate_trial(config, 1)
+        interim = interim_z(data, config)
+        assert interim.continued
+        settings_ = BootstrapSettings(b=20, seed=np.random.SeedSequence(3))
+        assert bootstrap_variance(data, config, settings_) > 0
+
+    def test_arm1_needs_period2_patients(self):
+        with pytest.raises(ValueError, match="n12"):
+            _scenario(20, n12=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nccsim import (
+    BootstrapError,
     BootstrapSettings,
     METHODS,
     STATISTICS,
@@ -173,19 +174,22 @@ class TestRunScenario:
     def test_failed_replicates_are_counted_and_bounded(self, monkeypatch):
         import nccsim.harness as harness_module
 
-        real = harness_module.simulate_trial
+        real = harness_module.bootstrap_variances
 
-        def flaky(config, seed):
+        def flaky(*args, **kwargs):
             flaky.calls += 1
-            if flaky.calls % 25 == 0:
-                raise RuntimeError("injected failure")
-            return real(config, seed)
+            if flaky.calls % 10 == 0:
+                raise BootstrapError("injected failure")
+            return real(*args, **kwargs)
 
         flaky.calls = 0
-        monkeypatch.setattr(harness_module, "simulate_trial", flaky)
-        oc = run_scenario(small_scenario(replicates=100), 59)
-        assert oc.n_failed == 4
-        assert not oc.valid  # 4% > 1% failure budget
+        monkeypatch.setattr(harness_module, "bootstrap_variances", flaky)
+        oc = run_scenario(small_scenario(replicates=100, bootstrap=BootstrapSettings(b=5)), 59)
+        # one bootstrap per continuing replicate; failed ones are not counted as continuing
+        assert flaky.calls == oc.n_continuing + oc.n_failed
+        assert oc.n_failed == flaky.calls // 10
+        assert oc.n_failed >= 2
+        assert not oc.valid  # more than the 1% failure budget
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
