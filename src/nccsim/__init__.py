@@ -10,12 +10,7 @@ from .adjusted import (
     bootstrap_mae_estimates,
     bootstrap_variance,
     bootstrap_variances,
-    conditional_bias_estimate,
-    mae,
     method_label,
-    separate_test,
-    unadjusted_test,
-    wald_test,
 )
 from .bias import (
     BiasInputs,
@@ -25,7 +20,7 @@ from .bias import (
     stop_probability,
     truncated_normal_mean,
 )
-from .datagen import CELLS, TrialDataset, simulate_trial, time_trend
+from .datagen import CELLS, TrialDataset, simulate_trial
 from .design import (
     DesignConfig,
     TimeTrendSpec,
@@ -38,12 +33,9 @@ from .design import (
 from .estimators import (
     InterimResult,
     RegressionFit,
-    interim_z,
-    model_based_estimate,
     model_based_from_means,
     model_based_variance,
     ols_fit,
-    separate_estimate,
     separate_variance,
 )
 from .harness import (
@@ -67,14 +59,8 @@ from .harness import (
 from .theta1 import (
     InformationLevels,
     Theta1Method,
-    cumvue,
     cumvue_from_means,
-    estimate_theta1,
     information_levels,
-    theta1_period1,
-    theta1_period2,
-    theta1_pooled,
-    umvue,
     umvue_from_means,
 )
 

@@ -1,10 +1,18 @@
-"""Mean-adjusted estimation and inference for the arm-2 effect.
+"""Mean-adjusted estimation and inference for the arm-2 effect, on cell means.
 
-When arm 1 continues, the model-based estimate is debiased by subtracting a
-plug-in estimate of its conditional bias, and its variance is estimated with
-a stratified bootstrap that replays the trial including the futility rule.
-When arm 1 stops, everything collapses to the concurrent-only analysis and a
-standard z-test.
+Every analysis of a trial is a function of its five cell means at the
+design's cell counts, and this module holds its one implementation.
+:func:`point_estimates` analyses a batch of trials in one numpy pass: the
+interim look, the unadjusted (model-based), separate and mean-adjusted
+estimates and the bias corrections, with the design's constants computed
+once (:func:`scenario_constants`). A stop is a mask: a stopped trial takes
+the concurrent-only estimate under every method. When arm 1 continues, the
+model-based estimate is debiased by subtracting a plug-in estimate of its
+conditional bias, and its variance is estimated with a stratified bootstrap
+that replays the trial including the futility rule and analyses the
+resamples with the same functions. Each method is then tested with a
+Wald-type statistic: known-sigma for a stopped trial and the unadjusted
+estimate, bootstrap for the adjusted ones.
 """
 
 from __future__ import annotations
@@ -15,23 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import normal
-from .datagen import TrialDataset
+from .datagen import CELLS, TrialDataset
 from .design import DesignConfig, futility_cutoff
-from .estimators import (
-    InterimResult,
-    model_based_estimate,
-    model_based_from_means,
-    model_based_variance,
-    separate_estimate,
-    separate_variance,
-)
-from .theta1 import (
-    Theta1Method,
-    _info_from_counts,
-    cumvue_from_means,
-    estimate_theta1,
-    pooled_from_means,
-)
+from .estimators import model_based_from_means, model_based_variance, separate_variance
+from .theta1 import InformationLevels, Theta1Method, information_levels, plug_ins
 
 #: Continuation probabilities below this are treated as numerically zero.
 SF_FLOOR = 1e-12
@@ -44,6 +39,20 @@ METHOD_SEPARATE = "separate"
 
 def method_label(method: Theta1Method) -> str:
     return f"mae_{method.value}"
+
+
+THETA1_METHODS = (
+    Theta1Method.POOLED,
+    Theta1Method.PERIOD1,
+    Theta1Method.PERIOD2,
+    Theta1Method.CUMVUE,
+)
+
+#: The mean-adjusted methods, one per arm-1 plug-in.
+ADJUSTED_METHODS = tuple(method_label(m) for m in THETA1_METHODS)
+
+#: Output order of the estimator methods.
+METHODS = (METHOD_UNADJUSTED, METHOD_SEPARATE) + ADJUSTED_METHODS
 
 
 class BootstrapError(RuntimeError):
@@ -75,18 +84,6 @@ class EstimateRecord:
     rejected: bool | None = None
 
 
-def conditional_bias_estimate(theta1_hat, config: DesignConfig):
-    """Plug-in estimate of the conditional bias given continuation.
-
-    Evaluates ``rho * se1 * hazard(c1 - theta1_hat / se1)`` at the design's
-    constants; see :func:`bias_correction`. Broadcasts over arrays of
-    ``theta1_hat``.
-    """
-    return bias_correction(
-        theta1_hat, futility_cutoff(config.alpha1), config.rho, config.period1_se
-    )
-
-
 def bias_correction(theta1_hat, c1: float, rho: float, se1: float):
     """``rho * se1 * hazard(c1 - theta1_hat / se1)`` for precomputed constants.
 
@@ -105,22 +102,77 @@ def bias_correction(theta1_hat, c1: float, rho: float, se1: float):
     return float(out) if out.ndim == 0 else out
 
 
-def mae(
-    data: TrialDataset,
-    config: DesignConfig,
-    interim: InterimResult,
-    method: Theta1Method,
-) -> float:
-    """Mean-adjusted arm-2 estimate.
+@dataclass(frozen=True)
+class ScenarioConstants:
+    """Everything in the analysis that depends on the design alone."""
 
-    Stopped: the concurrent-only difference, exactly. Continued: the
-    model-based estimate minus the plug-in conditional bias at the chosen
-    arm-1 estimator.
-    """
-    if not interim.continued:
-        return separate_estimate(data)
-    theta1_hat = estimate_theta1(data, config, interim, method)
-    return model_based_estimate(data) - conditional_bias_estimate(theta1_hat, config)
+    c1: float
+    se1: float
+    rho: float
+    info: InformationLevels
+    z_alpha: float
+    var_model_based: float
+    var_separate: float
+
+
+def scenario_constants(config: DesignConfig) -> ScenarioConstants:
+    """Compute the design's constants; once per scenario, not per replicate."""
+    n = (config.n01, config.n11, config.n02, config.n12, config.n22)
+    return ScenarioConstants(
+        c1=futility_cutoff(config.alpha1),
+        se1=config.period1_se,
+        rho=config.rho,
+        info=information_levels(config),
+        z_alpha=normal.quantile(1.0 - config.alpha),
+        var_model_based=model_based_variance(*n, config.sigma),
+        var_separate=separate_variance(config.n02, config.n22, config.sigma),
+    )
+
+
+@dataclass(frozen=True)
+class PointEstimates:
+    """Interim look and point estimates of a batch of trials, one entry per
+    trial. A stop is a mask: stopped trials take the separate estimate and
+    a zero correction under every method."""
+
+    z11: np.ndarray
+    continued: np.ndarray
+    estimates: dict[str, np.ndarray]
+    corrections: dict[str, np.ndarray]
+
+
+def point_estimates(
+    config: DesignConfig, constants: ScenarioConstants, means: np.ndarray
+) -> PointEstimates:
+    """Analyse ``(n, 5)`` cell means (``CELLS`` order) of trials of ``config``."""
+    m01, m11, m02, m12, m22 = means.T
+    z11 = (m11 - m01) / constants.se1
+    continued = z11 >= constants.c1
+    separate = m22 - m02
+
+    cont = np.flatnonzero(continued)
+    c01, c11, c02, c12, c22 = means[cont].T
+    n = (config.n01, config.n11, config.n02, config.n12)
+    model_based = model_based_from_means(c01, c11, c02, c12, c22, *n)
+    theta1_hats = plug_ins(c01, c11, c02, c12, config, constants.info, constants.c1)
+
+    def on_continued(values, stopped):
+        out = np.array(stopped, dtype=float)
+        out[cont] = values
+        return out
+
+    zero = np.zeros(separate.size)
+    estimates = {
+        METHOD_UNADJUSTED: on_continued(model_based, separate),
+        METHOD_SEPARATE: separate,
+    }
+    corrections = {METHOD_UNADJUSTED: zero, METHOD_SEPARATE: zero}
+    for method, theta1_hat in theta1_hats.items():
+        correction = bias_correction(theta1_hat, constants.c1, constants.rho, constants.se1)
+        label = method_label(method)
+        estimates[label] = on_continued(model_based - correction, separate)
+        corrections[label] = on_continued(correction, zero)
+    return PointEstimates(z11, continued, estimates, corrections)
 
 
 def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
@@ -142,22 +194,24 @@ def bootstrap_mae_estimates(
     period-2 cells and recompute the adjusted estimate (the plug-in arm-1
     estimate included). Repeats until ``settings.b`` resamples are accepted.
     Resamples are drawn in batches for speed; the sequence of accepted
-    estimates is a deterministic function of ``settings.seed``.
+    estimates is a deterministic function of ``settings.seed``. The look and
+    the correction use the design's constants (:func:`scenario_constants`),
+    so the dataset's cell counts must be the design's.
 
-    Raises :class:`BootstrapError` after ``100 * b`` consecutive rejections.
+    Raises :class:`BootstrapError` after ``100 * b`` consecutive rejections,
+    and ``ValueError`` when the cell counts differ from the design's.
     """
-    y01, y11 = data.cell(0, 1), data.cell(1, 1)
-    y02, y12, y22 = data.cell(0, 2), data.cell(1, 2), data.cell(2, 2)
-    if y12.size == 0:
+    counts = tuple(data.count(*cell) for cell in CELLS)
+    design = (config.n01, config.n11, config.n02, config.n12, config.n22)
+    if counts != design:
+        raise ValueError(
+            f"the dataset's cell counts {counts} differ from the design's {design}"
+        )
+    if config.n12 == 0:
         raise ValueError("bootstrap requires arm-1 period-2 data (arm 1 continued)")
-    n01, n11, n02, n12 = y01.size, y11.size, y02.size, y12.size
-
-    sigma = config.sigma
-    c1 = futility_cutoff(config.alpha1)
-    se1 = sigma * math.sqrt(1.0 / n11 + 1.0 / n01)
-    info = _info_from_counts(n01, n11, n02, n12, sigma)
-    # the correction uses the design's rho and se1, as conditional_bias_estimate does
-    rho, design_se1 = config.rho, config.period1_se
+    y01, y11, y02, y12, y22 = (data.cell(*cell) for cell in CELLS)
+    constants = scenario_constants(config)
+    c1, se1 = constants.c1, constants.se1
 
     rng = np.random.default_rng(settings.seed)
     b = settings.b
@@ -197,20 +251,13 @@ def bootstrap_mae_estimates(
         m02 = _bootstrap_cell_means(rng, y02, take.size)
         m22 = _bootstrap_cell_means(rng, y22, take.size)
 
-        base = model_based_from_means(m01a, m11a, m02, m12, m22, n01, n11, n02, n12)
-        pooled = None
-        if Theta1Method.POOLED in methods or Theta1Method.CUMVUE in methods:
-            pooled = pooled_from_means(m01a, m11a, m02, m12, n01, n11, n02, n12)
+        base = model_based_from_means(
+            m01a, m11a, m02, m12, m22, config.n01, config.n11, config.n02, config.n12
+        )
+        theta1_hats = plug_ins(m01a, m11a, m02, m12, config, constants.info, c1)
         for m in methods:
-            if m is Theta1Method.POOLED:
-                theta1_hat = pooled
-            elif m is Theta1Method.PERIOD1:
-                theta1_hat = m11a - m01a
-            elif m is Theta1Method.PERIOD2:
-                theta1_hat = m12 - m02
-            else:
-                theta1_hat = cumvue_from_means(pooled, info, c1)
-            collected[m].append(base - bias_correction(theta1_hat, c1, rho, design_se1))
+            correction = bias_correction(theta1_hats[m], c1, constants.rho, se1)
+            collected[m].append(base - correction)
         need -= take.size
 
     return {m: np.concatenate(parts)[:b] for m, parts in collected.items()}
@@ -238,106 +285,36 @@ def bootstrap_variance(
     return bootstrap_variances(data, config, settings, (method,))[method]
 
 
-def _t_statistic(estimate: float, variance: float) -> float:
-    if variance > 0.0:
-        return estimate / math.sqrt(variance)
-    if estimate == 0.0:
-        return 0.0
-    return math.copysign(math.inf, estimate)
+def wald_variances(
+    point: PointEstimates, constants: ScenarioConstants, bootstrap: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Per-trial variance behind each method's test; NaN where it has none.
 
-
-def _tested_record(
-    method: str,
-    estimate: float,
-    continued: bool,
-    bias_correction: float,
-    variance: float,
-    alpha: float,
-) -> EstimateRecord:
-    t = _t_statistic(estimate, variance)
-    return EstimateRecord(
-        method=method,
-        estimate=estimate,
-        continued=continued,
-        bias_correction=bias_correction,
-        variance=variance,
-        t_statistic=t,
-        rejected=bool(t > normal.quantile(1.0 - alpha)),
-    )
-
-
-def _mae_record(
-    data: TrialDataset,
-    config: DesignConfig,
-    interim: InterimResult,
-    method: Theta1Method,
-    variance: float | None,
-) -> EstimateRecord:
-    label = method_label(method)
-    if not interim.continued:
-        estimate = separate_estimate(data)
-        var = separate_variance(data.count(0, 2), data.count(2, 2), config.sigma)
-        return _tested_record(label, estimate, False, 0.0, var, config.alpha)
-    theta1_hat = estimate_theta1(data, config, interim, method)
-    correction = conditional_bias_estimate(theta1_hat, config)
-    estimate = model_based_estimate(data) - correction
-    if variance is None:
-        return EstimateRecord(
-            method=label,
-            estimate=estimate,
-            continued=True,
-            bias_correction=correction,
-        )
-    return _tested_record(label, estimate, True, correction, variance, config.alpha)
-
-
-def wald_test(
-    data: TrialDataset,
-    config: DesignConfig,
-    interim: InterimResult,
-    method: Theta1Method,
-    settings: BootstrapSettings | None,
-) -> EstimateRecord:
-    """Adjusted estimate with its test.
-
-    Stopped: standard z-test of the concurrent-only difference. Continued:
-    the adjusted estimate scaled by its bootstrap standard error; with
-    ``settings=None`` the point estimate is returned without a test.
+    Stopped trials use the known-sigma separate variance under every method.
+    Continuing ones use the model-based variance (unadjusted) or the
+    bootstrap variance (adjusted methods, NaN when not bootstrapped).
     """
-    variance = None
-    if interim.continued and settings is not None:
-        variance = bootstrap_variance(data, config, settings, method)
-    return _mae_record(data, config, interim, method, variance)
+    cont = point.continued
+    separate = np.full(cont.size, constants.var_separate)
+    out = {
+        METHOD_UNADJUSTED: np.where(cont, constants.var_model_based, separate),
+        METHOD_SEPARATE: separate,
+    }
+    for label in ADJUSTED_METHODS:
+        out[label] = np.where(cont, bootstrap[label], separate)
+    return out
 
 
-def separate_test(
-    data: TrialDataset, config: DesignConfig, interim: InterimResult
-) -> EstimateRecord:
-    """Concurrent-only estimate with its z-test, ignoring the interim."""
-    estimate = separate_estimate(data)
-    var = separate_variance(data.count(0, 2), data.count(2, 2), config.sigma)
-    return _tested_record(
-        METHOD_SEPARATE, estimate, interim.continued, 0.0, var, config.alpha
-    )
+def t_statistic(estimate: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """``estimate / sqrt(variance)``; a zero variance gives 0 or +/-inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = estimate / np.sqrt(variance)
+    degenerate = np.where(estimate == 0.0, 0.0, np.copysign(np.inf, estimate))
+    return np.where(variance > 0.0, t, np.where(np.isnan(variance), np.nan, degenerate))
 
 
-def unadjusted_test(
-    data: TrialDataset, config: DesignConfig, interim: InterimResult
-) -> EstimateRecord:
-    """Model-based estimate with its known-sigma z-test, no interim adjustment."""
-    if interim.continued:
-        estimate = model_based_estimate(data)
-        var = model_based_variance(
-            data.count(0, 1),
-            data.count(1, 1),
-            data.count(0, 2),
-            data.count(1, 2),
-            data.count(2, 2),
-            config.sigma,
-        )
-    else:
-        estimate = separate_estimate(data)
-        var = separate_variance(data.count(0, 2), data.count(2, 2), config.sigma)
-    return _tested_record(
-        METHOD_UNADJUSTED, estimate, interim.continued, 0.0, var, config.alpha
-    )
+def rejections(estimate, variance, z_alpha: float) -> np.ndarray:
+    """1 / 0 per trial, -1 where the method has no test."""
+    flags = (t_statistic(estimate, variance) > z_alpha).astype(np.int8)
+    flags[np.isnan(variance)] = -1
+    return flags

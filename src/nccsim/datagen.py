@@ -24,27 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignConfig, TimeTrendSpec, TrendPattern
+from .design import DesignConfig, TrendPattern
 
 #: The five (arm, period) cells of the full design.
 CELLS = ((0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
-
-
-def time_trend(j: int, total: int, period: int, spec: TimeTrendSpec) -> float:
-    """Mean drift for the patient recruited at position ``j`` of ``total``.
-
-    Linear: ``lam * (j - 1) / (total - 1)``; stepwise: ``lam`` in period 2;
-    none: 0 regardless of ``lam``.
-    """
-    if not 1 <= j <= total:
-        raise ValueError(f"patient index {j} outside 1..{total}")
-    if spec.pattern is TrendPattern.NONE:
-        return 0.0
-    if spec.pattern is TrendPattern.STEPWISE:
-        return spec.lam if period == 2 else 0.0
-    if total < 2:
-        raise ValueError("linear trend requires a total sample size of at least 2")
-    return spec.lam * (j - 1) / (total - 1)
 
 
 @dataclass(frozen=True)
@@ -89,16 +72,6 @@ class TrialDataset:
         if (arm, period) not in self._means:
             raise ValueError(f"cell (arm={arm}, period={period}) is empty")
         return self._means[(arm, period)]
-
-    def drop_arm1_period2(self) -> "TrialDataset":
-        """View of the trial after a futility stop: the (1, 2) cell removed."""
-        keep = ~((self.arm == 1) & (self.period == 2))
-        return TrialDataset(
-            patient=self.patient[keep],
-            arm=self.arm[keep],
-            period=self.period[keep],
-            y=self.y[keep],
-        )
 
 
 #: Arm and period of each cell, in ``CELLS`` order.

@@ -1,21 +1,21 @@
-"""Interim decision and the unadjusted arm-2 treatment effect estimators.
+"""The unadjusted arm-2 effect estimators and their known-sigma variances.
 
-Three routes to the arm-2 effect: the separate (concurrent-only) difference,
-the closed-form model-based estimate that borrows trend-corrected
-non-concurrent controls, and a least-squares fit of the period-adjusted
-dummy regression. The latter two agree on full-rank data and are kept as
-independent implementations so each checks the other.
+Two routes from the cell means: the separate (concurrent-only) difference
+``m22 - m02``, and the closed-form model-based estimate that borrows
+trend-corrected non-concurrent controls. A least-squares fit of the
+period-adjusted dummy regression on the patient rows agrees with the closed
+form on full-rank data and is kept as its independent check. The records of
+one trial's interim look and regression fit are defined here too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import TrialDataset
-from .design import DesignConfig, futility_cutoff, ncc_weight
+from .design import ncc_weight
 
 
 @dataclass(frozen=True)
@@ -38,35 +38,6 @@ class RegressionFit:
     tau: float
 
 
-def interim_z(
-    data: TrialDataset, config: DesignConfig, use_pooled_variance: bool = False
-) -> InterimResult:
-    """One-sided z-test of arm 1 vs control on period-1 data.
-
-    Uses the known ``sigma`` by default; ``use_pooled_variance`` swaps in the
-    pooled period-1 sample standard deviation (off by default and not used
-    by the simulation harness). A tie ``z11 == c1`` continues: the rule
-    stops only when ``z11 < c1``.
-    """
-    n11 = data.count(1, 1)
-    n01 = data.count(0, 1)
-    if use_pooled_variance:
-        y11, y01 = data.cell(1, 1), data.cell(0, 1)
-        pooled = ((y11 - y11.mean()) ** 2).sum() + ((y01 - y01.mean()) ** 2).sum()
-        sigma = math.sqrt(pooled / (n11 + n01 - 2))
-    else:
-        sigma = config.sigma
-    se = sigma * math.sqrt(1.0 / n11 + 1.0 / n01)
-    z11 = (data.mean(1, 1) - data.mean(0, 1)) / se
-    c1 = futility_cutoff(config.alpha1)
-    return InterimResult(z11=z11, c1=c1, continued=bool(z11 >= c1))
-
-
-def separate_estimate(data: TrialDataset) -> float:
-    """Concurrent-only estimate: mean(arm 2) - mean(control, period 2)."""
-    return data.mean(2, 2) - data.mean(0, 2)
-
-
 def model_based_from_means(m01, m11, m02, m12, m22, n01, n11, n02, n12):
     """Closed-form model-based estimate from the five cell means.
 
@@ -77,29 +48,6 @@ def model_based_from_means(m01, m11, m02, m12, m22, n01, n11, n02, n12):
     rho = ncc_weight(n01, n02, n11, n12)
     control_p2 = (1.0 - rho) * m02 + rho * (m01 + m12 - m11)
     return m22 - control_p2
-
-
-def model_based_estimate(data: TrialDataset) -> float:
-    """Model-based estimate on a full dataset; requires arm-1 period-2 data."""
-    n12 = data.count(1, 2)
-    if n12 == 0:
-        raise ValueError(
-            "arm 1 has no period-2 data, so the non-concurrent weight is zero; "
-            "use separate_estimate"
-        )
-    return float(
-        model_based_from_means(
-            data.mean(0, 1),
-            data.mean(1, 1),
-            data.mean(0, 2),
-            data.mean(1, 2),
-            data.mean(2, 2),
-            data.count(0, 1),
-            data.count(1, 1),
-            data.count(0, 2),
-            n12,
-        )
-    )
 
 
 def separate_variance(n02: int, n22: int, sigma: float) -> float:
@@ -122,7 +70,7 @@ def ols_fit(data: TrialDataset) -> RegressionFit:
     """Least-squares fit of the dummy regression on the patient rows.
 
     Solved via SVD (numpy ``lstsq``); raises on a rank-deficient design.
-    Serves as an independent check of :func:`model_based_estimate`.
+    Serves as an independent check of :func:`model_based_from_means`.
     """
     x = np.column_stack(
         [

@@ -4,8 +4,8 @@ Replicates are drawn and analysed in chunks of ``CHUNK`` consecutive
 indices. The trials of chunk ``c`` are drawn as cell means from a seed
 stream keyed by ``(master seed, scenario id, c)``, and the interim decision,
 every estimate, bias correction and known-sigma test is computed for the
-whole chunk in one numpy pass, with the design's constants computed once per
-scenario. Replicate ``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``.
+whole chunk in one numpy pass (:mod:`nccsim.adjusted`), with the design's
+constants computed once per scenario. Replicate ``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``.
 Patient rows are built only for the bootstrap of a continuing replicate,
 from a stream keyed by ``(master seed, scenario id, i)``; the bootstrap
 resamples from a stream keyed by the same triple and the bootstrap seed.
@@ -24,50 +24,26 @@ from itertools import repeat
 
 import numpy as np
 
-from . import normal
 from .adjusted import (
-    METHOD_SEPARATE,
-    METHOD_UNADJUSTED,
+    ADJUSTED_METHODS,
+    METHODS,
+    THETA1_METHODS,
     BootstrapError,
     BootstrapSettings,
     EstimateRecord,
-    bias_correction,
+    PointEstimates,
+    ScenarioConstants,
     bootstrap_variances,
     method_label,
+    point_estimates,
+    rejections,
+    scenario_constants,
+    t_statistic,
+    wald_variances,
 )
 from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial
-from .design import DesignConfig, TimeTrendSpec, TrendPattern, futility_cutoff, validate
-from .estimators import (
-    InterimResult,
-    model_based_from_means,
-    model_based_variance,
-    separate_variance,
-)
-from .theta1 import (
-    InformationLevels,
-    Theta1Method,
-    cumvue_from_means,
-    information_levels,
-    pooled_from_means,
-)
-
-# The single-trial, patient-row API stays importable from here.
-from .adjusted import separate_test, unadjusted_test  # noqa: F401
-from .datagen import simulate_trial  # noqa: F401
-from .estimators import interim_z  # noqa: F401
-
-THETA1_METHODS = (
-    Theta1Method.POOLED,
-    Theta1Method.PERIOD1,
-    Theta1Method.PERIOD2,
-    Theta1Method.CUMVUE,
-)
-
-#: The mean-adjusted methods, one per arm-1 plug-in.
-ADJUSTED_METHODS = tuple(method_label(m) for m in THETA1_METHODS)
-
-#: Output order of the estimator methods.
-METHODS = (METHOD_UNADJUSTED, METHOD_SEPARATE) + ADJUSTED_METHODS
+from .design import DesignConfig, TimeTrendSpec, TrendPattern, validate
+from .estimators import InterimResult
 
 #: Output order of the reported statistics.
 STATISTICS = (
@@ -182,116 +158,6 @@ def replicate_stream(
     )
 
 
-# --- the batched analysis -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioConstants:
-    """Everything in the analysis that depends on the design alone."""
-
-    c1: float
-    se1: float
-    rho: float
-    info: InformationLevels
-    z_alpha: float
-    var_model_based: float
-    var_separate: float
-
-
-def scenario_constants(config: DesignConfig) -> ScenarioConstants:
-    """Compute the design's constants; once per scenario, not per replicate."""
-    n = (config.n01, config.n11, config.n02, config.n12, config.n22)
-    return ScenarioConstants(
-        c1=futility_cutoff(config.alpha1),
-        se1=config.period1_se,
-        rho=config.rho,
-        info=information_levels(config),
-        z_alpha=normal.quantile(1.0 - config.alpha),
-        var_model_based=model_based_variance(*n, config.sigma),
-        var_separate=separate_variance(config.n02, config.n22, config.sigma),
-    )
-
-
-@dataclass(frozen=True)
-class PointEstimates:
-    """Interim look and point estimates of a batch of trials, one entry per
-    trial. A stop is a mask: stopped trials take the separate estimate and
-    a zero correction under every method."""
-
-    z11: np.ndarray
-    continued: np.ndarray
-    estimates: dict[str, np.ndarray]
-    corrections: dict[str, np.ndarray]
-
-
-def point_estimates(
-    config: DesignConfig, constants: ScenarioConstants, means: np.ndarray
-) -> PointEstimates:
-    """Analyse ``(n, 5)`` cell means (``CELLS`` order) of trials of ``config``."""
-    m01, m11, m02, m12, m22 = means.T
-    z11 = (m11 - m01) / constants.se1
-    continued = z11 >= constants.c1
-    separate = m22 - m02
-
-    cont = np.flatnonzero(continued)
-    c01, c11, c02, c12, c22 = means[cont].T
-    n = (config.n01, config.n11, config.n02, config.n12)
-    model_based = model_based_from_means(c01, c11, c02, c12, c22, *n)
-    pooled = pooled_from_means(c01, c11, c02, c12, *n)
-    plug_ins = {
-        Theta1Method.POOLED: pooled,
-        Theta1Method.PERIOD1: c11 - c01,
-        Theta1Method.PERIOD2: c12 - c02,
-        Theta1Method.CUMVUE: cumvue_from_means(pooled, constants.info, constants.c1),
-    }
-
-    def on_continued(values, stopped):
-        out = np.array(stopped, dtype=float)
-        out[cont] = values
-        return out
-
-    zero = np.zeros(separate.size)
-    estimates = {
-        METHOD_UNADJUSTED: on_continued(model_based, separate),
-        METHOD_SEPARATE: separate,
-    }
-    corrections = {METHOD_UNADJUSTED: zero, METHOD_SEPARATE: zero}
-    for method, theta1_hat in plug_ins.items():
-        correction = bias_correction(theta1_hat, constants.c1, constants.rho, constants.se1)
-        label = method_label(method)
-        estimates[label] = on_continued(model_based - correction, separate)
-        corrections[label] = on_continued(correction, zero)
-    return PointEstimates(z11, continued, estimates, corrections)
-
-
-def _variances(
-    point: PointEstimates, constants: ScenarioConstants, bootstrap: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Per-trial variance behind each method's test; NaN where it has none.
-
-    Stopped trials use the known-sigma separate variance under every method.
-    Continuing ones use the model-based variance (unadjusted) or the
-    bootstrap variance (adjusted methods, NaN when not bootstrapped).
-    """
-    cont = point.continued
-    separate = np.full(cont.size, constants.var_separate)
-    out = {
-        METHOD_UNADJUSTED: np.where(cont, constants.var_model_based, separate),
-        METHOD_SEPARATE: separate,
-    }
-    for label in ADJUSTED_METHODS:
-        out[label] = np.where(cont, bootstrap[label], separate)
-    return out
-
-
-def _t_statistic(estimate: np.ndarray, variance: np.ndarray) -> np.ndarray:
-    """``estimate / sqrt(variance)``; a zero variance gives 0 or +/-inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = estimate / np.sqrt(variance)
-    degenerate = np.where(estimate == 0.0, 0.0, np.copysign(np.inf, estimate))
-    return np.where(variance > 0.0, t, np.where(np.isnan(variance), np.nan, degenerate))
-
-
 # --- chunks -------------------------------------------------------------------
 
 
@@ -390,14 +256,7 @@ def _run_chunk(
                 raise _keyed_error(scenario, master_seed, f"replicate {index}", exc) from exc
             for label, value in variances.items():
                 bootstrap[label][row] = value
-    return _Chunk(point, _variances(point, constants, bootstrap), failed)
-
-
-def _rejections(estimate, variance, z_alpha: float) -> np.ndarray:
-    """1 / 0 per trial, -1 where the method has no test."""
-    flags = (_t_statistic(estimate, variance) > z_alpha).astype(np.int8)
-    flags[np.isnan(variance)] = -1
-    return flags
+    return _Chunk(point, wald_variances(point, constants, bootstrap), failed)
 
 
 def _collect_chunk(
@@ -410,7 +269,7 @@ def _collect_chunk(
         failed=result.failed,
         estimates=estimates,
         rejected={
-            m: _rejections(estimates[m], result.variances[m], constants.z_alpha)
+            m: rejections(estimates[m], result.variances[m], constants.z_alpha)
             for m in METHODS
         },
     )
@@ -450,8 +309,8 @@ def run_replicate(
             continued=continued,
             bias_correction=float(point.corrections[m][row]),
             variance=float(variance[0]) if tested else None,
-            t_statistic=float(_t_statistic(estimate, variance)[0]) if tested else None,
-            rejected=bool(_rejections(estimate, variance, constants.z_alpha)[0])
+            t_statistic=float(t_statistic(estimate, variance)[0]) if tested else None,
+            rejected=bool(rejections(estimate, variance, constants.z_alpha)[0])
             if tested else None,
         )
     interim = InterimResult(z11=float(point.z11[row]), c1=constants.c1, continued=continued)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import normal
-from .datagen import TrialDataset
 from .design import DesignConfig
-from .estimators import InterimResult
 
 
 class Theta1Method(Enum):
@@ -34,17 +32,12 @@ class InformationLevels:
     i2: float
 
 
-def _info_from_counts(n01, n11, n02, n12, sigma) -> InformationLevels:
+def information_levels(config: DesignConfig) -> InformationLevels:
+    """Interim and final information for the configured cell sizes."""
+    n01, n11, n02, n12, sigma = config.n01, config.n11, config.n02, config.n12, config.sigma
     i1 = 1.0 / (sigma * sigma * (1.0 / n11 + 1.0 / n01))
     i2 = 1.0 / (sigma * sigma * (1.0 / (n11 + n12) + 1.0 / (n01 + n02)))
     return InformationLevels(i1=i1, i2=i2)
-
-
-def information_levels(config: DesignConfig) -> InformationLevels:
-    """Interim and final information for the configured cell sizes."""
-    return _info_from_counts(
-        config.n01, config.n11, config.n02, config.n12, config.sigma
-    )
 
 
 def pooled_from_means(m01, m11, m02, m12, n01, n11, n02, n12):
@@ -52,25 +45,6 @@ def pooled_from_means(m01, m11, m02, m12, n01, n11, n02, n12):
     arm1 = (n11 * m11 + n12 * m12) / (n11 + n12)
     control = (n01 * m01 + n02 * m02) / (n01 + n02)
     return arm1 - control
-
-
-def theta1_pooled(data: TrialDataset) -> float:
-    """Pooled arm-1 vs control mean difference over all available patients."""
-    n11, n12 = data.count(1, 1), data.count(1, 2)
-    n01, n02 = data.count(0, 1), data.count(0, 2)
-    arm1_sum = data.cell(1, 1).sum() + (data.cell(1, 2).sum() if n12 else 0.0)
-    control_sum = data.cell(0, 1).sum() + data.cell(0, 2).sum()
-    return float(arm1_sum / (n11 + n12) - control_sum / (n01 + n02))
-
-
-def theta1_period1(data: TrialDataset) -> float:
-    return data.mean(1, 1) - data.mean(0, 1)
-
-
-def theta1_period2(data: TrialDataset) -> float:
-    if data.count(1, 2) == 0:
-        raise ValueError("arm 1 has no period-2 data; period-2 estimate undefined")
-    return data.mean(1, 2) - data.mean(0, 2)
 
 
 def umvue_from_means(pooled_mle, info: InformationLevels, c1):
@@ -101,44 +75,19 @@ def cumvue_from_means(pooled_mle, info: InformationLevels, c1):
     return (i2 * pooled_mle - i1 * u) / (i2 - i1)
 
 
-def _require_continued(interim: InterimResult, data: TrialDataset) -> None:
-    if not interim.continued:
-        raise ValueError("estimator is defined only when arm 1 continues")
-    if data.count(1, 2) == 0:
-        raise ValueError("arm 1 has no period-2 data")
+def plug_ins(m01, m11, m02, m12, config: DesignConfig, info: InformationLevels, c1):
+    """Every arm-1 plug-in estimate, keyed by method, from the arm-1 and
+    control cell means of both periods at the design's cell sizes.
 
-
-def umvue(data: TrialDataset, config: DesignConfig, interim: InterimResult) -> float:
-    _require_continued(interim, data)
-    info = _info_from_counts(
-        data.count(0, 1), data.count(1, 1), data.count(0, 2), data.count(1, 2),
-        config.sigma,
+    ``info`` and ``c1`` are the design's information levels and interim
+    cutoff. Broadcasts over arrays of means.
+    """
+    pooled = pooled_from_means(
+        m01, m11, m02, m12, config.n01, config.n11, config.n02, config.n12
     )
-    return float(umvue_from_means(theta1_pooled(data), info, interim.c1))
-
-
-def cumvue(data: TrialDataset, config: DesignConfig, interim: InterimResult) -> float:
-    _require_continued(interim, data)
-    info = _info_from_counts(
-        data.count(0, 1), data.count(1, 1), data.count(0, 2), data.count(1, 2),
-        config.sigma,
-    )
-    return float(cumvue_from_means(theta1_pooled(data), info, interim.c1))
-
-
-def estimate_theta1(
-    data: TrialDataset,
-    config: DesignConfig,
-    interim: InterimResult,
-    method: Theta1Method,
-) -> float:
-    """Dispatch to the requested arm-1 effect estimator."""
-    if method is Theta1Method.POOLED:
-        return theta1_pooled(data)
-    if method is Theta1Method.PERIOD1:
-        return theta1_period1(data)
-    if method is Theta1Method.PERIOD2:
-        return theta1_period2(data)
-    if method is Theta1Method.CUMVUE:
-        return cumvue(data, config, interim)
-    raise ValueError(f"unknown method: {method!r}")
+    return {
+        Theta1Method.POOLED: pooled,
+        Theta1Method.PERIOD1: m11 - m01,
+        Theta1Method.PERIOD2: m12 - m02,
+        Theta1Method.CUMVUE: cumvue_from_means(pooled, info, c1),
+    }

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nccsim import DesignConfig, TrialDataset
+from nccsim import CELLS, DesignConfig, TrialDataset
+from nccsim.adjusted import point_estimates, scenario_constants
 
 
 def make_dataset(cells: dict[tuple[int, int], list[float]]) -> TrialDataset:
@@ -25,6 +26,20 @@ def make_dataset(cells: dict[tuple[int, int], list[float]]) -> TrialDataset:
         period=np.asarray(period, dtype=np.int64),
         y=np.asarray(y, dtype=float),
     )
+
+
+def cell_means(data: TrialDataset) -> np.ndarray:
+    """The five cell means of ``data`` in ``CELLS`` order; NaN for an empty cell."""
+    return np.array([data.mean(*cell) if data.count(*cell) else np.nan for cell in CELLS])
+
+
+def cell_counts(data: TrialDataset) -> tuple[int, ...]:
+    return tuple(data.count(*cell) for cell in CELLS)
+
+
+def analyse(data: TrialDataset, config: DesignConfig):
+    """The engine's analysis of one trial: the core on ``data``'s cell means."""
+    return point_estimates(config, scenario_constants(config), cell_means(data)[None, :])
 
 
 def default_config(**overrides) -> DesignConfig:

@@ -18,28 +18,25 @@ import pytest
 from nccsim import (
     BootstrapSettings,
     Scenario,
+    Theta1Method,
     TimeTrendSpec,
     TrendPattern,
     bias_inputs,
     bootstrap_variance,
     collect_replicates,
     conditional_bias,
-    cumvue,
-    interim_z,
-    mae,
     marginal_bias,
-    model_based_estimate,
+    model_based_from_means,
     ols_fit,
     replicate_stream,
     run_scenario,
     simulate_trial,
     summarize,
-    theta1_period1,
-    theta1_period2,
-    theta1_pooled,
 )
+from nccsim.adjusted import point_estimates, scenario_constants
 from nccsim.cli import main as cli_main
-from conftest import default_config, make_dataset
+from nccsim.theta1 import plug_ins
+from conftest import cell_counts, cell_means, default_config, make_dataset
 
 MASTER_SEED = 20250808
 WORKERS = min(2, os.cpu_count() or 1)
@@ -108,7 +105,8 @@ def test_criterion_01_closed_form_matches_least_squares():
             for cell, n in zip(((0, 1), (1, 1), (0, 2), (1, 2), (2, 2)), sizes)
         }
         data = make_dataset(cells)
-        gap = abs(ols_fit(data).theta2_coef - model_based_estimate(data))
+        closed_form = model_based_from_means(*cell_means(data), *cell_counts(data)[:4])
+        gap = abs(ols_fit(data).theta2_coef - closed_form)
         worst = max(worst, gap)
     elapsed = time.monotonic() - start
     assert worst <= 1e-9
@@ -167,17 +165,19 @@ def test_criterion_04_edge_bounds_are_marginally_unbiased():
 def _theta1_chunk(theta1: float, start: int, stop: int):
     config = default_config(theta1=theta1)
     scenario = _scenario(f"acc:theta1-{theta1:g}", 100_000, theta1=theta1)
+    constants = scenario_constants(config)
+    means = np.array([
+        cell_means(simulate_trial(config, replicate_stream(MASTER_SEED, scenario, rep, 0)))
+        for rep in range(start, stop)
+    ])
+    continued = point_estimates(config, constants, means).continued
+    theta1_hats = plug_ins(*means[continued, :4].T, config, constants.info, constants.c1)
     out = np.full((stop - start, 5), np.nan)
-    for offset, rep in enumerate(range(start, stop)):
-        data = simulate_trial(config, replicate_stream(MASTER_SEED, scenario, rep, 0))
-        interim = interim_z(data, config)
-        if not interim.continued:
-            continue
-        out[offset, 0] = 1.0
-        out[offset, 1] = theta1_pooled(data)
-        out[offset, 2] = theta1_period1(data)
-        out[offset, 3] = theta1_period2(data)
-        out[offset, 4] = cumvue(data, config, interim)
+    out[continued, 0] = 1.0
+    out[continued, 1] = theta1_hats[Theta1Method.POOLED]
+    out[continued, 2] = theta1_hats[Theta1Method.PERIOD1]
+    out[continued, 3] = theta1_hats[Theta1Method.PERIOD2]
+    out[continued, 4] = theta1_hats[Theta1Method.CUMVUE]
     return out
 
 
@@ -316,15 +316,14 @@ def test_criterion_09_trend_invariance():
 def _bootstrap_sd_chunk(start: int, stop: int):
     config = default_config()
     scenario = _scenario("acc:boot-sd", 10_000)
+    constants = scenario_constants(config)
     out = np.full((stop - start, 2), np.nan)
-    from nccsim import Theta1Method
-
     for offset, rep in enumerate(range(start, stop)):
         data = simulate_trial(config, replicate_stream(MASTER_SEED, scenario, rep, 0))
-        interim = interim_z(data, config)
-        if not interim.continued:
+        point = point_estimates(config, constants, cell_means(data)[None, :])
+        if not point.continued[0]:
             continue
-        out[offset, 0] = mae(data, config, interim, Theta1Method.CUMVUE)
+        out[offset, 0] = point.estimates["mae_cumvue"][0]
         seed = np.random.SeedSequence(entropy=MASTER_SEED, spawn_key=(7, rep))
         variance = bootstrap_variance(
             data, config, BootstrapSettings(b=1000, seed=seed), Theta1Method.CUMVUE

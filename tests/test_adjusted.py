@@ -6,24 +6,56 @@ import pytest
 from nccsim import (
     BootstrapError,
     BootstrapSettings,
-    InterimResult,
+    InformationLevels,
     Theta1Method,
     bootstrap_mae_estimates,
     bootstrap_variance,
     bootstrap_variances,
-    conditional_bias_estimate,
-    interim_z,
-    mae,
-    separate_estimate,
-    separate_test,
+    cumvue_from_means,
+    method_label,
+    model_based_variance,
     simulate_trial,
-    unadjusted_test,
-    wald_test,
 )
-from nccsim.adjusted import CAP_FACTOR
-from conftest import default_config, make_dataset
+from nccsim.adjusted import (
+    CAP_FACTOR,
+    bias_correction,
+    rejections,
+    scenario_constants,
+    t_statistic,
+    wald_variances,
+)
+from conftest import analyse, default_config, make_dataset
 
 ALL_METHODS = tuple(Theta1Method)
+
+
+def conditional_bias_estimate(theta1_hat, config):
+    """The bias correction at ``config``'s constants."""
+    constants = scenario_constants(config)
+    return bias_correction(theta1_hat, constants.c1, constants.rho, constants.se1)
+
+
+def wald_tests(data, config, bootstrap=None):
+    """Estimate, correction, variance, t statistic and rejection flag of
+    every method for one trial; ``bootstrap`` maps an adjusted method to its
+    bootstrap variance."""
+    constants = scenario_constants(config)
+    point = analyse(data, config)
+    bootstrap = bootstrap or {}
+    boot = {method_label(m): np.array([bootstrap.get(m, np.nan)]) for m in ALL_METHODS}
+    variances = wald_variances(point, constants, boot)
+    out = {}
+    for label, estimate in point.estimates.items():
+        variance = variances[label]
+        out[label] = dict(
+            continued=bool(point.continued[0]),
+            estimate=float(estimate[0]),
+            bias_correction=float(point.corrections[label][0]),
+            variance=float(variance[0]),
+            t=float(t_statistic(estimate, variance)[0]),
+            rejected=int(rejections(estimate, variance, constants.z_alpha)[0]),
+        )
+    return out
 
 
 def constant_cells(n=5, z11_positive=True):
@@ -78,11 +110,14 @@ class TestConditionalBiasEstimate:
 
 class TestMae:
     def test_stopped_equals_separate_exactly(self):
-        data = make_dataset(constant_cells()).drop_arm1_period2()
-        interim = InterimResult(z11=-1.0, c1=0.0, continued=False)
+        # alpha1 = 0 stops every trial; the arm-1 period-2 cell is masked out
+        data = make_dataset(constant_cells())
+        config = default_config(n01=5, n11=5, n02=5, n12=5, n22=5, alpha1=0.0)
+        point = analyse(data, config)
+        assert not point.continued[0]
         for method in ALL_METHODS:
-            value = mae(data, default_config(n01=5, n11=5, n02=5, n12=5, n22=5), interim, method)
-            assert value == separate_estimate(data)
+            value = point.estimates[method_label(method)][0]
+            assert value == point.estimates["separate"][0] == 2.0 - 0.5
 
     def test_hand_value_with_null_plug_in(self):
         # one observation per cell, correction evaluated at theta1_hat = 0
@@ -94,15 +129,24 @@ class TestMae:
     def test_continued_subtracts_method_correction(self):
         config = default_config(n01=5, n11=5, n02=5, n12=5, n22=5)
         data = make_dataset(constant_cells())
-        interim = interim_z(data, config)
-        assert interim.continued
-        from nccsim import estimate_theta1, model_based_estimate
-
-        for method in ALL_METHODS:
-            expected = model_based_estimate(data) - conditional_bias_estimate(
-                estimate_theta1(data, config, interim, method), config
-            )
-            assert mae(data, config, interim, method) == pytest.approx(expected, rel=1e-12)
+        point = analyse(data, config)
+        assert point.continued[0]
+        # by hand: rho = 1/4, so the model-based estimate is
+        # 2 - (3/4 * 0.5 + 1/4 * (0 + 1.5 - 1)) = 1.5; pooled, period-1 and
+        # period-2 plug-ins are all 1
+        assert point.estimates["unadjusted"][0] == pytest.approx(1.5, rel=1e-12)
+        info = InformationLevels(i1=2.5, i2=5.0)
+        theta1_hats = {
+            Theta1Method.POOLED: 1.0,
+            Theta1Method.PERIOD1: 1.0,
+            Theta1Method.PERIOD2: 1.0,
+            Theta1Method.CUMVUE: cumvue_from_means(1.0, info, 0.0),
+        }
+        for method, theta1_hat in theta1_hats.items():
+            label = method_label(method)
+            correction = conditional_bias_estimate(theta1_hat, config)
+            assert point.corrections[label][0] == pytest.approx(correction, rel=1e-12)
+            assert point.estimates[label][0] == pytest.approx(1.5 - correction, rel=1e-12)
 
 
 class TestBootstrap:
@@ -132,7 +176,7 @@ class TestBootstrap:
     def test_deterministic_in_seed(self):
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
         data = simulate_trial(config, 2)
-        assert interim_z(data, config).continued
+        assert analyse(data, config).continued[0]
         a = bootstrap_variance(data, config, BootstrapSettings(b=100, seed=5))
         b = bootstrap_variance(data, config, BootstrapSettings(b=100, seed=5))
         c = bootstrap_variance(data, config, BootstrapSettings(b=100, seed=6))
@@ -142,7 +186,7 @@ class TestBootstrap:
     def test_requested_count_of_estimates(self):
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
         data = simulate_trial(config, 3)
-        assert interim_z(data, config).continued
+        assert analyse(data, config).continued[0]
         estimates = bootstrap_mae_estimates(
             data, config, BootstrapSettings(b=37, seed=0), ALL_METHODS
         )
@@ -152,7 +196,7 @@ class TestBootstrap:
     def test_doubling_b_keeps_the_target_fixed(self):
         config = default_config(n01=30, n11=30, n02=30, n12=30, n22=30)
         data = simulate_trial(config, 81)
-        assert interim_z(data, config).continued
+        assert analyse(data, config).continued[0]
         # E[v_b] = target * (b-1)/b with the resample-count divisor, so
         # rescale before comparing the two resample counts
         small = np.array(
@@ -170,12 +214,19 @@ class TestBootstrap:
     def test_variance_uses_resample_count_divisor(self):
         config = default_config(n01=10, n11=10, n02=10, n12=10, n22=10)
         data = simulate_trial(config, 85)
-        assert interim_z(data, config).continued
+        assert analyse(data, config).continued[0]
         settings = BootstrapSettings(b=25, seed=9)
         estimates = bootstrap_mae_estimates(data, config, settings, (Theta1Method.CUMVUE,))
         variance = bootstrap_variance(data, config, settings, Theta1Method.CUMVUE)
         e = estimates[Theta1Method.CUMVUE]
         assert variance == pytest.approx(((e - e.mean()) ** 2).sum() / settings.b, rel=1e-12)
+
+    def test_cell_counts_must_be_the_designs(self):
+        # the look and the correction both use the design's constants
+        data = simulate_trial(default_config(n01=20, n11=20, n02=20, n12=20, n22=20), 2)
+        config = default_config(n01=20, n11=21, n02=20, n12=20, n22=20)
+        with pytest.raises(ValueError, match="cell counts"):
+            bootstrap_variance(data, config, BootstrapSettings(b=10, seed=5))
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -184,79 +235,71 @@ class TestBootstrap:
 
 class TestWaldTest:
     def test_stopped_branch_is_standard_z_test(self):
-        # constant responses pin the estimate at 0.32 with sigma=1 known
+        # constant responses pin the estimate at 0.32 with sigma=1 known;
+        # alpha1 = 0 stops the trial
         cells = {(0, 1): [0.0] * 150, (1, 1): [0.0] * 150,
                  (0, 2): [0.0] * 150, (2, 2): [0.32] * 150}
         data = make_dataset(cells)
-        config = default_config()
-        interim = InterimResult(z11=-0.5, c1=0.0, continued=False)
-        record = wald_test(data, config, interim, Theta1Method.CUMVUE, None)
-        assert record.estimate == pytest.approx(0.32, rel=1e-12)
-        assert record.bias_correction == 0.0
-        assert record.t_statistic == pytest.approx(2.7712812921102037, rel=1e-10)
-        assert record.rejected is True
-        assert record.continued is False
+        config = default_config(alpha1=0.0)
+        record = wald_tests(data, config)["mae_cumvue"]
+        assert record["estimate"] == pytest.approx(0.32, rel=1e-12)
+        assert record["bias_correction"] == 0.0
+        assert record["t"] == pytest.approx(2.7712812921102037, rel=1e-10)
+        assert record["rejected"] == 1
+        assert record["continued"] is False
 
     def test_zero_estimate_is_never_rejected(self):
         cells = {(0, 1): [0.0] * 10, (1, 1): [0.0] * 10,
                  (0, 2): [0.2] * 10, (2, 2): [0.2] * 10}
         data = make_dataset(cells)
-        config = default_config(n01=10, n11=10, n02=10, n12=10, n22=10)
-        interim = InterimResult(z11=-0.5, c1=0.0, continued=False)
-        record = wald_test(data, config, interim, Theta1Method.POOLED, None)
-        assert record.t_statistic == 0.0
-        assert record.rejected is False
+        config = default_config(n01=10, n11=10, n02=10, n12=10, n22=10, alpha1=0.0)
+        record = wald_tests(data, config)["mae_pooled"]
+        assert record["t"] == 0.0
+        assert record["rejected"] == 0
 
     def test_continued_without_settings_gives_point_estimate_only(self):
         config = default_config(n01=15, n11=15, n02=15, n12=15, n22=15)
         data = simulate_trial(config, 4)
-        interim = interim_z(data, config)
-        assert interim.continued
-        record = wald_test(data, config, interim, Theta1Method.CUMVUE, None)
-        assert record.variance is None
-        assert record.t_statistic is None
-        assert record.rejected is None
-        assert record.continued is True
+        record = wald_tests(data, config)["mae_cumvue"]
+        assert record["continued"] is True
+        assert math.isnan(record["variance"])
+        assert math.isnan(record["t"])
+        assert record["rejected"] == -1  # no test
 
     def test_continued_uses_bootstrap_variance(self):
         config = default_config(n01=25, n11=25, n02=25, n12=25, n22=25)
         data = simulate_trial(config, 3)
-        interim = interim_z(data, config)
-        assert interim.continued
+        assert analyse(data, config).continued[0]
         settings = BootstrapSettings(b=60, seed=4)
-        record = wald_test(data, config, interim, Theta1Method.PERIOD2, settings)
         expected_var = bootstrap_variance(data, config, settings, Theta1Method.PERIOD2)
-        assert record.variance == pytest.approx(expected_var, rel=1e-12)
-        assert record.t_statistic == pytest.approx(record.estimate / math.sqrt(expected_var), rel=1e-12)
-        assert record.rejected == (record.t_statistic > 1.9599639845400542)
-        assert record.method == "mae_period2"
+        tests = wald_tests(data, config, {Theta1Method.PERIOD2: expected_var})
+        assert method_label(Theta1Method.PERIOD2) == "mae_period2"
+        record = tests["mae_period2"]
+        assert record["variance"] == pytest.approx(expected_var, rel=1e-12)
+        assert record["t"] == pytest.approx(record["estimate"] / math.sqrt(expected_var), rel=1e-12)
+        assert record["rejected"] == (record["t"] > 1.9599639845400542)
 
 
 class TestUnadjustedAndSeparateRecords:
     def test_separate_record(self):
         config = default_config(n01=5, n11=5, n02=5, n12=5, n22=5)
         data = make_dataset(constant_cells())
-        interim = interim_z(data, config)
-        record = separate_test(data, config, interim)
-        assert record.method == "separate"
-        assert record.estimate == pytest.approx(1.5)
-        assert record.variance == pytest.approx(2 / 5)
-        assert record.bias_correction == 0.0
+        record = wald_tests(data, config)["separate"]
+        assert record["estimate"] == pytest.approx(1.5)
+        assert record["variance"] == pytest.approx(2 / 5)
+        assert record["bias_correction"] == 0.0
 
     def test_unadjusted_record_branches(self):
         config = default_config(n01=5, n11=5, n02=5, n12=5, n22=5)
         data = make_dataset(constant_cells())
-        interim = interim_z(data, config)
-        continued = unadjusted_test(data, config, interim)
-        from nccsim import model_based_estimate, model_based_variance
-
-        assert continued.estimate == pytest.approx(model_based_estimate(data), rel=1e-12)
-        assert continued.variance == pytest.approx(
+        continued = wald_tests(data, config)["unadjusted"]
+        assert continued["continued"] is True
+        # model-based by hand: 2 - (3/4 * 0.5 + 1/4 * (0 + 1.5 - 1))
+        assert continued["estimate"] == pytest.approx(1.5, rel=1e-12)
+        assert continued["variance"] == pytest.approx(
             model_based_variance(5, 5, 5, 5, 5, 1.0), rel=1e-12
         )
-        stopped_data = data.drop_arm1_period2()
-        stopped = unadjusted_test(
-            stopped_data, config, InterimResult(z11=-1.0, c1=0.0, continued=False)
-        )
-        assert stopped.estimate == separate_estimate(stopped_data)
-        assert stopped.variance == pytest.approx(2 / 5)
+        stopped = wald_tests(data, default_config(n01=5, n11=5, n02=5, n12=5, n22=5, alpha1=0.0))
+        assert stopped["unadjusted"]["continued"] is False
+        assert stopped["unadjusted"]["estimate"] == stopped["separate"]["estimate"] == 1.5
+        assert stopped["unadjusted"]["variance"] == pytest.approx(2 / 5)

@@ -7,7 +7,6 @@ from nccsim import (
     TimeTrendSpec,
     TrendPattern,
     simulate_trial,
-    time_trend,
 )
 from conftest import default_config
 
@@ -15,31 +14,32 @@ LINEAR = TimeTrendSpec(TrendPattern.LINEAR, 0.15)
 STEPWISE = TimeTrendSpec(TrendPattern.STEPWISE, 0.15)
 
 
+def drift(trend, **sizes):
+    """Each patient's mean drift in recruitment order: the responses of a
+    null trial with negligible noise."""
+    return simulate_trial(default_config(sigma=1e-12, trend=trend, **sizes), 1)
+
+
 class TestTimeTrend:
     def test_linear_endpoints(self):
-        assert time_trend(1, 750, 1, LINEAR) == 0.0
-        assert time_trend(750, 750, 2, LINEAR) == pytest.approx(0.15)
+        data = drift(LINEAR)
+        assert data.y.size == 750
+        assert data.y[0] == pytest.approx(0.0, abs=1e-9)
+        assert data.y[-1] == pytest.approx(0.15)
 
     def test_linear_midpoint(self):
-        assert time_trend(376, 751, 1, LINEAR) == pytest.approx(0.075)
+        data = drift(LINEAR, n22=151)
+        assert data.patient[375] == 376 and data.y.size == 751
+        assert data.y[375] == pytest.approx(0.075)
 
     def test_stepwise_by_period(self):
-        assert time_trend(10, 750, 1, STEPWISE) == 0.0
-        assert time_trend(10, 750, 2, STEPWISE) == pytest.approx(0.15)
+        data = drift(STEPWISE)
+        assert np.all(np.abs(data.y[data.period == 1]) < 1e-9)
+        assert data.y[data.period == 2] == pytest.approx(np.full(450, 0.15))
 
     def test_none_ignores_lambda(self):
-        spec = TimeTrendSpec(TrendPattern.NONE, 0.9)
-        assert time_trend(5, 10, 2, spec) == 0.0
-
-    def test_linear_needs_two_patients(self):
-        with pytest.raises(ValueError):
-            time_trend(1, 1, 1, LINEAR)
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            time_trend(0, 10, 1, LINEAR)
-        with pytest.raises(ValueError):
-            time_trend(11, 10, 1, LINEAR)
+        data = drift(TimeTrendSpec(TrendPattern.NONE, 0.9))
+        assert np.all(np.abs(data.y) < 1e-9)
 
 
 class TestSimulateTrial:
@@ -84,15 +84,6 @@ class TestSimulateTrial:
         data = simulate_trial(default_config(), 5)
         with pytest.raises(ValueError):
             data.y[0] = 99.0
-
-    def test_drop_arm1_period2(self):
-        data = simulate_trial(default_config(), 5)
-        dropped = data.drop_arm1_period2()
-        assert dropped.count(1, 2) == 0
-        assert dropped.count(1, 1) == 150
-        assert dropped.mean(2, 2) == pytest.approx(data.mean(2, 2), rel=1e-15)
-        with pytest.raises(ValueError):
-            dropped.mean(1, 2)
 
     def test_stepwise_shift_between_control_periods(self):
         # E[mean(0,2) - mean(0,1)] = lambda under a null design

@@ -1,5 +1,6 @@
 """The batched replicate engine: cell-means draws, expansion to patient rows,
-the vectorised analysis against the scalar one, chunk seeding and errors."""
+the vectorised analysis against independent oracles on the patient rows,
+chunk seeding and errors."""
 
 import math
 
@@ -21,23 +22,19 @@ from nccsim import (
     Theta1Method,
     TimeTrendSpec,
     TrendPattern,
+    TrialDataset,
     bootstrap_variance,
     collect_replicates,
-    interim_z,
     method_label,
+    ols_fit,
     replicate_trial,
     run_replicate,
     run_scenario,
-    separate_estimate,
-    separate_test,
     simulate_trial,
-    unadjusted_test,
 )
-from nccsim.adjusted import _mae_record
+from nccsim.adjusted import point_estimates, scenario_constants
 from nccsim.datagen import draw_trials, expand_trial
-from nccsim.estimators import InterimResult
-from nccsim.harness import point_estimates, scenario_constants
-from conftest import default_config
+from conftest import analyse, default_config
 
 CELL_SIZE = st.integers(1, 12)
 
@@ -56,7 +53,65 @@ def designs(draw):
     )
 
 
+def _hazard(x):
+    """Normal hazard ``pdf / sf`` from scipy's log density and log tail."""
+    return np.exp(stats.norm.logpdf(x) - stats.norm.logsf(x))
+
+
+def _without_arm1_period2(data: TrialDataset) -> TrialDataset:
+    keep = ~((data.arm == 1) & (data.period == 2))
+    return TrialDataset(data.patient[keep], data.arm[keep], data.period[keep], data.y[keep])
+
+
+def _oracle(config: DesignConfig, data: TrialDataset, continued: bool):
+    """Estimates and corrections of one trial, from its patient rows: OLS for
+    the unadjusted estimate, numpy means for the interim statistic, the
+    separate estimate and the plug-ins, and scipy's normal for the
+    Rao-Blackwellized plug-in and the corrections."""
+    y = {cell: data.y[(data.arm == cell[0]) & (data.period == cell[1])] for cell in CELLS}
+    n = {cell: values.size for cell, values in y.items()}
+    sigma = config.sigma
+    se1 = sigma * math.sqrt(1 / n[1, 1] + 1 / n[0, 1])
+    z11 = (y[1, 1].mean() - y[0, 1].mean()) / se1
+    separate = y[2, 2].mean() - y[0, 2].mean()
+    estimates = {"separate": separate}
+    corrections = {"unadjusted": 0.0, "separate": 0.0}
+    if not continued:
+        estimates["unadjusted"] = ols_fit(_without_arm1_period2(data)).theta2_coef
+        for method in Theta1Method:
+            estimates[method_label(method)] = separate
+            corrections[method_label(method)] = 0.0
+        return z11, estimates, corrections
+
+    unadjusted = ols_fit(data).theta2_coef
+    estimates["unadjusted"] = unadjusted
+    pooled = data.y[data.arm == 1].mean() - data.y[data.arm == 0].mean()
+    c1 = stats.norm.isf(config.alpha1)
+    i1 = 1 / se1**2
+    i2 = 1 / (sigma**2 * (1 / (n[1, 1] + n[1, 2]) + 1 / (n[0, 1] + n[0, 2])))
+    u = (c1 - pooled * math.sqrt(i1)) * math.sqrt(i2 / (i2 - i1))
+    plug_ins = {
+        Theta1Method.POOLED: pooled,
+        Theta1Method.PERIOD1: y[1, 1].mean() - y[0, 1].mean(),
+        Theta1Method.PERIOD2: y[1, 2].mean() - y[0, 2].mean(),
+        Theta1Method.CUMVUE: pooled - math.sqrt(i1 / (i2 * (i2 - i1))) * _hazard(u),
+    }
+    inv = 1 / n[0, 1] + 1 / n[0, 2] + 1 / n[1, 1] + 1 / n[1, 2]
+    rho = (1 / n[0, 2]) / inv
+    for method, theta1_hat in plug_ins.items():
+        gamma = c1 - theta1_hat / se1
+        if stats.norm.sf(gamma) < 1e-12:
+            correction = 10.0 * rho * se1  # the cap of the continuation floor
+        else:
+            correction = rho * se1 * _hazard(gamma)
+        estimates[method_label(method)] = unadjusted - correction
+        corrections[method_label(method)] = correction
+    return z11, estimates, corrections
+
+
 class TestBatchedCoreMatchesScalarPath:
+    """The scalar path is :func:`_oracle`, which shares no code with the core."""
+
     @settings(max_examples=150, deadline=None)
     @given(config=designs(), seed=st.integers(0, 2**32 - 1))
     def test_every_row_matches_the_scalar_analysis_of_its_expansion(self, config, seed):
@@ -70,24 +125,13 @@ class TestBatchedCoreMatchesScalarPath:
                 assert abs(data.mean(*cell) - draws.means[row, i]) <= 1e-12
 
             continued = bool(point.continued[row])
-            scalar = interim_z(data, config)
+            z11, estimates, corrections = _oracle(config, data, continued)
             if abs(point.z11[row] - constants.c1) > 1e-9:
-                assert scalar.continued == continued
-            assert abs(scalar.z11 - point.z11[row]) <= 1e-10
-
-            interim = InterimResult(point.z11[row], constants.c1, continued)
-            analysis = data if continued else data.drop_arm1_period2()
-            records = {
-                "unadjusted": unadjusted_test(analysis, config, interim),
-                "separate": separate_test(analysis, config, interim),
-            }
-            for method in Theta1Method:
-                records[method_label(method)] = _mae_record(
-                    analysis, config, interim, method, None
-                )
+                assert (z11 >= constants.c1) == continued
+            assert abs(z11 - point.z11[row]) <= 1e-10
             for m in METHODS:
-                assert abs(records[m].estimate - point.estimates[m][row]) <= 1e-10, m
-                assert abs(records[m].bias_correction - point.corrections[m][row]) <= 1e-10, m
+                assert abs(estimates[m] - point.estimates[m][row]) <= 1e-10, m
+                assert abs(corrections[m] - point.corrections[m][row]) <= 1e-10, m
 
 
 class TestCellMeansDraw:
@@ -171,8 +215,9 @@ class TestChunks:
         for index in range(10):
             result = run_replicate(scenario, 3, index)
             data = replicate_trial(scenario, 3, index)
-            assert interim_z(data, scenario.config).continued == result.interim.continued
-            assert separate_estimate(data) == pytest.approx(
+            point = analyse(data, scenario.config)
+            assert point.continued[0] == result.interim.continued
+            assert point.estimates["separate"][0] == pytest.approx(
                 result.records["separate"].estimate, abs=1e-12
             )
 
@@ -226,8 +271,7 @@ class TestScenarioChecks:
     def test_direct_bootstrap_keeps_accepting_any_numpy_seed(self):
         config = default_config(n01=10, n11=10, n02=10, n12=10, n22=10, alpha1=1.0)
         data = simulate_trial(config, 1)
-        interim = interim_z(data, config)
-        assert interim.continued
+        assert analyse(data, config).continued[0]
         settings_ = BootstrapSettings(b=20, seed=np.random.SeedSequence(3))
         assert bootstrap_variance(data, config, settings_) > 0
 

@@ -2,85 +2,85 @@ import numpy as np
 import pytest
 
 from nccsim import (
-    interim_z,
-    model_based_estimate,
+    model_based_from_means,
     model_based_variance,
     ncc_weight,
     ols_fit,
-    separate_estimate,
     separate_variance,
     simulate_trial,
 )
-from conftest import default_config, make_dataset
+from nccsim.adjusted import point_estimates, scenario_constants
+from conftest import analyse, cell_counts, cell_means, default_config, make_dataset
 
 HAND_CELLS = {(0, 1): [0.0], (1, 1): [1.0], (0, 2): [2.0], (1, 2): [3.0], (2, 2): [5.0]}
+
+
+def model_based(data):
+    """The closed-form model-based estimate of a trial with all five cells."""
+    return float(model_based_from_means(*cell_means(data), *cell_counts(data)[:4]))
+
+
+def separate(data):
+    return float(analyse(data, default_config()).estimates["separate"][0])
+
+
+def simulated_means(config, reps):
+    return np.array([cell_means(simulate_trial(config, i)) for i in range(reps)])
 
 
 class TestInterim:
     def test_zero_statistic_ties_continue(self):
         data = make_dataset({(0, 1): [1.0, 1.0], (1, 1): [1.0, 1.0]})
-        result = interim_z(data, default_config(n01=2, n11=2, alpha1=0.5))
-        assert result.z11 == 0.0
-        assert result.c1 == 0.0
-        assert result.continued  # rule stops only when z11 < c1
+        config = default_config(n01=2, n11=2, alpha1=0.5)
+        result = analyse(data, config)
+        assert result.z11[0] == 0.0
+        assert scenario_constants(config).c1 == 0.0
+        assert result.continued[0]  # rule stops only when z11 < c1
 
     def test_hand_value(self):
         data = make_dataset({(0, 1): [0.0] * 2, (1, 1): [0.2] * 2})
         config = default_config(n01=2, n11=2, alpha1=0.5, sigma=1.0)
         # counts come from the dataset; analytic value uses n=2 per cell
-        result = interim_z(data, config)
-        assert result.z11 == pytest.approx(0.2 / 1.0, rel=1e-12)
+        result = analyse(data, config)
+        assert result.z11[0] == pytest.approx(0.2 / 1.0, rel=1e-12)
 
     def test_default_design_value(self):
         y01 = np.zeros(150)
         y11 = np.full(150, 0.2)
         data = make_dataset({(0, 1): y01, (1, 1): y11})
-        result = interim_z(data, default_config())
-        assert result.z11 == pytest.approx(1.7320508075688772, rel=1e-12)
+        result = analyse(data, default_config())
+        assert result.z11[0] == pytest.approx(1.7320508075688772, rel=1e-12)
 
     def test_degenerate_bounds_follow_the_stopping_rule(self):
         data = make_dataset({(0, 1): [0.0, 0.0], (1, 1): [5.0, 5.0]})
-        always_stop = interim_z(data, default_config(n01=2, n11=2, alpha1=0.0))
-        assert not always_stop.continued
+        always_stop = analyse(data, default_config(n01=2, n11=2, alpha1=0.0))
+        assert not always_stop.continued[0]
         never_stop_data = make_dataset({(0, 1): [5.0, 5.0], (1, 1): [0.0, 0.0]})
-        never_stop = interim_z(never_stop_data, default_config(n01=2, n11=2, alpha1=1.0))
-        assert never_stop.continued
+        never_stop = analyse(never_stop_data, default_config(n01=2, n11=2, alpha1=1.0))
+        assert never_stop.continued[0]
 
     def test_continuation_probability_matches_bound(self):
         config = default_config(alpha1=0.3)
         reps = 20_000
-        continued = np.empty(reps, dtype=bool)
-        for i in range(reps):
-            continued[i] = interim_z(simulate_trial(config, i), config).continued
-        p = continued.mean()
+        means = simulated_means(config, reps)
+        p = point_estimates(config, scenario_constants(config), means).continued.mean()
         assert abs(p - 0.3) < 3 * np.sqrt(0.3 * 0.7 / reps)
-
-    def test_pooled_variance_mode(self):
-        rng = np.random.default_rng(0)
-        data = make_dataset({(0, 1): rng.normal(0, 2, 80), (1, 1): rng.normal(0, 2, 80)})
-        config = default_config(n01=80, n11=80, sigma=1.0)
-        known = interim_z(data, config)
-        pooled = interim_z(data, config, use_pooled_variance=True)
-        # data sd is ~2 while sigma=1, so the pooled-mode statistic shrinks
-        assert abs(pooled.z11) < abs(known.z11)
-        assert pooled.z11 * known.z11 >= 0.0
 
 
 class TestSeparate:
     def test_subtraction(self):
         data = make_dataset({(0, 2): [2.0], (2, 2): [5.0]})
-        assert separate_estimate(data) == pytest.approx(3.0)
+        assert separate(data) == pytest.approx(3.0)
 
     def test_null_case(self):
         data = make_dataset({(0, 2): [1.5, 2.5], (2, 2): [2.0, 2.0]})
-        assert separate_estimate(data) == pytest.approx(0.0)
+        assert separate(data) == pytest.approx(0.0)
 
     def test_monte_carlo_mean_near_zero(self):
         config = default_config()
         reps = 20_000
-        values = np.empty(reps)
-        for i in range(reps):
-            values[i] = separate_estimate(simulate_trial(config, i))
+        means = simulated_means(config, reps)
+        values = point_estimates(config, scenario_constants(config), means).estimates["separate"]
         se = values.std(ddof=1) / np.sqrt(reps)
         assert abs(values.mean()) < 3 * se
 
@@ -89,23 +89,18 @@ class TestModelBased:
     def test_hand_evaluation(self):
         data = make_dataset(HAND_CELLS)
         assert ncc_weight(1, 1, 1, 1) == pytest.approx(0.25)
-        assert model_based_estimate(data) == pytest.approx(3.0, rel=1e-12)
+        assert model_based(data) == pytest.approx(3.0, rel=1e-12)
 
     def test_agrees_with_separate_when_routes_match(self):
         # non-concurrent route m01 + m12 - m11 equals the concurrent mean
         data = make_dataset({(0, 1): [1.0], (1, 1): [2.0], (0, 2): [3.0], (1, 2): [4.0], (2, 2): [9.0]})
-        assert model_based_estimate(data) == pytest.approx(separate_estimate(data), rel=1e-12)
-
-    def test_requires_arm1_period2(self):
-        data = make_dataset({k: v for k, v in HAND_CELLS.items() if k != (1, 2)})
-        with pytest.raises(ValueError, match="separate_estimate"):
-            model_based_estimate(data)
+        assert model_based(data) == pytest.approx(separate(data), rel=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         cells = {cell: rng.normal(size=6) for cell in HAND_CELLS}
-        base = model_based_estimate(make_dataset(cells))
-        shifted = model_based_estimate(
+        base = model_based(make_dataset(cells))
+        shifted = model_based(
             make_dataset({cell: values + 17.3 for cell, values in cells.items()})
         )
         assert shifted == pytest.approx(base, abs=1e-12)
@@ -118,9 +113,7 @@ class TestModelBased:
             trend=TimeTrendSpec(TrendPattern.STEPWISE, 0.15),
         )
         reps = 20_000
-        values = np.empty(reps)
-        for i in range(reps):
-            values[i] = model_based_estimate(simulate_trial(config, i))
+        values = model_based_from_means(*simulated_means(config, reps).T, 40, 40, 40, 40)
         se = values.std(ddof=1) / np.sqrt(reps)
         assert abs(values.mean()) < 3 * se
 
@@ -164,14 +157,12 @@ class TestOlsFit:
                 for cell, n in zip(HAND_CELLS, sizes)
             }
             data = make_dataset(cells)
-            assert ols_fit(data).theta2_coef == pytest.approx(
-                model_based_estimate(data), abs=1e-9
-            )
+            assert ols_fit(data).theta2_coef == pytest.approx(model_based(data), abs=1e-9)
 
     def test_works_without_arm1_period2(self):
         data = make_dataset({k: v for k, v in HAND_CELLS.items() if k != (1, 2)})
         fit = ols_fit(data)
-        assert fit.theta2_coef == pytest.approx(separate_estimate(data), rel=1e-12)
+        assert fit.theta2_coef == pytest.approx(separate(data), rel=1e-12)
 
     def test_rank_deficient_design(self):
         data = make_dataset({(0, 1): [1.0, 2.0], (1, 1): [0.5, 1.5]})

@@ -6,23 +6,15 @@ from scipy.stats import norm
 
 from nccsim import (
     InformationLevels,
-    InterimResult,
     Theta1Method,
-    cumvue,
     cumvue_from_means,
-    estimate_theta1,
+    futility_cutoff,
     information_levels,
-    interim_z,
     simulate_trial,
-    theta1_period1,
-    theta1_period2,
-    theta1_pooled,
-    umvue,
     umvue_from_means,
 )
-from conftest import default_config, make_dataset
-
-CONTINUED = InterimResult(z11=1.0, c1=0.0, continued=True)
+from nccsim.theta1 import plug_ins
+from conftest import analyse, cell_counts, cell_means, default_config, make_dataset
 
 
 def equal_period_dataset():
@@ -32,9 +24,20 @@ def equal_period_dataset():
     )
 
 
+def theta1_hats(data, config=None):
+    """Every plug-in of ``data``; the design defaults to the data's cell sizes."""
+    if config is None:
+        sizes = dict(zip(("n01", "n11", "n02", "n12", "n22"), cell_counts(data)))
+        config = default_config(**sizes)
+    m01, m11, m02, m12, _ = cell_means(data)
+    return plug_ins(
+        m01, m11, m02, m12, config, information_levels(config), futility_cutoff(config.alpha1)
+    )
+
+
 class TestPlainEstimators:
     def test_pooled_equal_periods(self):
-        assert theta1_pooled(equal_period_dataset()) == pytest.approx(1.0)
+        assert theta1_hats(equal_period_dataset())[Theta1Method.POOLED] == pytest.approx(1.0)
 
     def test_pooled_weights_by_patients(self):
         data = make_dataset(
@@ -42,23 +45,18 @@ class TestPlainEstimators:
              (0, 2): [2.0] * 4, (1, 2): [3.0] * 6, (2, 2): [0.0]}
         )
         # arm 1: (2*1 + 6*3)/8 = 2.5 ; control: (4*0 + 4*2)/8 = 1
-        assert theta1_pooled(data) == pytest.approx(1.5)
+        assert theta1_hats(data)[Theta1Method.POOLED] == pytest.approx(1.5)
 
     def test_period1(self):
-        assert theta1_period1(equal_period_dataset()) == pytest.approx(1.0)
+        assert theta1_hats(equal_period_dataset())[Theta1Method.PERIOD1] == pytest.approx(1.0)
 
     def test_period2(self):
-        assert theta1_period2(equal_period_dataset()) == pytest.approx(1.0)
-
-    def test_period2_requires_data(self):
-        data = make_dataset({(0, 1): [0.0], (1, 1): [1.0], (0, 2): [2.0], (2, 2): [3.0]})
-        with pytest.raises(ValueError):
-            theta1_period2(data)
+        assert theta1_hats(equal_period_dataset())[Theta1Method.PERIOD2] == pytest.approx(1.0)
 
     def test_period2_degenerate_noise(self):
         config = default_config(sigma=1e-12, theta1=0.2)
         data = simulate_trial(config, 9)
-        assert theta1_period2(data) == pytest.approx(0.2, abs=1e-9)
+        assert theta1_hats(data, config)[Theta1Method.PERIOD2] == pytest.approx(0.2, abs=1e-9)
 
 
 class TestInformationLevels:
@@ -103,24 +101,18 @@ class TestUmvue:
     def test_seeded_dataset_value_against_oracle(self):
         config = default_config()
         data = simulate_trial(config, 20240812)
-        interim = interim_z(data, config)
-        assert interim.continued  # seed chosen to continue
-        pooled = theta1_pooled(data)
+        assert analyse(data, config).continued[0]  # seed chosen to continue
+        pooled = theta1_hats(data, config)[Theta1Method.POOLED]
         info = information_levels(config)
+        c1 = futility_cutoff(config.alpha1)
         z12 = pooled * math.sqrt(info.i2)
         m = z12 * math.sqrt(info.i1 / info.i2)
         v = (info.i2 - info.i1) / info.i2
         expected = pooled + (info.i2 - info.i1) / (info.i2 * math.sqrt(info.i1)) * (
-            norm.pdf(interim.c1, loc=m, scale=math.sqrt(v))
-            / norm.sf(interim.c1, loc=m, scale=math.sqrt(v))
+            norm.pdf(c1, loc=m, scale=math.sqrt(v))
+            / norm.sf(c1, loc=m, scale=math.sqrt(v))
         )
-        assert umvue(data, config, interim) == pytest.approx(expected, rel=1e-12)
-
-    def test_requires_continuation(self):
-        data = simulate_trial(default_config(), 1)
-        stopped = InterimResult(z11=-1.0, c1=0.0, continued=False)
-        with pytest.raises(ValueError):
-            umvue(data, default_config(), stopped)
+        assert umvue_from_means(pooled, info, c1) == pytest.approx(expected, rel=1e-12)
 
     def test_information_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -132,24 +124,35 @@ class TestCumvue:
         # i2 = 2 * i1, so the estimator is 2*MLE - UMVUE
         config = default_config()
         data = simulate_trial(config, 20240812)
-        interim = interim_z(data, config)
-        mle = theta1_pooled(data)
-        assert cumvue(data, config, interim) == pytest.approx(
-            2.0 * mle - umvue(data, config, interim), rel=1e-12
-        )
+        assert analyse(data, config).continued[0]
+        hats = theta1_hats(data, config)
+        mle = hats[Theta1Method.POOLED]
+        umvue = umvue_from_means(mle, information_levels(config), futility_cutoff(config.alpha1))
+        assert hats[Theta1Method.CUMVUE] == pytest.approx(2.0 * mle - umvue, rel=1e-12)
 
     def test_equals_mle_when_umvue_does(self):
         info = InformationLevels(i1=75.0, i2=150.0)
         assert cumvue_from_means(0.37, info, -math.inf) == pytest.approx(0.37, abs=1e-14)
 
     def test_dispatch(self):
+        # each key holds its own estimator, checked on the patient rows
         config = default_config()
         data = simulate_trial(config, 20240812)
-        interim = interim_z(data, config)
-        assert estimate_theta1(data, config, interim, Theta1Method.POOLED) == theta1_pooled(data)
-        assert estimate_theta1(data, config, interim, Theta1Method.PERIOD1) == theta1_period1(data)
-        assert estimate_theta1(data, config, interim, Theta1Method.PERIOD2) == theta1_period2(data)
-        assert estimate_theta1(data, config, interim, Theta1Method.CUMVUE) == cumvue(data, config, interim)
+        assert analyse(data, config).continued[0]
+        hats = theta1_hats(data, config)
+        assert list(hats) == list(Theta1Method)
+        arm1, control = data.y[data.arm == 1], data.y[data.arm == 0]
+        pooled = arm1.mean() - control.mean()
+        expected = {
+            Theta1Method.POOLED: pooled,
+            Theta1Method.PERIOD1: data.cell(1, 1).mean() - data.cell(0, 1).mean(),
+            Theta1Method.PERIOD2: data.cell(1, 2).mean() - data.cell(0, 2).mean(),
+            Theta1Method.CUMVUE: cumvue_from_means(
+                pooled, information_levels(config), futility_cutoff(config.alpha1)
+            ),
+        }
+        for method, value in expected.items():
+            assert hats[method] == pytest.approx(value, rel=1e-12), method
 
 
 class TestConditionalBehavior:
