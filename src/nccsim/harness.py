@@ -489,30 +489,12 @@ def scenario_grid(
         for num, den in RATIO_GRID:
             n_p1 = base * num // den
             scenarios.append(
-                Scenario(
-                    scenario_id=f"{hypothesis}:r={_ratio_label(num, den)}",
-                    config=DesignConfig(
-                        n01=n_p1, n11=n_p1, n02=base, n12=base, n22=base,
-                        alpha1=DEFAULT_ALPHA1, theta2=theta2,
-                    ),
-                    hypothesis=hypothesis,
-                    replicates=replicates,
-                    bootstrap=bootstrap,
-                )
+                make(f"{hypothesis}:r={_ratio_label(num, den)}", n01=n_p1, n11=n_p1)
             )
         for num, den in RATIO_GRID:
             n_arm1 = base * num // den
             scenarios.append(
-                Scenario(
-                    scenario_id=f"{hypothesis}:a={_ratio_label(num, den)}",
-                    config=DesignConfig(
-                        n01=base, n11=n_arm1, n02=base, n12=n_arm1, n22=base,
-                        alpha1=DEFAULT_ALPHA1, theta2=theta2,
-                    ),
-                    hypothesis=hypothesis,
-                    replicates=replicates,
-                    bootstrap=bootstrap,
-                )
+                make(f"{hypothesis}:a={_ratio_label(num, den)}", n11=n_arm1, n12=n_arm1)
             )
         for lam in LAMBDA_GRID:
             scenarios.append(
