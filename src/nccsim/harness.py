@@ -5,13 +5,13 @@ indices. The trials of chunk ``c`` are drawn as cell means from a seed
 stream keyed by ``(master seed, scenario id, c)``, and the interim decision,
 every estimate, bias correction and known-sigma test is computed for the
 whole chunk in one numpy pass (:mod:`nccsim.adjusted`), with the design's
-constants computed once per scenario. Replicate ``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``.
-Patient rows are built only for the bootstrap of a continuing replicate,
-from a stream keyed by ``(master seed, scenario id, i)``; the bootstrap
-resamples from a stream keyed by the same triple and the bootstrap seed.
-Results are therefore bit-identical for any worker count and execution
-order, and :func:`run_replicate` replays any single replicate exactly.
-Aggregation reduces per-replicate arrays in index order.
+constants computed once per scenario. Replicate ``i`` is row ``i % CHUNK``
+of chunk ``i // CHUNK``. Patient rows are built only for the bootstrap of a
+continuing replicate, from a stream keyed by ``(master seed, scenario id,
+i)``; the bootstrap resamples from a stream keyed by the same triple and the
+bootstrap seed. Results are therefore bit-identical for any worker count and
+execution order, and :func:`run_replicate` replays any single replicate
+exactly. Aggregation reduces per-replicate arrays in index order.
 """
 
 from __future__ import annotations

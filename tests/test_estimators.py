@@ -40,7 +40,7 @@ class TestInterim:
     def test_hand_value(self):
         data = make_dataset({(0, 1): [0.0] * 2, (1, 1): [0.2] * 2})
         config = default_config(n01=2, n11=2, alpha1=0.5, sigma=1.0)
-        # counts come from the dataset; analytic value uses n=2 per cell
+        # the design's period-1 cell sizes are the data's: n = 2 per cell
         result = analyse(data, config)
         assert result.z11[0] == pytest.approx(0.2 / 1.0, rel=1e-12)
 
