@@ -28,11 +28,6 @@ from .design import DesignConfig, futility_cutoff
 from .estimators import model_based_from_means, model_based_variance, separate_variance
 from .theta1 import InformationLevels, Theta1Method, information_levels, plug_ins
 
-#: Continuation probabilities below this are treated as numerically zero.
-SF_FLOOR = 1e-12
-#: Correction cap, in units of ``rho * se1``, applied on the floor path.
-CAP_FACTOR = 10.0
-
 METHOD_UNADJUSTED = "unadjusted"
 METHOD_SEPARATE = "separate"
 
@@ -87,19 +82,13 @@ class EstimateRecord:
 def bias_correction(theta1_hat, c1: float, rho: float, se1: float):
     """``rho * se1 * hazard(c1 - theta1_hat / se1)`` for precomputed constants.
 
-    When the implied continuation probability falls below ``SF_FLOOR`` the
-    correction is capped at ``CAP_FACTOR * rho * se1`` so an extreme plug-in
-    value cannot blow up the adjustment. Broadcasts over arrays of
-    ``theta1_hat``.
+    The normal hazard is finite for every finite argument, so the correction
+    is finite, continuous and non-increasing in ``theta1_hat``. Broadcasts
+    over arrays of ``theta1_hat``.
     """
     gamma = c1 - np.asarray(theta1_hat, dtype=float) / se1
-    sf = normal.sf(gamma)
-    capped = sf < SF_FLOOR
-    safe_gamma = np.where(capped, 0.0, gamma)
-    out = np.where(
-        capped, CAP_FACTOR * rho * se1, rho * se1 * normal.hazard(safe_gamma)
-    )
-    return float(out) if out.ndim == 0 else out
+    out = rho * se1 * normal.hazard(gamma)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import norm
 
 from nccsim import (
     BootstrapError,
@@ -17,7 +19,6 @@ from nccsim import (
     simulate_trial,
 )
 from nccsim.adjusted import (
-    CAP_FACTOR,
     bias_correction,
     rejections,
     scenario_constants,
@@ -80,24 +81,30 @@ class TestConditionalBiasEstimate:
             0.0, abs=1e-300
         )
 
-    def test_very_negative_plug_in_hits_the_cap(self):
-        config = default_config()
-        expected_cap = CAP_FACTOR * config.rho * config.period1_se
-        assert conditional_bias_estimate(-2.0, config) == expected_cap
-
-    def test_cap_threshold_location(self):
-        config = default_config()
-        # gamma just below the floor crossing: exact hazard; just above: cap
-        se1 = config.period1_se
-        theta_low = -6.9 * se1
-        theta_high = -7.2 * se1
-        from nccsim import normal
-
-        exact = config.rho * se1 * normal.hazard(6.9)
-        assert conditional_bias_estimate(theta_low, config) == pytest.approx(exact, rel=1e-12)
-        assert conditional_bias_estimate(theta_high, config) == pytest.approx(
-            CAP_FACTOR * config.rho * se1
-        )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(1, 300)] * 4),
+        sigma=st.floats(0.1, 5.0),
+        alpha1=st.floats(0.01, 1.0),
+        theta1_hats=st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=20),
+    )
+    def test_correction_is_the_plain_hazard(self, sizes, sigma, alpha1, theta1_hats):
+        n01, n11, n02, n12 = sizes
+        config = default_config(n01=n01, n11=n11, n02=n02, n12=n12, sigma=sigma, alpha1=alpha1)
+        constants = scenario_constants(config)
+        theta1_hat = np.sort(theta1_hats)
+        correction = conditional_bias_estimate(theta1_hat, config)
+        assert np.all(np.isfinite(correction))
+        assert np.all(correction >= 0.0)
+        # non-increasing; neighbouring arguments may round either way
+        assert np.all(correction[1:] <= correction[:-1] * (1.0 + 1e-12))
+        gamma = constants.c1 - theta1_hat / constants.se1
+        hazard = np.exp(norm.logpdf(gamma) - norm.logsf(gamma))
+        small = gamma <= 40.0
+        expected = constants.rho * constants.se1 * hazard[small]
+        # below gamma ~ -37.7 the hazard is subnormal, which has no relative precision
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(correction[small], expected, rtol=1e-12, atol=tiny)
 
     def test_broadcasts(self):
         values = conditional_bias_estimate(np.array([0.0, 50.0]), default_config())

@@ -99,11 +99,7 @@ def _oracle(config: DesignConfig, data: TrialDataset, continued: bool):
     inv = 1 / n[0, 1] + 1 / n[0, 2] + 1 / n[1, 1] + 1 / n[1, 2]
     rho = (1 / n[0, 2]) / inv
     for method, theta1_hat in plug_ins.items():
-        gamma = c1 - theta1_hat / se1
-        if stats.norm.sf(gamma) < 1e-12:
-            correction = 10.0 * rho * se1  # the cap of the continuation floor
-        else:
-            correction = rho * se1 * _hazard(gamma)
+        correction = rho * se1 * _hazard(c1 - theta1_hat / se1)
         estimates[method_label(method)] = unadjusted - correction
         corrections[method_label(method)] = correction
     return z11, estimates, corrections
