@@ -81,6 +81,31 @@ class TestConditionalBiasEstimate:
             0.0, abs=1e-300
         )
 
+    def test_very_negative_plug_in_hits_the_cap(self):
+        # The correction has no cap: at gamma ~ 17.3 it is the plain hazard,
+        # above the 10 * rho * se1 that the removed cap used to return.
+        config = default_config()
+        constants = scenario_constants(config)
+        gamma = constants.c1 + 2.0 / constants.se1
+        hazard = math.exp(norm.logpdf(gamma) - norm.logsf(gamma))
+        correction = conditional_bias_estimate(-2.0, config)
+        assert correction == pytest.approx(constants.rho * constants.se1 * hazard, rel=1e-12)
+        assert correction > 10.0 * constants.rho * constants.se1
+
+    def test_cap_threshold_location(self):
+        # Either side of gamma ~ 7.03, where the removed cap used to switch
+        # in, the correction is the plain hazard: no jump to 10 * rho * se1.
+        config = default_config()
+        constants = scenario_constants(config)
+        se1 = constants.se1
+        for theta1_hat in (-6.9 * se1, -7.2 * se1):
+            gamma = constants.c1 - theta1_hat / se1
+            hazard = math.exp(norm.logpdf(gamma) - norm.logsf(gamma))
+            assert conditional_bias_estimate(theta1_hat, config) == pytest.approx(
+                constants.rho * se1 * hazard, rel=1e-12
+            )
+        assert conditional_bias_estimate(-7.2 * se1, config) < 7.5 * constants.rho * se1
+
     @settings(max_examples=200, deadline=None)
     @given(
         sizes=st.tuples(*[st.integers(1, 300)] * 4),
