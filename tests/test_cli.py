@@ -15,6 +15,8 @@ from nccsim.cli import (
     resolve_workers,
 )
 
+DATA = Path(__file__).parent / "data"
+
 GRID_PLAN = """\
 # run the built-in one-factor grid
 grid: table1
@@ -262,6 +264,14 @@ class TestSingleCommand:
         row = next(l for l in lines if l.startswith("mae_cumvue"))
         estimate = float(row.split()[1])
         assert estimate == result.records["mae_cumvue"].estimate
+
+    @pytest.mark.parametrize("b", ["200", "0"])
+    def test_trace_matches_the_golden_output(self, capsys, b):
+        # seed 12 continues: corrections, bootstrap variances and the empty
+        # fields of the methods without a test all show
+        assert main(["single", "--seed", "12", "--bootstrap-b", b]) == 0
+        expected = (DATA / f"single_seed12_b{b}.txt").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_patient_dump(self, tmp_path, capsys):
         dump = tmp_path / "trial.csv"
