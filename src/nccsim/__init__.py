@@ -4,7 +4,6 @@ non-concurrent controls under a futility interim analysis."""
 from .adjusted import (
     BootstrapError,
     BootstrapSettings,
-    EstimateRecord,
     METHOD_SEPARATE,
     METHOD_UNADJUSTED,
     bootstrap_mae_estimates,
@@ -31,7 +30,6 @@ from .design import (
     validate,
 )
 from .estimators import (
-    InterimResult,
     RegressionFit,
     model_based_from_means,
     model_based_variance,
@@ -45,7 +43,6 @@ from .harness import (
     OperatingCharacteristics,
     ReplicateArrays,
     ReplicateError,
-    ReplicateResult,
     Scenario,
     Statistic,
     collect_replicates,

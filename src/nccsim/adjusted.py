@@ -10,9 +10,9 @@ the concurrent-only estimate under every method. When arm 1 continues, the
 model-based estimate is debiased by subtracting a plug-in estimate of its
 conditional bias, and its variance is estimated with a stratified bootstrap
 that replays the trial including the futility rule and analyses the
-resamples with the same functions. Each method is then tested with a
-Wald-type statistic: known-sigma for a stopped trial and the unadjusted
-estimate, bootstrap for the adjusted ones.
+accepted resamples with :func:`point_estimates`. Each method is then tested
+with a Wald-type statistic: known-sigma for a stopped trial and the
+unadjusted estimate, bootstrap for the adjusted ones.
 """
 
 from __future__ import annotations
@@ -64,19 +64,6 @@ class BootstrapSettings:
     def __post_init__(self):
         if self.b < 1:
             raise ValueError(f"bootstrap resample count must be >= 1, got {self.b}")
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One estimator's output for one trial."""
-
-    method: str
-    estimate: float
-    continued: bool
-    bias_correction: float
-    variance: float | None = None
-    t_statistic: float | None = None
-    rejected: bool | None = None
 
 
 def bias_correction(theta1_hat, c1: float, rho: float, se1: float):
@@ -170,22 +157,20 @@ def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
 
 
 def bootstrap_mae_estimates(
-    data: TrialDataset,
-    config: DesignConfig,
-    settings: BootstrapSettings,
-    methods: tuple[Theta1Method, ...],
-) -> dict[Theta1Method, np.ndarray]:
-    """Accepted-resample adjusted estimates, per arm-1 estimator.
+    data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
+) -> dict[str, np.ndarray]:
+    """Accepted-resample estimates of every mean-adjusted method.
 
     Replays the trial on resampled data: draw the period-1 arm-1 and control
     cells with replacement at their original sizes, keep the resample only if
     its interim statistic clears the futility cutoff, then draw the three
-    period-2 cells and recompute the adjusted estimate (the plug-in arm-1
-    estimate included). Repeats until ``settings.b`` resamples are accepted.
-    Resamples are drawn in batches for speed; the sequence of accepted
-    estimates is a deterministic function of ``settings.seed``. The look and
-    the correction use the design's constants (:func:`scenario_constants`),
-    so the dataset's cell counts must be the design's.
+    period-2 cells and analyse the resampled cell means with
+    :func:`point_estimates`. Repeats until ``settings.b`` resamples are
+    accepted. Resamples are drawn in batches for speed; the sequence of
+    accepted estimates is a deterministic function of ``settings.seed``. The
+    look and the correction use the design's constants
+    (:func:`scenario_constants`), so the dataset's cell counts must be the
+    design's.
 
     Raises :class:`BootstrapError` after ``100 * b`` consecutive rejections,
     and ``ValueError`` when the cell counts differ from the design's.
@@ -209,7 +194,7 @@ def bootstrap_mae_estimates(
     streak = 0
     attempts = 0
     accepted = 0
-    collected: dict[Theta1Method, list[np.ndarray]] = {m: [] for m in methods}
+    collected: list[PointEstimates] = []
 
     while need > 0:
         rate = max(accepted / attempts if attempts else 0.5, 0.02)
@@ -235,33 +220,26 @@ def bootstrap_mae_estimates(
         take = hits[:need]
         if take.size == hits.size:
             streak = batch - 1 - int(hits[-1])
-        m11a, m01a = m11[take], m01[take]
         m12 = _bootstrap_cell_means(rng, y12, take.size)
         m02 = _bootstrap_cell_means(rng, y02, take.size)
         m22 = _bootstrap_cell_means(rng, y22, take.size)
-
-        base = model_based_from_means(
-            m01a, m11a, m02, m12, m22, config.n01, config.n11, config.n02, config.n12
-        )
-        theta1_hats = plug_ins(m01a, m11a, m02, m12, config, constants.info, c1)
-        for m in methods:
-            correction = bias_correction(theta1_hats[m], c1, constants.rho, se1)
-            collected[m].append(base - correction)
+        means = np.column_stack([m01[take], m11[take], m02, m12, m22])
+        collected.append(point_estimates(config, constants, means))
         need -= take.size
 
-    return {m: np.concatenate(parts)[:b] for m, parts in collected.items()}
+    return {
+        label: np.concatenate([point.estimates[label] for point in collected])[:b]
+        for label in ADJUSTED_METHODS
+    }
 
 
 def bootstrap_variances(
-    data: TrialDataset,
-    config: DesignConfig,
-    settings: BootstrapSettings,
-    methods: tuple[Theta1Method, ...],
-) -> dict[Theta1Method, float]:
-    """Bootstrap variances for several arm-1 estimators from one shared
+    data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
+) -> dict[str, float]:
+    """Bootstrap variance of every mean-adjusted method from one shared
     resampling pass (divisor ``b``, matching the resample-count convention)."""
-    estimates = bootstrap_mae_estimates(data, config, settings, methods)
-    return {m: float(np.var(e)) for m, e in estimates.items()}
+    estimates = bootstrap_mae_estimates(data, config, settings)
+    return {label: float(np.var(e)) for label, e in estimates.items()}
 
 
 def bootstrap_variance(
@@ -271,7 +249,7 @@ def bootstrap_variance(
     method: Theta1Method = Theta1Method.CUMVUE,
 ) -> float:
     """Bootstrap variance of the adjusted estimate for one arm-1 estimator."""
-    return bootstrap_variances(data, config, settings, (method,))[method]
+    return bootstrap_variances(data, config, settings)[method_label(method)]
 
 
 def wald_variances(

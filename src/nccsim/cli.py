@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adjusted import BootstrapSettings
+from .adjusted import BootstrapSettings, scenario_constants, t_statistic
 from .bias import BiasInputs, conditional_bias, marginal_bias
 from .design import (
     DesignConfig,
@@ -397,24 +398,32 @@ def _single_scenario(args) -> Scenario:
     )
 
 
+def _number(value) -> float | None:
+    """A number of the trace; NaN (no test) prints as an empty field."""
+    value = float(value)
+    return None if math.isnan(value) else value
+
+
 def run_single(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     scenario = _single_scenario(args)
-    result = run_replicate(scenario, args.seed, 0)
-    interim = result.interim
-    decision = "continue" if interim.continued else "stop"
+    record = run_replicate(scenario, args.seed, 0)
+    decision = "continue" if record.continued[0] else "stop"
     print(f"seed: {args.seed}", file=out)
-    print(f"z11: {_fmt(interim.z11)}", file=out)
-    print(f"c1: {_fmt(interim.c1)}", file=out)
+    print(f"z11: {_fmt(_number(record.z11[0]))}", file=out)
+    print(f"c1: {_fmt(scenario_constants(scenario.config).c1)}", file=out)
     print(f"decision: {decision}", file=out)
     header = f"{'method':<14} {'estimate':>22} {'bias_correction':>22} {'variance':>22} {'t':>22} {'rejected':>8}"
     print(header, file=out)
     for method in METHODS:
-        record = result.records[method]
+        estimate, variance = record.estimates[method], record.variances[method]
+        flag = int(record.rejected[method][0])
         print(
-            f"{method:<14} {_fmt(record.estimate):>22} "
-            f"{_fmt(record.bias_correction):>22} {_fmt(record.variance):>22} "
-            f"{_fmt(record.t_statistic):>22} {_fmt(record.rejected):>8}",
+            f"{method:<14} {_fmt(_number(estimate[0])):>22} "
+            f"{_fmt(_number(record.corrections[method][0])):>22} "
+            f"{_fmt(_number(variance[0])):>22} "
+            f"{_fmt(_number(t_statistic(estimate, variance)[0])):>22} "
+            f"{_fmt(None if flag < 0 else bool(flag)):>8}",
             file=out,
         )
     if args.csv is not None:

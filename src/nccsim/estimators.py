@@ -4,8 +4,7 @@ Two routes from the cell means: the separate (concurrent-only) difference
 ``m22 - m02``, and the closed-form model-based estimate that borrows
 trend-corrected non-concurrent controls. A least-squares fit of the
 period-adjusted dummy regression on the patient rows agrees with the closed
-form on full-rank data and is kept as its independent check. The records of
-one trial's interim look and regression fit are defined here too.
+form on full-rank data and is kept as its independent check.
 """
 
 from __future__ import annotations
@@ -16,15 +15,6 @@ import numpy as np
 
 from .datagen import TrialDataset
 from .design import ncc_weight
-
-
-@dataclass(frozen=True)
-class InterimResult:
-    """Outcome of the arm-1 futility look: continue iff ``z11 >= c1``."""
-
-    z11: float
-    c1: float
-    continued: bool
 
 
 @dataclass(frozen=True)

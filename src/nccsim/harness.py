@@ -11,7 +11,8 @@ continuing replicate, from a stream keyed by ``(master seed, scenario id,
 i)``; the bootstrap resamples from a stream keyed by the same triple and the
 bootstrap seed. Results are therefore bit-identical for any worker count and
 execution order, and :func:`run_replicate` replays any single replicate
-exactly. Aggregation reduces per-replicate arrays in index order.
+exactly. Each chunk returns its rows of the one per-replicate record,
+:class:`ReplicateArrays`; aggregation reduces it in index order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -27,23 +28,17 @@ import numpy as np
 from .adjusted import (
     ADJUSTED_METHODS,
     METHODS,
-    THETA1_METHODS,
     BootstrapError,
     BootstrapSettings,
-    EstimateRecord,
-    PointEstimates,
     ScenarioConstants,
     bootstrap_variances,
-    method_label,
     point_estimates,
     rejections,
     scenario_constants,
-    t_statistic,
     wald_variances,
 )
 from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial
 from .design import DesignConfig, TimeTrendSpec, TrendPattern, validate
-from .estimators import InterimResult
 
 #: Output order of the reported statistics.
 STATISTICS = (
@@ -106,12 +101,29 @@ class Statistic:
 
 @dataclass
 class ReplicateArrays:
-    """Raw per-replicate outputs of one scenario run, ordered by index."""
+    """Per-replicate outputs of a run, a chunk or one replicate, one entry
+    per replicate in index order; the dicts are keyed by method."""
 
+    z11: np.ndarray
     continued: np.ndarray
     failed: np.ndarray
     estimates: dict[str, np.ndarray]
+    corrections: dict[str, np.ndarray]
+    variances: dict[str, np.ndarray]  # NaN where the method has no test
     rejected: dict[str, np.ndarray]  # 1 / 0 / -1 (test unavailable)
+
+
+def _combine(parts: list[ReplicateArrays], fn) -> ReplicateArrays:
+    """A record whose every array is ``fn`` of the list of that array across
+    ``parts``."""
+    out = {}
+    for f in fields(ReplicateArrays):
+        values = [getattr(part, f.name) for part in parts]
+        if isinstance(values[0], dict):
+            out[f.name] = {m: fn([v[m] for v in values]) for m in values[0]}
+        else:
+            out[f.name] = fn(values)
+    return ReplicateArrays(**out)
 
 
 @dataclass
@@ -122,12 +134,6 @@ class OperatingCharacteristics:
     n_failed: int
     valid: bool
     stats: dict[str, dict[str, Statistic]]  # method -> statistic -> value
-
-
-@dataclass(frozen=True)
-class ReplicateResult:
-    interim: InterimResult
-    records: dict[str, EstimateRecord]
 
 
 class ReplicateError(RuntimeError):
@@ -200,15 +206,7 @@ def _bootstrap_replicate(
             ),
         ),
     )
-    variances = bootstrap_variances(data, scenario.config, settings, THETA1_METHODS)
-    return {method_label(m): v for m, v in variances.items()}
-
-
-@dataclass(frozen=True)
-class _Chunk:
-    point: PointEstimates
-    variances: dict[str, np.ndarray]
-    failed: np.ndarray
+    return bootstrap_variances(data, scenario.config, settings)
 
 
 def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
@@ -224,9 +222,9 @@ def _run_chunk(
     chunk: int,
     constants: ScenarioConstants,
     only: int | None = None,
-) -> _Chunk:
-    """Draw and analyse one chunk. The bootstrap runs for every continuing
-    replicate, or for replicate ``only`` alone.
+) -> ReplicateArrays:
+    """Draw and analyse one chunk into its rows of the record. The bootstrap
+    runs for every continuing replicate, or for replicate ``only`` alone.
 
     A :class:`BootstrapError` marks a replicate failed, except for ``only``,
     where it propagates. Any other error raises :class:`ReplicateError`.
@@ -256,20 +254,16 @@ def _run_chunk(
                 raise _keyed_error(scenario, master_seed, f"replicate {index}", exc) from exc
             for label, value in variances.items():
                 bootstrap[label][row] = value
-    return _Chunk(point, wald_variances(point, constants, bootstrap), failed)
-
-
-def _collect_chunk(
-    scenario: Scenario, master_seed: int, constants: ScenarioConstants, chunk: int
-) -> ReplicateArrays:
-    result = _run_chunk(scenario, master_seed, chunk, constants)
-    estimates = result.point.estimates
+    variances = wald_variances(point, constants, bootstrap)
     return ReplicateArrays(
-        continued=result.point.continued,
-        failed=result.failed,
-        estimates=estimates,
+        z11=point.z11,
+        continued=point.continued,
+        failed=failed,
+        estimates=point.estimates,
+        corrections=point.corrections,
+        variances=variances,
         rejected={
-            m: rejections(estimates[m], result.variances[m], constants.z_alpha)
+            m: rejections(point.estimates[m], variances[m], constants.z_alpha)
             for m in METHODS
         },
     )
@@ -284,9 +278,9 @@ def _check_index(scenario: Scenario, index: int) -> None:
 
 def run_replicate(
     scenario: Scenario, master_seed: int, replicate_index: int
-) -> ReplicateResult:
+) -> ReplicateArrays:
     """Replay one replicate: draw and analyse its chunk, bootstrap it alone
-    (when configured and it continues) and return its records.
+    (when configured and it continues) and return its one-row record.
 
     The numbers are bit-identical to the replicate's entries in
     :func:`collect_replicates`. A bootstrap failure raises
@@ -295,35 +289,8 @@ def run_replicate(
     _check_index(scenario, replicate_index)
     constants = scenario_constants(scenario.config)
     chunk, row = divmod(replicate_index, CHUNK)
-    result = _run_chunk(scenario, master_seed, chunk, constants, only=replicate_index)
-    point = result.point
-    continued = bool(point.continued[row])
-    records = {}
-    for m in METHODS:
-        estimate = point.estimates[m][row : row + 1]
-        variance = result.variances[m][row : row + 1]
-        tested = not np.isnan(variance[0])
-        records[m] = EstimateRecord(
-            method=m,
-            estimate=float(estimate[0]),
-            continued=continued,
-            bias_correction=float(point.corrections[m][row]),
-            variance=float(variance[0]) if tested else None,
-            t_statistic=float(t_statistic(estimate, variance)[0]) if tested else None,
-            rejected=bool(rejections(estimate, variance, constants.z_alpha)[0])
-            if tested else None,
-        )
-    interim = InterimResult(z11=float(point.z11[row]), c1=constants.c1, continued=continued)
-    return ReplicateResult(interim=interim, records=records)
-
-
-def _empty_arrays(n: int) -> ReplicateArrays:
-    return ReplicateArrays(
-        continued=np.zeros(n, dtype=bool),
-        failed=np.zeros(n, dtype=bool),
-        estimates={m: np.full(n, np.nan) for m in METHODS},
-        rejected={m: np.full(n, -1, dtype=np.int8) for m in METHODS},
-    )
+    arrays = _run_chunk(scenario, master_seed, chunk, constants, only=replicate_index)
+    return _combine([arrays], lambda values: values[0][row : row + 1])
 
 
 def collect_replicates(
@@ -332,32 +299,19 @@ def collect_replicates(
     """Run all replicates chunk by chunk, optionally on a process pool.
 
     The pool runs whole chunks and is started only when there is more than
-    one. Results are stitched by replicate index, so the output is identical
+    one. The chunks are joined in index order, so the output is identical
     for any ``workers`` value. Only a :class:`BootstrapError` counts as a
     failed replicate; any other error raises :class:`ReplicateError`.
     """
     n_chunks = -(-scenario.replicates // CHUNK)
     constants = scenario_constants(scenario.config)
-    args = (repeat(scenario), repeat(master_seed), repeat(constants), range(n_chunks))
-    out = _empty_arrays(scenario.replicates)
+    args = (repeat(scenario), repeat(master_seed), range(n_chunks), repeat(constants))
     if workers <= 1 or n_chunks == 1:
-        _stitch(out, map(_collect_chunk, *args))
+        parts = list(map(_run_chunk, *args))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            _stitch(out, pool.map(_collect_chunk, *args))
-    return out
-
-
-def _stitch(out: ReplicateArrays, parts) -> None:
-    start = 0
-    for part in parts:
-        stop = start + part.continued.size
-        out.continued[start:stop] = part.continued
-        out.failed[start:stop] = part.failed
-        for m in METHODS:
-            out.estimates[m][start:stop] = part.estimates[m]
-            out.rejected[m][start:stop] = part.rejected[m]
-        start = stop
+            parts = list(pool.map(_run_chunk, *args))
+    return _combine(parts, np.concatenate)
 
 
 def _mean_statistic(values: np.ndarray) -> Statistic:

@@ -259,11 +259,11 @@ class TestSingleCommand:
 
         scenario = Scenario("single", default_config(), "null", 1, BootstrapSettings(b=40, seed=0))
         result = run_replicate(scenario, 12, 0)
-        assert z11 == result.interim.z11
-        assert decision == ("continue" if result.interim.continued else "stop")
+        assert z11 == result.z11[0]
+        assert decision == ("continue" if result.continued[0] else "stop")
         row = next(l for l in lines if l.startswith("mae_cumvue"))
         estimate = float(row.split()[1])
-        assert estimate == result.records["mae_cumvue"].estimate
+        assert estimate == result.estimates["mae_cumvue"][0]
 
     @pytest.mark.parametrize("b", ["200", "0"])
     def test_trace_matches_the_golden_output(self, capsys, b):

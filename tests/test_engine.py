@@ -169,12 +169,14 @@ def _scenario(replicates, bootstrap=None, scenario_id="engine", **overrides):
                     replicates, bootstrap)
 
 
-def _assert_same_arrays(a, b):
-    assert np.array_equal(a.continued, b.continued)
-    assert np.array_equal(a.failed, b.failed)
-    for m in METHODS:
-        assert np.array_equal(a.estimates[m], b.estimates[m], equal_nan=True), m
-        assert np.array_equal(a.rejected[m], b.rejected[m]), m
+def _assert_same_arrays(a, b, rows=slice(None)):
+    """``a`` equals rows ``rows`` of ``b`` in every array, NaN included."""
+    for name in ("z11", "continued", "failed"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)[rows]), name
+    for name in ("estimates", "corrections", "variances", "rejected"):
+        for m in METHODS:
+            x, y = getattr(a, name)[m], getattr(b, name)[m][rows]
+            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, m)
 
 
 class TestChunks:
@@ -195,12 +197,7 @@ class TestChunks:
     @pytest.mark.parametrize("index", [0, CHUNK - 1, CHUNK, 2 * CHUNK + 36])
     def test_run_replicate_replays_exactly(self, serial, index):
         result = run_replicate(self.SCENARIO, 71, index)
-        assert result.interim.continued == serial.continued[index]
-        for m in METHODS:
-            record = result.records[m]
-            assert record.estimate == serial.estimates[m][index], m
-            flag = -1 if record.rejected is None else int(record.rejected)
-            assert flag == serial.rejected[m][index], m
+        _assert_same_arrays(result, serial, slice(index, index + 1))
 
     def test_replicate_index_is_checked(self):
         with pytest.raises(ValueError, match="replicate index"):
@@ -212,9 +209,9 @@ class TestChunks:
             result = run_replicate(scenario, 3, index)
             data = replicate_trial(scenario, 3, index)
             point = analyse(data, scenario.config)
-            assert point.continued[0] == result.interim.continued
+            assert point.continued[0] == result.continued[0]
             assert point.estimates["separate"][0] == pytest.approx(
-                result.records["separate"].estimate, abs=1e-12
+                result.estimates["separate"][0], abs=1e-12
             )
 
     def test_without_linear_trend_a_replicate_does_not_depend_on_the_count(self):

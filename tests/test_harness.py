@@ -80,28 +80,21 @@ class TestRunReplicate:
         scenario = small_scenario(bootstrap=BootstrapSettings(b=40, seed=0))
         a = run_replicate(scenario, 11, 3)
         b = run_replicate(scenario, 11, 3)
-        assert a.interim.z11 == b.interim.z11
+        assert a.z11 == b.z11
         for m in METHODS:
-            assert a.records[m].estimate == b.records[m].estimate
-            assert a.records[m].variance == b.records[m].variance
-
-    def test_branches_agree_across_methods(self):
-        scenario = small_scenario(bootstrap=BootstrapSettings(b=30, seed=0))
-        for rep in range(8):
-            result = run_replicate(scenario, 5, rep)
-            for m in METHODS:
-                assert result.records[m].continued == result.interim.continued
+            assert a.estimates[m] == b.estimates[m]
+            assert np.array_equal(a.variances[m], b.variances[m], equal_nan=True)
 
     def test_stopped_replicate_collapses_to_separate(self):
         scenario = small_scenario()
         for rep in range(40):
             result = run_replicate(scenario, 17, rep)
-            if result.interim.continued:
+            if result.continued[0]:
                 continue
-            reference = result.records["separate"].estimate
+            reference = result.estimates["separate"][0]
             for m in METHODS:
-                assert result.records[m].estimate == reference
-                assert result.records[m].bias_correction == 0.0
+                assert result.estimates[m][0] == reference
+                assert result.corrections[m][0] == 0.0
             break
         else:
             pytest.fail("no stopped replicate found")
@@ -110,10 +103,10 @@ class TestRunReplicate:
         scenario = small_scenario(bootstrap=BootstrapSettings(b=50, seed=0))
         for rep in range(40):
             result = run_replicate(scenario, 23, rep)
-            if result.interim.continued:
-                variances = {m: result.records[f"mae_{m}"].variance for m in
+            if result.continued[0]:
+                variances = {m: result.variances[f"mae_{m}"][0] for m in
                              ("pooled", "period1", "period2", "cumvue")}
-                assert all(v is not None and v > 0 for v in variances.values())
+                assert all(v > 0 for v in variances.values())
                 assert len({round(v, 15) for v in variances.values()}) > 1
                 break
         else:
@@ -168,8 +161,8 @@ class TestRunScenario:
         arrays = collect_replicates(scenario, 53, workers=2)
         for rep in (0, 41, 89):
             result = run_replicate(scenario, 53, rep)
-            assert arrays.estimates["unadjusted"][rep] == result.records["unadjusted"].estimate
-            assert arrays.continued[rep] == result.interim.continued
+            assert arrays.estimates["unadjusted"][rep] == result.estimates["unadjusted"][0]
+            assert arrays.continued[rep] == result.continued[0]
 
     def test_failed_replicates_are_counted_and_bounded(self, monkeypatch):
         import nccsim.harness as harness_module
