@@ -88,8 +88,8 @@ def validate(config: DesignConfig) -> DesignConfig:
         raise ValueError(f"alpha1 out of range [0, 1]: {config.alpha1!r}")
     if not 0.0 < config.alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {config.alpha!r}")
-    if not config.sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < config.sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {config.sigma!r}")
     for name in ("theta1", "theta2"):
         if not math.isfinite(getattr(config, name)):
             raise ValueError(f"{name} must be finite")

@@ -97,6 +97,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="sigma must be positive"):
             parse_config(path)
 
+    def test_infinite_sigma_is_rejected(self, tmp_path):
+        path = write_plan(tmp_path, "[scenario]\nid: x\nsigma: inf\n")
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            parse_config(path)
+
     def test_hypothesis_consistency(self, tmp_path):
         path = write_plan(tmp_path, "[scenario]\nid: x\nhypothesis: null\ntheta2: 0.32\n")
         with pytest.raises(ConfigError, match="contradicts"):
@@ -272,6 +277,10 @@ class TestSingleCommand:
         assert main(["single", "--seed", "12", "--bootstrap-b", b]) == 0
         expected = (DATA / f"single_seed12_b{b}.txt").read_text()
         assert capsys.readouterr().out == expected
+
+    def test_infinite_sigma_flag_exits_2(self, capsys):
+        assert main(["single", "--seed", "1", "--sigma", "inf"]) == 2
+        assert "sigma must be positive and finite" in capsys.readouterr().err
 
     def test_patient_dump(self, tmp_path, capsys):
         dump = tmp_path / "trial.csv"
