@@ -73,7 +73,9 @@ _SCENARIO_DEFAULTS = {
     "trend": "none", "lambda": 0.0,
     "n01": 150, "n11": 150, "n02": 150, "n12": 150, "n22": 150,
 }
-_INT_KEYS = {"n01", "n11", "n02", "n12", "n22"}
+_INT_KEYS = {
+    "n01", "n11", "n02", "n12", "n22", "replicates", "bootstrap_b", "bootstrap_seed",
+}
 _FLOAT_KEYS = {"alpha1", "alpha", "sigma", "theta1", "theta2", "lambda"}
 
 
@@ -94,11 +96,16 @@ class RunConfig:
 
 
 def _parse_plan_text(path: Path):
-    """Split the plan file into top-level settings and raw scenario blocks."""
-    top: dict[str, str] = {}
-    blocks: list[dict[str, str]] = []
-    current: dict[str, str] | None = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    """Split the plan file into top-level settings and scenario blocks, each
+    value coerced to its key's type."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    top: dict[str, object] = {}
+    blocks: list[dict[str, object]] = []
+    current: dict[str, object] | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -123,54 +130,57 @@ def _parse_plan_text(path: Path):
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         if not value:
             raise ConfigError(f"{path}:{lineno}: missing value for '{key}'")
-        target[key] = value
+        try:
+            target[key] = _coerce(key, value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: invalid value for '{key}': {value!r}"
+            ) from exc
     return top, blocks
 
 
 def _coerce(key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for '{key}': {value!r}") from exc
+    if key in _INT_KEYS:
+        return int(value)
+    if key in _FLOAT_KEYS:
+        return float(value)
     return value
 
 
 def _build_scenario(
-    block: dict[str, str], index: int, replicates: int,
+    block: dict[str, object], index: int, replicates: int,
     bootstrap: BootstrapSettings | None,
 ) -> Scenario:
+    """The scenario of one block of coerced values; any error it raises is a
+    :class:`ConfigError` naming the block by id, else by position."""
+    where = f"id {block['id']!r}" if "id" in block else f"number {index}"
     values = dict(_SCENARIO_DEFAULTS)
-    values.update({k: _coerce(k, v) for k, v in block.items() if k not in ("id", "hypothesis")})
+    values.update({k: v for k, v in block.items() if k not in ("id", "hypothesis")})
     try:
-        pattern = TrendPattern(values["trend"])
+        config = validate(
+            DesignConfig(
+                n01=values["n01"], n11=values["n11"], n02=values["n02"],
+                n12=values["n12"], n22=values["n22"],
+                alpha1=values["alpha1"], alpha=values["alpha"], sigma=values["sigma"],
+                theta1=values["theta1"], theta2=values["theta2"],
+                trend=TimeTrendSpec(TrendPattern(values["trend"]), values["lambda"]),
+            )
+        )
+        inferred = "null" if config.theta2 == 0.0 else "alternative"
+        hypothesis = block.get("hypothesis", inferred)
+        if hypothesis != inferred:
+            raise ConfigError(
+                f"hypothesis '{hypothesis}' contradicts theta2={config.theta2!r}"
+            )
+        return Scenario(
+            scenario_id=block.get("id", f"scenario-{index}"),
+            config=config,
+            hypothesis=hypothesis,
+            replicates=replicates,
+            bootstrap=bootstrap,
+        )
     except ValueError as exc:
-        raise ConfigError(f"unknown trend '{values['trend']}'") from exc
-    config = validate(
-        DesignConfig(
-            n01=values["n01"], n11=values["n11"], n02=values["n02"],
-            n12=values["n12"], n22=values["n22"],
-            alpha1=values["alpha1"], alpha=values["alpha"], sigma=values["sigma"],
-            theta1=values["theta1"], theta2=values["theta2"],
-            trend=TimeTrendSpec(pattern, values["lambda"]),
-        )
-    )
-    inferred = "null" if config.theta2 == 0.0 else "alternative"
-    hypothesis = block.get("hypothesis", inferred)
-    if hypothesis != inferred:
-        raise ConfigError(
-            f"hypothesis '{hypothesis}' contradicts theta2={config.theta2!r}"
-        )
-    scenario_id = block.get("id", f"scenario-{index}")
-    return Scenario(
-        scenario_id=scenario_id,
-        config=config,
-        hypothesis=hypothesis,
-        replicates=replicates,
-        bootstrap=bootstrap,
-    )
+        raise ConfigError(f"scenario {where}: {exc}") from exc
 
 
 def parse_config(
@@ -183,21 +193,25 @@ def parse_config(
     Either ``grid: table1`` (the built-in one-factor grid, both hypotheses)
     or one or more ``[scenario]`` blocks. A ``bootstrap_b`` of 0 disables
     the bootstrap, so only point estimates and the closed-form tests run.
+    Every error in the plan raises :class:`ConfigError`, naming its line or
+    its scenario block.
     """
     path = Path(path)
     top, blocks = _parse_plan_text(path)
 
-    replicates = replicates_override if replicates_override is not None else int(
-        top.get("replicates", DEFAULT_REPLICATES)
+    replicates = replicates_override if replicates_override is not None else top.get(
+        "replicates", DEFAULT_REPLICATES
     )
-    b = bootstrap_b_override if bootstrap_b_override is not None else int(
-        top.get("bootstrap_b", DEFAULT_BOOTSTRAP_B)
+    b = bootstrap_b_override if bootstrap_b_override is not None else top.get(
+        "bootstrap_b", DEFAULT_BOOTSTRAP_B
     )
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     if b < 0:
         raise ConfigError("bootstrap_b must be >= 0 (0 disables the bootstrap)")
-    seed = int(top.get("bootstrap_seed", 0))
+    seed = top.get("bootstrap_seed", 0)
+    if seed < 0:
+        raise ConfigError(f"bootstrap_seed must be >= 0, got {seed}")
     bootstrap = BootstrapSettings(b=b, seed=seed) if b > 0 else None
 
     grid = top.get("grid")

@@ -1,12 +1,16 @@
 import csv
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nccsim import METHODS, STATISTICS, run_replicate, run_scenario
+from nccsim import METHODS, STATISTICS, Scenario, run_replicate, run_scenario
 from nccsim.cli import (
+    _SCENARIO_KEYS,
+    _TOP_KEYS,
     ConfigError,
     RESULTS_CSV_COLUMNS,
     analytic_rows,
@@ -115,6 +119,50 @@ class TestParseConfig:
     def test_empty_plan_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="no scenarios"):
             parse_config(write_plan(tmp_path, "replicates: 10\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("replicates: 1e3\n[scenario]\n", r":1: invalid value for 'replicates'"),
+        ("bootstrap_b: x\n[scenario]\n", r":1: invalid value for 'bootstrap_b'"),
+        ("bootstrap_seed: x\n[scenario]\n", r":1: invalid value for 'bootstrap_seed'"),
+        ("bootstrap_seed: -1\ngrid: table1\n", "bootstrap_seed must be >= 0"),
+        ("[scenario]\nid: x\n[scenario]\nn01: 0\n", "scenario number 2: n01 must be"),
+        ("[scenario]\nid: small\nn12: 0\n", "scenario id 'small': n12 must be >= 1"),
+    ], ids=["replicates", "bootstrap_b", "bootstrap_seed", "negative_seed", "by_index", "by_id"])
+    def test_every_error_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = write_plan(tmp_path, text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        code = main(["simulate", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+PLAN_KEYS = sorted(_TOP_KEYS | _SCENARIO_KEYS) + ["bogus"]
+PLAN_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "1", "3", "-1", "1e3", "0.5", "1.5", "inf", "nan", "x", "table1",
+        "none", "linear", "stepwise", "null", "alternative", "99" * 30,
+    ]),
+    st.text(max_size=6),
+)
+PLAN_LINES = st.one_of(
+    st.just("[scenario]"),
+    st.builds("{}: {}".format, st.sampled_from(PLAN_KEYS), PLAN_VALUES),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(PLAN_LINES, max_size=10))
+def test_parse_config_returns_scenarios_or_raises_config_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            scenarios = parse_config(path)
+        except ConfigError:
+            return
+    assert scenarios and all(isinstance(s, Scenario) for s in scenarios)
 
 
 class TestSimulateCommand:
