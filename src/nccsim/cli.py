@@ -388,28 +388,12 @@ def emit_analytic(rows, out_dir: Path | str) -> Path:
 
 
 def _single_scenario(args) -> Scenario:
-    try:
-        pattern = TrendPattern(args.trend)
-    except ValueError as exc:
-        raise ConfigError(f"unknown trend '{args.trend}'") from exc
-    config = validate(
-        DesignConfig(
-            n01=args.n01, n11=args.n11, n02=args.n02, n12=args.n12, n22=args.n22,
-            alpha1=args.alpha1, alpha=args.alpha, sigma=args.sigma,
-            theta1=args.theta1, theta2=args.theta2,
-            trend=TimeTrendSpec(pattern, getattr(args, "lambda")),
-        )
-    )
+    block = {key: getattr(args, key) for key in _SCENARIO_DEFAULTS}
+    block["id"] = "single"
     bootstrap = (
         BootstrapSettings(b=args.bootstrap_b, seed=0) if args.bootstrap_b > 0 else None
     )
-    return Scenario(
-        scenario_id="single",
-        config=config,
-        hypothesis="null" if config.theta2 == 0.0 else "alternative",
-        replicates=1,
-        bootstrap=bootstrap,
-    )
+    return _build_scenario(block, 1, 1, bootstrap)
 
 
 def _number(value) -> float | None:
@@ -457,18 +441,13 @@ def run_single(args, out=None) -> int:
 
 
 def _add_design_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n01", type=int, default=150)
-    parser.add_argument("--n11", type=int, default=150)
-    parser.add_argument("--n02", type=int, default=150)
-    parser.add_argument("--n12", type=int, default=150)
-    parser.add_argument("--n22", type=int, default=150)
-    parser.add_argument("--alpha1", type=float, default=0.5)
-    parser.add_argument("--alpha", type=float, default=0.025)
-    parser.add_argument("--sigma", type=float, default=1.0)
-    parser.add_argument("--theta1", type=float, default=0.0)
-    parser.add_argument("--theta2", type=float, default=0.0)
-    parser.add_argument("--trend", default="none", choices=[p.value for p in TrendPattern])
-    parser.add_argument("--lambda", type=float, default=0.0, dest="lambda")
+    """One flag per scenario key of a plan, with the plan's default."""
+    for key, default in _SCENARIO_DEFAULTS.items():
+        if key == "trend":
+            parser.add_argument("--trend", default=default, choices=[p.value for p in TrendPattern])
+        else:
+            kind = int if key in _INT_KEYS else float
+            parser.add_argument(f"--{key}", type=kind, default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
