@@ -408,7 +408,7 @@ def run_single(args, out=None) -> int:
     record = run_replicate(scenario, args.seed, 0)
     decision = "continue" if record.continued[0] else "stop"
     print(f"seed: {args.seed}", file=out)
-    print(f"z11: {_fmt(_number(record.z11[0]))}", file=out)
+    print(f"z11: {_fmt(float(record.z11[0]))}", file=out)
     print(f"c1: {_fmt(scenario_constants(scenario.config).c1)}", file=out)
     print(f"decision: {decision}", file=out)
     header = f"{'method':<14} {'estimate':>22} {'bias_correction':>22} {'variance':>22} {'t':>22} {'rejected':>8}"
