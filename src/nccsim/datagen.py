@@ -91,16 +91,17 @@ def _interleaved_arms(counts, arms, rng: np.random.Generator, size: int) -> np.n
     return rng.permuted(tiled, axis=1).reshape(size, -1)
 
 
-def _recruitment_arms(config: DesignConfig, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``(size, total_planned)`` arm labels in recruitment order."""
-    p1 = _interleaved_arms((config.n01, config.n11), (0, 1), rng, size)
-    p2 = _interleaved_arms((config.n02, config.n12, config.n22), (0, 1, 2), rng, size)
+def _recruitment_arms(config: DesignConfig, orders, size: int) -> np.ndarray:
+    """``(size, total_planned)`` arm labels in recruitment order; ``orders``
+    holds the generators of the period-1 and period-2 orders."""
+    p1 = _interleaved_arms((config.n01, config.n11), (0, 1), orders[0], size)
+    p2 = _interleaved_arms((config.n02, config.n12, config.n22), (0, 1, 2), orders[1], size)
     return np.concatenate([p1, p2], axis=1)
 
 
-def _patient_layout(config: DesignConfig, arm: np.ndarray):
+def _patient_layout(config: DesignConfig):
     """Patient index, period and mean drift of each recruitment slot."""
-    total = arm.size
+    total = config.total_planned
     p1 = config.n01 + config.n11
     patient = np.arange(1, total + 1, dtype=np.int64)
     period = np.repeat(np.array([1, 2], dtype=np.int64), [p1, total - p1])
@@ -127,30 +128,36 @@ class TrialDraws:
     arms: np.ndarray | None
 
 
-def draw_trials(config: DesignConfig, rng: np.random.Generator, size: int) -> TrialDraws:
+def draw_trials(
+    config: DesignConfig, rng: np.random.Generator, size: int, orders=None
+) -> TrialDraws:
     """Draw ``size`` trials as cell means, exactly in distribution.
 
-    A cell mean is ``theta_k + drift + sigma / sqrt(n) * Z``. The drift is 0
-    without a trend, ``lam`` in period 2 for a stepwise trend, and for a
-    linear trend the mean of ``lam * (j - 1) / (total - 1)`` over the cell's
-    recruitment slots ``j``, which the block randomization places at random.
+    A cell mean is ``theta_k + drift + sigma / sqrt(n) * Z``, with ``Z``
+    drawn from ``rng`` row by row. The drift is 0 without a trend, ``lam``
+    in period 2 for a stepwise trend, and for a linear trend the mean of the
+    slot drifts of :func:`_patient_layout` over the cell's recruitment
+    slots, which the block randomization places at random. A linear trend
+    needs ``orders``, the generators of the period-1 and period-2
+    recruitment orders; each draws its rows in turn, so with separate
+    streams row ``i`` does not depend on ``size``.
     """
     counts = np.array([config.n01, config.n11, config.n02, config.n12, config.n22])
     spec = config.trend
     arms = None
     if spec.pattern is TrendPattern.LINEAR:
-        arms = _recruitment_arms(config, rng, size)
-        total = arms.shape[1]
-        slot = np.arange(total, dtype=float)
+        if orders is None:
+            raise ValueError("a linear trend needs the generators of the recruitment orders")
+        arms = _recruitment_arms(config, orders, size)
+        _, _, slot_drift = _patient_layout(config)
         p1 = config.n01 + config.n11
-        # slot sums of arms 1 and 2; each control cell takes the rest of its period
-        s11 = np.where(arms[:, :p1] == 1, slot[:p1], 0.0).sum(axis=1)
-        s12 = np.where(arms[:, p1:] == 1, slot[p1:], 0.0).sum(axis=1)
-        s22 = np.where(arms[:, p1:] == 2, slot[p1:], 0.0).sum(axis=1)
-        sums = np.column_stack([
-            slot[:p1].sum() - s11, s11, slot[p1:].sum() - s12 - s22, s12, s22,
-        ])
-        drift = spec.lam / (total - 1) * sums / np.maximum(counts, 1)
+        d1, d2 = slot_drift[:p1], slot_drift[p1:]
+        # drift sums of arms 1 and 2; each control cell takes the rest of its period
+        s11 = np.where(arms[:, :p1] == 1, d1, 0.0).sum(axis=1)
+        s12 = np.where(arms[:, p1:] == 1, d2, 0.0).sum(axis=1)
+        s22 = np.where(arms[:, p1:] == 2, d2, 0.0).sum(axis=1)
+        sums = np.column_stack([d1.sum() - s11, s11, d2.sum() - s12 - s22, s12, s22])
+        drift = sums / np.maximum(counts, 1)
     else:
         step = spec.lam if spec.pattern is TrendPattern.STEPWISE else 0.0
         drift = np.where(_CELL_PERIOD == 2, step, 0.0)
@@ -174,11 +181,11 @@ def expand_trial(
     kept it, else it is drawn here.
     """
     if draws.arms is None:
-        arm = _recruitment_arms(config, rng, 1)[0]
+        arm = _recruitment_arms(config, (rng, rng), 1)[0]
     else:
         arm = draws.arms[row]
     arm = arm.astype(np.int64)
-    patient, period, drift = _patient_layout(config, arm)
+    patient, period, drift = _patient_layout(config)
     cell = arm + 2 * (period - 1)  # index into CELLS
     counts = np.maximum(np.bincount(cell, minlength=len(CELLS)), 1)
     noise = rng.standard_normal(arm.size)
@@ -200,8 +207,8 @@ def simulate_trial(config: DesignConfig, seed) -> TrialDataset:
     followed by :func:`expand_trial`; the simulation harness uses those.
     """
     rng = np.random.default_rng(seed)
-    arm = _recruitment_arms(config, rng, 1)[0].astype(np.int64)
-    patient, period, drift = _patient_layout(config, arm)
+    arm = _recruitment_arms(config, (rng, rng), 1)[0].astype(np.int64)
+    patient, period, drift = _patient_layout(config)
     effect = np.array([0.0, config.theta1, config.theta2])
     y = effect[arm] + drift + config.sigma * rng.standard_normal(arm.size)
     return TrialDataset(patient=patient, arm=arm, period=period, y=y)

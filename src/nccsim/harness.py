@@ -2,17 +2,20 @@
 
 Replicates are drawn and analysed in chunks of ``CHUNK`` consecutive
 indices. The trials of chunk ``c`` are drawn as cell means from a seed
-stream keyed by ``(master seed, scenario id, c)``, and the interim decision,
-every estimate, bias correction and known-sigma test is computed for the
-whole chunk in one numpy pass (:mod:`nccsim.adjusted`), with the design's
-constants computed once per scenario. Replicate ``i`` is row ``i % CHUNK``
-of chunk ``i // CHUNK``. Patient rows are built only for the bootstrap of a
-continuing replicate, from a stream keyed by ``(master seed, scenario id,
-i)``; the bootstrap resamples from a stream keyed by the same triple and the
-bootstrap seed. Results are therefore bit-identical for any worker count and
-execution order, and :func:`run_replicate` replays any single replicate
-exactly. Each chunk returns its rows of the one per-replicate record,
-:class:`ReplicateArrays`; aggregation reduces it in index order.
+stream keyed by ``(master seed, scenario id, c)`` (a linear trend's
+recruitment orders from two more, one per period), and the interim
+decision, every estimate, bias correction and known-sigma test is computed
+for the whole chunk in one numpy pass (:mod:`nccsim.adjusted`), with the
+design's constants computed once per scenario. Replicate ``i`` is row
+``i % CHUNK`` of chunk ``i // CHUNK``, and each stream draws its rows in
+order, so a row does not depend on how many replicates follow it. Patient
+rows are built only for the bootstrap of a continuing replicate, from a
+stream keyed by ``(master seed, scenario id, i)``; the bootstrap resamples
+from a stream keyed by the same triple and the bootstrap seed. Results are
+therefore bit-identical for any worker count and execution order, and
+:func:`run_replicate` replays any single replicate exactly. Each chunk
+returns its rows of the one per-replicate record, :class:`ReplicateArrays`;
+aggregation reduces it in index order.
 """
 
 from __future__ import annotations
@@ -145,12 +148,17 @@ def _scenario_key(scenario_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _chunk_stream(master_seed: int, scenario: Scenario, chunk: int) -> np.random.SeedSequence:
-    """Seed stream of the trials of one chunk. Its two-element spawn key
-    never coincides with the three- and four-element replicate keys."""
-    return np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(_scenario_key(scenario.scenario_id), chunk)
-    )
+def _chunk_rng(
+    master_seed: int, scenario: Scenario, chunk: int, *stream: int
+) -> np.random.Generator:
+    """Generator of one chunk: keyed by ``(scenario, c)`` for the noise of its
+    trials, and by ``(scenario, c, 2, s)`` for their period-``s`` recruitment
+    orders. Neither key coincides with a replicate key, ``(scenario, i, 0)``
+    or ``(scenario, i, 1, bootstrap seed)``."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=master_seed,
+        spawn_key=(_scenario_key(scenario.scenario_id), chunk, *stream),
+    ))
 
 
 def replicate_stream(
@@ -173,8 +181,15 @@ def _chunk_rows(scenario: Scenario, chunk: int) -> range:
 
 
 def _draw_chunk(scenario: Scenario, master_seed: int, chunk: int) -> TrialDraws:
-    rng = np.random.default_rng(_chunk_stream(master_seed, scenario, chunk))
-    return draw_trials(scenario.config, rng, len(_chunk_rows(scenario, chunk)))
+    orders = None
+    if scenario.config.trend.pattern is TrendPattern.LINEAR:
+        orders = tuple(_chunk_rng(master_seed, scenario, chunk, 2, s) for s in (1, 2))
+    return draw_trials(
+        scenario.config,
+        _chunk_rng(master_seed, scenario, chunk),
+        len(_chunk_rows(scenario, chunk)),
+        orders,
+    )
 
 
 def _replicate_trial(

@@ -112,7 +112,7 @@ class TestBatchedCoreMatchesScalarPath:
     @given(config=designs(), seed=st.integers(0, 2**32 - 1))
     def test_every_row_matches_the_scalar_analysis_of_its_expansion(self, config, seed):
         rng = np.random.default_rng(seed)
-        draws = draw_trials(config, rng, 4)
+        draws = draw_trials(config, rng, 4, (rng, rng))
         constants = scenario_constants(config)
         point = point_estimates(config, constants, draws.means)
         for row in range(4):
@@ -149,7 +149,8 @@ class TestCellMeansDraw:
             n01=20, n11=40, n02=30, n12=15, n22=30, sigma=1e-9,
             trend=TimeTrendSpec(TrendPattern.LINEAR, 0.15),
         )
-        means = draw_trials(config, np.random.default_rng(8), 4000).means
+        rng = np.random.default_rng(8)
+        means = draw_trials(config, rng, 4000, (rng, rng)).means
         total, p1 = config.total_planned, 60
         expected = 0.15 / (total - 1) * np.array(
             [(p1 - 1) / 2] * 2 + [(p1 + total - 1) / 2] * 3
@@ -214,11 +215,13 @@ class TestChunks:
                 result.estimates["separate"][0], abs=1e-12
             )
 
-    def test_without_linear_trend_a_replicate_does_not_depend_on_the_count(self):
-        short = collect_replicates(_scenario(40), 5)
-        long = collect_replicates(_scenario(CHUNK + 3), 5)
-        for m in METHODS:
-            assert np.array_equal(short.estimates[m], long.estimates[m][:40])
+    @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
+    def test_a_replicate_does_not_depend_on_the_count(self, pattern):
+        trend = TimeTrendSpec(pattern, 0.15)
+        short = collect_replicates(_scenario(40, trend=trend), 5)
+        for count in (41, CHUNK + 3):
+            long = collect_replicates(_scenario(count, trend=trend), 5)
+            _assert_same_arrays(short, long, slice(0, 40))
 
 
 class TestFailures:
