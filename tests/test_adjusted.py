@@ -19,6 +19,8 @@ from nccsim import (
     simulate_trial,
 )
 from nccsim.adjusted import (
+    GATHER_BLOCK_VALUES,
+    _bootstrap_cell_means,
     bias_correction,
     rejections,
     scenario_constants,
@@ -179,6 +181,21 @@ class TestMae:
             correction = conditional_bias_estimate(theta1_hat, config)
             assert point.corrections[label][0] == pytest.approx(correction, rel=1e-12)
             assert point.estimates[label][0] == pytest.approx(1.5 - correction, rel=1e-12)
+
+
+class TestResampler:
+    # n = 2**15 + 1 gives one-row blocks; 63 and 500 draws leave a partial
+    # last block at n = 150 and n = 1500
+    @pytest.mark.parametrize("n", [1, 7, 150, 1500, GATHER_BLOCK_VALUES + 1])
+    @pytest.mark.parametrize("draws", [1, 63, 64, 500])
+    def test_blocked_gather_is_the_one_shot_mean(self, n, draws):
+        values = np.random.default_rng(n).normal(size=n)
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        means = _bootstrap_cell_means(rng, values, draws)
+        expected = values[reference.integers(0, n, size=(draws, n))].mean(axis=1)
+        assert means.tobytes() == expected.tobytes()
+        # the stream is left where the one-shot draw leaves it
+        assert rng.random() == reference.random()
 
 
 class TestBootstrap:
