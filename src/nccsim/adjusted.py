@@ -185,11 +185,25 @@ def bootstrap_mae_estimates(
     Replays the trial on resampled data: draw the period-1 arm-1 and control
     cells with replacement at their original sizes, keep the resample only if
     its interim statistic clears the futility cutoff, then draw the three
-    period-2 cells and analyse the resampled cell means with
-    :func:`point_estimates`. Repeats until ``settings.b`` resamples are
-    accepted. Resamples are drawn in batches for speed; the sequence of
-    accepted estimates is a deterministic function of ``settings.seed``. The
-    look and the correction use the design's constants
+    period-2 cells. Repeats until ``settings.b`` resamples are accepted, then
+    analyses all accepted cell means with one :func:`point_estimates` call.
+
+    Period-1 proposals are drawn in batches sized for the ``need`` resamples
+    still missing: ``ceil(1.25 * need / rate)`` proposals, at least 64 and at
+    most 8192, where ``rate`` is the acceptance rate seen so far (floored at
+    0.02). The first batch assumes every proposal is accepted, because a
+    continuing trial's own resamples mostly are: ``ceil(1.25 * b)``
+    proposals, 250 at ``b = 200``. Only the period-2 cells of the first
+    ``need`` hits are drawn. The accepted resamples are the first ``b``
+    accepted proposals of an i.i.d. proposal stream, so the batching changes
+    which resamples are drawn, not their law; for a given ``settings.seed``
+    they are deterministic. Each cell's resample means come from
+    :func:`_bootstrap_cell_means`. One B = 200 bootstrap of a continuing
+    default-design trial takes about 1.4 ms, and 5 ms when period 1 is ten
+    times as long (``r = 10``); at B = 1000, 5 ms and 20 ms (one core of a
+    2-vCPU VM).
+
+    The look and the correction use the design's constants
     (:func:`scenario_constants`), so the dataset's cell counts must be the
     design's.
 
@@ -218,7 +232,7 @@ def bootstrap_mae_estimates(
     collected: list[np.ndarray] = []
 
     while need > 0:
-        rate = max(accepted / attempts if attempts else 0.5, 0.02)
+        rate = max(accepted / attempts if attempts else 1.0, 0.02)
         batch = int(min(8192, max(64, math.ceil(need / rate * 1.25))))
         m11 = _bootstrap_cell_means(rng, y11, batch)
         m01 = _bootstrap_cell_means(rng, y01, batch)

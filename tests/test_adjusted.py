@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from nccsim import adjusted
 from nccsim import (
     BootstrapError,
     BootstrapSettings,
@@ -236,6 +237,26 @@ class TestBootstrap:
         estimates = bootstrap_mae_estimates(data, config, BootstrapSettings(b=37, seed=0))
         for method in ALL_METHODS:
             assert estimates[method_label(method)].shape == (37,)
+
+    def test_first_batch_assumes_full_acceptance(self, monkeypatch):
+        # a continuing trial's resamples are mostly accepted, so the first
+        # batch holds ceil(1.25 b) period-1 proposals
+        config = default_config()
+        data = simulate_trial(config, 1)
+        assert analyse(data, config).continued[0]
+        draws = []
+        cell_means = adjusted._bootstrap_cell_means
+
+        def spy(rng, values, count):
+            draws.append(count)
+            return cell_means(rng, values, count)
+
+        monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
+        estimates = bootstrap_mae_estimates(data, config, BootstrapSettings(b=200, seed=4))
+        assert draws[:2] == [250, 250]  # arm 1 and control of period 1
+        assert set(estimates) == {method_label(m) for m in ALL_METHODS}
+        for e in estimates.values():
+            assert e.shape == (200,)
 
     def test_doubling_b_keeps_the_target_fixed(self):
         config = default_config(n01=30, n11=30, n02=30, n12=30, n22=30)
