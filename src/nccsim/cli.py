@@ -183,6 +183,17 @@ def _build_scenario(
         raise ConfigError(f"scenario {where}: {exc}") from exc
 
 
+def _bootstrap_settings(b: int, seed: int) -> BootstrapSettings | None:
+    """The bootstrap of a ``simulate`` plan or a ``single`` trace; ``None``
+    for ``b = 0``. Raises :class:`ConfigError` for a negative ``b`` or
+    ``seed``."""
+    if b < 0:
+        raise ConfigError("bootstrap_b must be >= 0 (0 disables the bootstrap)")
+    if seed < 0:
+        raise ConfigError(f"bootstrap_seed must be >= 0, got {seed}")
+    return BootstrapSettings(b=b, seed=seed) if b > 0 else None
+
+
 def parse_config(
     path: Path | str,
     replicates_override: int | None = None,
@@ -207,12 +218,7 @@ def parse_config(
     )
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    if b < 0:
-        raise ConfigError("bootstrap_b must be >= 0 (0 disables the bootstrap)")
-    seed = top.get("bootstrap_seed", 0)
-    if seed < 0:
-        raise ConfigError(f"bootstrap_seed must be >= 0, got {seed}")
-    bootstrap = BootstrapSettings(b=b, seed=seed) if b > 0 else None
+    bootstrap = _bootstrap_settings(b, top.get("bootstrap_seed", 0))
 
     grid = top.get("grid")
     if grid is not None:
@@ -390,10 +396,7 @@ def emit_analytic(rows, out_dir: Path | str) -> Path:
 def _single_scenario(args) -> Scenario:
     block = {key: getattr(args, key) for key in _SCENARIO_DEFAULTS}
     block["id"] = "single"
-    bootstrap = (
-        BootstrapSettings(b=args.bootstrap_b, seed=0) if args.bootstrap_b > 0 else None
-    )
-    return _build_scenario(block, 1, 1, bootstrap)
+    return _build_scenario(block, 1, 1, _bootstrap_settings(args.bootstrap_b, 0))
 
 
 def _number(value) -> float | None:

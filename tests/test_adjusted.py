@@ -134,6 +134,26 @@ class TestConditionalBiasEstimate:
         tiny = np.finfo(float).tiny
         np.testing.assert_allclose(correction[small], expected, rtol=1e-12, atol=tiny)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.tuples(*[st.integers(2, 1500)] * 4),
+        alpha1=st.floats(0.001, 0.999),
+        pooled=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20),
+    )
+    def test_cumvue_and_correction_stay_finite(self, sizes, alpha1, pooled):
+        n01, n11, n02, n12 = sizes
+        config = default_config(n01=n01, n11=n11, n02=n02, n12=n12, alpha1=alpha1)
+        constants = scenario_constants(config)
+        pooled = np.array(pooled)
+        cumvue = cumvue_from_means(pooled, constants.info, constants.c1)
+        assert np.all(np.isfinite(cumvue))
+        for theta1_hat in (pooled, cumvue):
+            correction = bias_correction(
+                theta1_hat, constants.c1, constants.rho, constants.se1
+            )
+            assert np.all(np.isfinite(correction))
+            assert np.all(correction >= 0.0)
+
     def test_broadcasts(self):
         values = conditional_bias_estimate(np.array([0.0, 50.0]), default_config())
         assert values.shape == (2,)

@@ -326,6 +326,18 @@ class TestSingleCommand:
         expected = (DATA / f"single_seed12_b{b}.txt").read_text()
         assert capsys.readouterr().out == expected
 
+    def test_negative_bootstrap_b_exits_2_in_both_commands(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, CUSTOM_PLAN)
+        for argv in (
+            ["single", "--seed", "1"],
+            ["simulate", "--config", str(plan), "--seed", "1", "--out", str(tmp_path / "o")],
+        ):
+            assert main(argv + ["--bootstrap-b", "-5"]) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert "bootstrap_b must be >= 0 (0 disables the bootstrap)" in captured.err
+            assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_infinite_sigma_flag_exits_2(self, capsys):
         assert main(["single", "--seed", "1", "--sigma", "inf"]) == 2
         assert "sigma must be positive and finite" in capsys.readouterr().err
