@@ -199,9 +199,9 @@ def bootstrap_mae_estimates(
     which resamples are drawn, not their law; for a given ``settings.seed``
     they are deterministic. Each cell's resample means come from
     :func:`_bootstrap_cell_means`. One B = 200 bootstrap of a continuing
-    default-design trial takes about 1.4 ms, and 5 ms when period 1 is ten
+    default-design trial takes about 1.2 ms, and 5 ms when period 1 is ten
     times as long (``r = 10``); at B = 1000, 5 ms and 20 ms (one core of a
-    2-vCPU VM).
+    2-vCPU VM, numpy 2.4).
 
     The look and the correction use the design's constants
     (:func:`scenario_constants`), so the dataset's cell counts must be the
