@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from nccsim import adjusted
 from nccsim import (
     BootstrapError,
     BootstrapSettings,
@@ -17,6 +16,7 @@ from nccsim import (
     cumvue_from_means,
     method_label,
     model_based_variance,
+    adjusted,
     simulate_trial,
 )
 from nccsim.adjusted import (
