@@ -36,15 +36,8 @@ def method_label(method: Theta1Method) -> str:
     return f"mae_{method.value}"
 
 
-THETA1_METHODS = (
-    Theta1Method.POOLED,
-    Theta1Method.PERIOD1,
-    Theta1Method.PERIOD2,
-    Theta1Method.CUMVUE,
-)
-
-#: The mean-adjusted methods, one per arm-1 plug-in.
-ADJUSTED_METHODS = tuple(method_label(m) for m in THETA1_METHODS)
+#: The mean-adjusted methods, one per arm-1 plug-in, in ``Theta1Method`` order.
+ADJUSTED_METHODS = tuple(method_label(m) for m in Theta1Method)
 
 #: Output order of the estimator methods.
 METHODS = (METHOD_UNADJUSTED, METHOD_SEPARATE) + ADJUSTED_METHODS
@@ -216,8 +209,6 @@ def bootstrap_mae_estimates(
         raise ValueError(
             f"the dataset's cell counts {counts} differ from the design's {design}"
         )
-    if config.n12 == 0:
-        raise ValueError("bootstrap requires arm-1 period-2 data (arm 1 continued)")
     y01, y11, y02, y12, y22 = (data.cell(*cell) for cell in CELLS)
     constants = scenario_constants(config)
     c1, se1 = constants.c1, constants.se1

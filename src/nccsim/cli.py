@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .adjusted import BootstrapSettings, scenario_constants, t_statistic
@@ -81,18 +80,6 @@ _FLOAT_KEYS = {"alpha1", "alpha", "sigma", "theta1", "theta2", "lambda"}
 
 class ConfigError(ValueError):
     """Plan-file parse or validation error, with line context where known."""
-
-
-@dataclass
-class RunConfig:
-    """Resolved ``simulate`` invocation."""
-
-    config_path: Path
-    master_seed: int
-    out_dir: Path
-    workers: int = 1
-    replicates_override: int | None = None
-    bootstrap_b_override: int | None = None
 
 
 def _parse_plan_text(path: Path):
@@ -337,23 +324,18 @@ _ANALYTIC_ALPHA1 = tuple([0.001, 0.005] + [i / 100 for i in range(1, 100)] + [0.
 _ANALYTIC_RATIOS = (
     1 / 15, 0.1, 0.15, 0.2, 1 / 3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0
 )
+_ANALYTIC_SIGMA = 1.0
+_ANALYTIC_BASE_N = 150.0
 ANALYTIC_CSV_COLUMNS = (
     "panel", "alpha1", "r", "a", "theta1",
     "n01", "n11", "n02", "n12", "rho", "marginal_bias", "conditional_bias",
 )
 
 
-def analytic_rows(
-    alpha1_grid=_ANALYTIC_ALPHA1,
-    r_grid=_ANALYTIC_RATIOS,
-    a_grid=_ANALYTIC_RATIOS,
-    theta1: float = 0.0,
-    sigma: float = 1.0,
-    base_n: float = 150.0,
-):
+def analytic_rows(theta1: float = 0.0):
     """Closed-form bias over the three design grids.
 
-    Panel A varies the futility bound with all cells at ``base_n``; panel B
+    Panel A varies the futility bound with all cells at 150; panel B
     varies the period-size ratio with period-2 cells fixed; panel C varies
     the arm-1 allocation ratio with control cells fixed. Cell sizes may be
     non-integer here: the formulas are continuous in them.
@@ -361,7 +343,7 @@ def analytic_rows(
 
     def row(panel, alpha1, n01, n11, n02, n12):
         rho = ncc_weight(n01, n02, n11, n12)
-        se1 = sigma * (1.0 / n11 + 1.0 / n01) ** 0.5
+        se1 = _ANALYTIC_SIGMA * (1.0 / n11 + 1.0 / n01) ** 0.5
         inputs = BiasInputs(
             rho=rho, se1=se1, c1=futility_cutoff(alpha1), theta1=theta1
         )
@@ -370,12 +352,13 @@ def analytic_rows(
             marginal_bias(inputs), conditional_bias(inputs),
         )
 
-    for alpha1 in alpha1_grid:
-        yield row("A", alpha1, base_n, base_n, base_n, base_n)
-    for r in r_grid:
-        yield row("B", 0.5, base_n * r, base_n * r, base_n, base_n)
-    for a in a_grid:
-        yield row("C", 0.5, base_n, base_n * a, base_n, base_n * a)
+    n = _ANALYTIC_BASE_N
+    for alpha1 in _ANALYTIC_ALPHA1:
+        yield row("A", alpha1, n, n, n, n)
+    for r in _ANALYTIC_RATIOS:
+        yield row("B", 0.5, n * r, n * r, n, n)
+    for a in _ANALYTIC_RATIOS:
+        yield row("C", 0.5, n, n * a, n, n * a)
 
 
 def emit_analytic(rows, out_dir: Path | str) -> Path:
@@ -434,8 +417,9 @@ def run_single(args, out=None) -> int:
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("j", "arm", "period", "y"))
-            for j, arm, period, y in zip(data.patient, data.arm, data.period, data.y):
-                writer.writerow((int(j), int(arm), int(period), repr(float(y))))
+            rows = zip(data.arm, data.period, data.y)
+            for j, (arm, period, y) in enumerate(rows, start=1):
+                writer.writerow((j, int(arm), int(period), repr(float(y))))
         print(f"patient data written to {path}", file=out)
     return 0
 

@@ -32,46 +32,35 @@ CELLS = ((0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
 
 @dataclass(frozen=True)
 class TrialDataset:
-    """One simulated trial: per-patient rows plus cached cell summaries.
+    """One trial's patient rows, in recruitment order, indexed by cell.
 
-    Arrays are aligned and ordered by recruitment index ``patient`` (1-based).
-    Instances are immutable and safe to share across workers.
+    Arrays are aligned; row ``j`` is the ``j + 1``-th patient recruited.
+    A hand-built dataset may leave a cell empty. Instances are immutable and
+    safe to share across workers.
     """
 
-    patient: np.ndarray
     arm: np.ndarray
     period: np.ndarray
     y: np.ndarray
     _cells: dict = field(init=False, repr=False, compare=False)
-    _means: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.y.size
-        if not (self.patient.size == self.arm.size == self.period.size == n):
-            raise ValueError("patient, arm, period and y must have equal length")
+        if not (self.arm.size == self.period.size == self.y.size):
+            raise ValueError("arm, period and y must have equal length")
         cells = {}
-        means = {}
         for k, s in CELLS:
             values = self.y[(self.arm == k) & (self.period == s)]
             values.flags.writeable = False
             cells[(k, s)] = values
-            if values.size:
-                means[(k, s)] = float(values.mean())
-        for arr in (self.patient, self.arm, self.period, self.y):
+        for arr in (self.arm, self.period, self.y):
             arr.flags.writeable = False
         object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "_means", means)
 
     def cell(self, arm: int, period: int) -> np.ndarray:
         return self._cells[(arm, period)]
 
     def count(self, arm: int, period: int) -> int:
         return self._cells[(arm, period)].size
-
-    def mean(self, arm: int, period: int) -> float:
-        if (arm, period) not in self._means:
-            raise ValueError(f"cell (arm={arm}, period={period}) is empty")
-        return self._means[(arm, period)]
 
 
 #: Arm and period of each cell, in ``CELLS`` order.
@@ -100,27 +89,25 @@ def _recruitment_arms(config: DesignConfig, orders, size: int) -> np.ndarray:
 
 
 def _patient_layout(config: DesignConfig):
-    """Patient index, period and mean drift of each recruitment slot."""
+    """Period and mean drift of each recruitment slot."""
     total = config.total_planned
     p1 = config.n01 + config.n11
-    patient = np.arange(1, total + 1, dtype=np.int64)
     period = np.repeat(np.array([1, 2], dtype=np.int64), [p1, total - p1])
     spec = config.trend
     if spec.pattern is TrendPattern.LINEAR:
-        drift = spec.lam * (patient - 1) / (total - 1)
+        drift = spec.lam * np.arange(total) / (total - 1)
     elif spec.pattern is TrendPattern.STEPWISE:
         drift = np.where(period == 2, spec.lam, 0.0)
     else:
         drift = np.zeros(total)
-    return patient, period, drift
+    return period, drift
 
 
 @dataclass(frozen=True)
 class TrialDraws:
     """A batch of trials drawn as their five cell means.
 
-    ``means`` has one row per trial, columns in ``CELLS`` order (NaN for an
-    empty cell). ``arms`` holds each trial's recruitment-order arm labels
+    ``means`` has one row per trial, columns in ``CELLS`` order. ``arms`` holds each trial's recruitment-order arm labels
     when the cell means depend on them (a linear trend), else ``None``.
     """
 
@@ -149,7 +136,7 @@ def draw_trials(
         if orders is None:
             raise ValueError("a linear trend needs the generators of the recruitment orders")
         arms = _recruitment_arms(config, orders, size)
-        _, _, slot_drift = _patient_layout(config)
+        _, slot_drift = _patient_layout(config)
         p1 = config.n01 + config.n11
         d1, d2 = slot_drift[:p1], slot_drift[p1:]
         # drift sums of arms 1 and 2; each control cell takes the rest of its period
@@ -157,15 +144,14 @@ def draw_trials(
         s12 = np.where(arms[:, p1:] == 1, d2, 0.0).sum(axis=1)
         s22 = np.where(arms[:, p1:] == 2, d2, 0.0).sum(axis=1)
         sums = np.column_stack([d1.sum() - s11, s11, d2.sum() - s12 - s22, s12, s22])
-        drift = sums / np.maximum(counts, 1)
+        drift = sums / counts
     else:
         step = spec.lam if spec.pattern is TrendPattern.STEPWISE else 0.0
         drift = np.where(_CELL_PERIOD == 2, step, 0.0)
 
     effect = np.array([0.0, config.theta1, config.theta2])[_CELL_ARM]
-    scale = config.sigma / np.sqrt(np.maximum(counts, 1))
+    scale = config.sigma / np.sqrt(counts)
     means = effect + drift + scale * rng.standard_normal((size, len(CELLS)))
-    means[:, counts == 0] = np.nan
     return TrialDraws(means=means, arms=arms)
 
 
@@ -185,16 +171,16 @@ def expand_trial(
     else:
         arm = draws.arms[row]
     arm = arm.astype(np.int64)
-    patient, period, drift = _patient_layout(config)
+    period, drift = _patient_layout(config)
     cell = arm + 2 * (period - 1)  # index into CELLS
-    counts = np.maximum(np.bincount(cell, minlength=len(CELLS)), 1)
+    counts = np.bincount(cell, minlength=len(CELLS))
     noise = rng.standard_normal(arm.size)
     residual = (
         drift - (np.bincount(cell, drift, len(CELLS)) / counts)[cell]
         + config.sigma * (noise - (np.bincount(cell, noise, len(CELLS)) / counts)[cell])
     )
     y = draws.means[row][cell] + residual
-    return TrialDataset(patient=patient, arm=arm, period=period, y=y)
+    return TrialDataset(arm=arm, period=period, y=y)
 
 
 def simulate_trial(config: DesignConfig, seed) -> TrialDataset:
@@ -208,7 +194,7 @@ def simulate_trial(config: DesignConfig, seed) -> TrialDataset:
     """
     rng = np.random.default_rng(seed)
     arm = _recruitment_arms(config, (rng, rng), 1)[0].astype(np.int64)
-    patient, period, drift = _patient_layout(config)
+    period, drift = _patient_layout(config)
     effect = np.array([0.0, config.theta1, config.theta2])
     y = effect[arm] + drift + config.sigma * rng.standard_normal(arm.size)
-    return TrialDataset(patient=patient, arm=arm, period=period, y=y)
+    return TrialDataset(arm=arm, period=period, y=y)

@@ -77,13 +77,15 @@ class DesignConfig:
 
 
 def validate(config: DesignConfig) -> DesignConfig:
-    """Check all invariants; returns the config unchanged if they hold."""
-    for name in ("n01", "n11", "n02", "n22"):
+    """Check all invariants; returns the config unchanged if they hold.
+
+    Each of the five cells holds at least one patient: a futility stop only
+    decides whether the arm-1 period-2 cell is analysed.
+    """
+    for name in ("n01", "n11", "n02", "n12", "n22"):
         value = getattr(config, name)
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if not isinstance(config.n12, int) or config.n12 < 0:
-        raise ValueError(f"n12 must be an integer >= 0, got {config.n12!r}")
     if not 0.0 <= config.alpha1 <= 1.0:
         raise ValueError(f"alpha1 out of range [0, 1]: {config.alpha1!r}")
     if not 0.0 < config.alpha < 1.0:
@@ -126,17 +128,12 @@ def futility_cutoff(alpha1: float) -> float:
 def ncc_weight(n01, n02, n11, n12) -> float:
     """Weight of the non-concurrent control mean in the control estimate.
 
-    Equals ``(1/n02) / (1/n01 + 1/n02 + 1/n11 + 1/n12)``, and exactly 0 when
-    ``n12 == 0`` (arm 1 stopped: the model cannot use the early controls).
-    Accepts non-integer sizes so analytic curves can be evaluated on a
-    continuous grid.
+    Equals ``(1/n02) / (1/n01 + 1/n02 + 1/n11 + 1/n12)``. Every size must be
+    at least 1; non-integer sizes are accepted so analytic curves can be
+    evaluated on a continuous grid.
     """
-    for name, value in (("n01", n01), ("n02", n02), ("n11", n11)):
+    for name, value in (("n01", n01), ("n02", n02), ("n11", n11), ("n12", n12)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
-    if n12 < 0:
-        raise ValueError(f"n12 must be >= 0, got {n12!r}")
-    if n12 == 0:
-        return 0.0
     inv_total = 1.0 / n01 + 1.0 / n02 + 1.0 / n11 + 1.0 / n12
     return (1.0 / n02) / inv_total

@@ -79,11 +79,6 @@ class Scenario:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         validate(self.config)
-        if self.config.n12 < 1:
-            raise ValueError(
-                "n12 must be >= 1 in a simulated scenario: a continuing arm 1 "
-                "is analysed with its period-2 patients"
-            )
         if self.bootstrap is not None:
             seed = self.bootstrap.seed
             if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -148,27 +143,20 @@ def _scenario_key(scenario_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _chunk_rng(
-    master_seed: int, scenario: Scenario, chunk: int, *stream: int
-) -> np.random.Generator:
-    """Generator of one chunk: keyed by ``(scenario, c)`` for the noise of its
-    trials, and by ``(scenario, c, 2, s)`` for their period-``s`` recruitment
-    orders. Neither key coincides with a replicate key, ``(scenario, i, 0)``
-    or ``(scenario, i, 1, bootstrap seed)``."""
-    return np.random.default_rng(np.random.SeedSequence(
-        entropy=master_seed,
-        spawn_key=(_scenario_key(scenario.scenario_id), chunk, *stream),
-    ))
-
-
 def replicate_stream(
-    master_seed: int, scenario: Scenario, replicate_index: int, stream: int
+    master_seed: int, scenario: Scenario, index: int, *stream: int
 ) -> np.random.SeedSequence:
-    """Independent seed stream for one replicate (stream 0: its patient rows;
-    the bootstrap uses stream 1 keyed further by the bootstrap seed)."""
+    """Seed stream keyed by ``(master seed, scenario id, index, *stream)``.
+
+    A chunk ``c`` draws the noise of its trials from ``(c)`` and their
+    period-``s`` recruitment orders from ``(c, 2, s)``; a replicate ``i``
+    draws its patient rows from ``(i, 0)`` and its bootstrap resamples from
+    ``(i, 1, bootstrap seed)``. No two of these keys coincide: they differ
+    in length or in the entry after the index.
+    """
     return np.random.SeedSequence(
         entropy=master_seed,
-        spawn_key=(_scenario_key(scenario.scenario_id), replicate_index, stream),
+        spawn_key=(_scenario_key(scenario.scenario_id), index, *stream),
     )
 
 
@@ -181,15 +169,13 @@ def _chunk_rows(scenario: Scenario, chunk: int) -> range:
 
 
 def _draw_chunk(scenario: Scenario, master_seed: int, chunk: int) -> TrialDraws:
+    def rng(*stream):
+        return np.random.default_rng(replicate_stream(master_seed, scenario, chunk, *stream))
+
     orders = None
     if scenario.config.trend.pattern is TrendPattern.LINEAR:
-        orders = tuple(_chunk_rng(master_seed, scenario, chunk, 2, s) for s in (1, 2))
-    return draw_trials(
-        scenario.config,
-        _chunk_rng(master_seed, scenario, chunk),
-        len(_chunk_rows(scenario, chunk)),
-        orders,
-    )
+        orders = (rng(2, 1), rng(2, 2))
+    return draw_trials(scenario.config, rng(), len(_chunk_rows(scenario, chunk)), orders)
 
 
 def _replicate_trial(
@@ -212,15 +198,8 @@ def _bootstrap_replicate(
     """Bootstrap variance of every adjusted method for one continuing
     replicate; the resamples are shared by all methods."""
     data = _replicate_trial(scenario, master_seed, index, draws)
-    settings = BootstrapSettings(
-        b=scenario.bootstrap.b,
-        seed=np.random.SeedSequence(
-            entropy=master_seed,
-            spawn_key=(
-                _scenario_key(scenario.scenario_id), index, 1, int(scenario.bootstrap.seed)
-            ),
-        ),
-    )
+    seed = replicate_stream(master_seed, scenario, index, 1, int(scenario.bootstrap.seed))
+    settings = BootstrapSettings(b=scenario.bootstrap.b, seed=seed)
     return bootstrap_variances(data, scenario.config, settings)
 
 
@@ -370,14 +349,11 @@ def summarize(scenario: Scenario, arrays: ReplicateArrays) -> OperatingCharacter
     """
     ok = ~arrays.failed
     cont = arrays.continued & ok
-    n_ok = int(ok.sum())
     n_cont = int(cont.sum())
     n_failed = int(arrays.failed.sum())
     theta2 = scenario.config.theta2
 
-    continuation = _rate_statistic(
-        arrays.continued[ok].astype(np.int8) if n_ok else np.empty(0, dtype=np.int8)
-    )
+    continuation = _rate_statistic(arrays.continued[ok].astype(np.int8))
     stats: dict[str, dict[str, Statistic]] = {}
     for m in METHODS:
         est = arrays.estimates[m]

@@ -19,9 +19,7 @@ def make_dataset(cells: dict[tuple[int, int], list[float]]) -> TrialDataset:
                 arm.append(k)
                 period.append(s)
                 y.append(float(value))
-    n = len(y)
     return TrialDataset(
-        patient=np.arange(1, n + 1, dtype=np.int64),
         arm=np.asarray(arm, dtype=np.int64),
         period=np.asarray(period, dtype=np.int64),
         y=np.asarray(y, dtype=float),
@@ -30,7 +28,7 @@ def make_dataset(cells: dict[tuple[int, int], list[float]]) -> TrialDataset:
 
 def cell_means(data: TrialDataset) -> np.ndarray:
     """The five cell means of ``data`` in ``CELLS`` order; NaN for an empty cell."""
-    return np.array([data.mean(*cell) if data.count(*cell) else np.nan for cell in CELLS])
+    return np.array([data.cell(*cell).mean() if data.count(*cell) else np.nan for cell in CELLS])
 
 
 def cell_counts(data: TrialDataset) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -126,7 +128,7 @@ class TestParseConfig:
         ("bootstrap_seed: x\n[scenario]\n", r":1: invalid value for 'bootstrap_seed'"),
         ("bootstrap_seed: -1\ngrid: table1\n", "bootstrap_seed must be >= 0"),
         ("[scenario]\nid: x\n[scenario]\nn01: 0\n", "scenario number 2: n01 must be"),
-        ("[scenario]\nid: small\nn12: 0\n", "scenario id 'small': n12 must be >= 1"),
+        ("[scenario]\nid: small\nn12: 0\n", "scenario id 'small': n12 must be an integer >= 1"),
     ], ids=["replicates", "bootstrap_b", "bootstrap_seed", "negative_seed", "by_index", "by_id"])
     def test_every_error_is_a_config_error(self, tmp_path, capsys, text, message):
         path = write_plan(tmp_path, text)
@@ -342,6 +344,10 @@ class TestSingleCommand:
         assert main(["single", "--seed", "1", "--sigma", "inf"]) == 2
         assert "sigma must be positive and finite" in capsys.readouterr().err
 
+    def test_empty_arm1_period2_cell_exits_2(self, capsys):
+        assert main(["single", "--seed", "1", "--n12", "0"]) == 2
+        assert "n12 must be an integer >= 1, got 0" in capsys.readouterr().err
+
     def test_patient_dump(self, tmp_path, capsys):
         dump = tmp_path / "trial.csv"
         main([
@@ -355,3 +361,26 @@ class TestSingleCommand:
         assert [int(r["j"]) for r in rows] == list(range(1, 26))
         period1 = [r for r in rows if r["period"] == "1"]
         assert len(period1) == 10
+
+
+class TestRuntimeImports:
+    def test_commands_never_import_scipy(self, tmp_path):
+        # scipy is a test-only extra: the commands' start-up time and memory
+        # are measured without it
+        plan = write_plan(tmp_path, CUSTOM_PLAN.replace("replicates: 80", "replicates: 20")
+                          .replace("bootstrap_b: 0", "bootstrap_b: 5"))
+        out = tmp_path / "o"
+        script = (
+            "import sys\n"
+            "from nccsim.cli import main\n"
+            "assert main(['single', '--seed', '12', '--bootstrap-b', '20']) == 0\n"
+            f"assert main(['simulate', '--config', {str(plan)!r}, '--seed', '1',"
+            f" '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "[]"

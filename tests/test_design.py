@@ -31,14 +31,10 @@ class TestValidate:
         validate(default_config(alpha1=1.0))
 
     def test_analysis_cells_require_patients(self):
-        for name in ("n01", "n11", "n02", "n22"):
-            with pytest.raises(ValueError, match=name):
-                validate(default_config(**{name: 0}))
-
-    def test_n12_zero_is_legal_but_negative_is_not(self):
-        validate(default_config(n12=0))
-        with pytest.raises(ValueError, match="n12"):
-            validate(default_config(n12=-1))
+        for name in ("n01", "n11", "n02", "n12", "n22"):
+            for size in (0, -1):
+                with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                    validate(default_config(**{name: size}))
 
     def test_alpha_strictly_inside_unit_interval(self):
         for alpha in (0.0, 1.0):
@@ -83,9 +79,6 @@ class TestNccWeight:
     def test_unequal_cells(self):
         assert ncc_weight(50, 150, 50, 150) == pytest.approx(0.125, abs=1e-15)
 
-    def test_stopped_arm_gives_zero(self):
-        assert ncc_weight(150, 150, 150, 0) == 0.0
-
     def test_monotonicity_over_grid(self):
         sizes = (3, 10, 40, 150, 600)
         for n01 in sizes:
@@ -106,6 +99,8 @@ class TestNccWeight:
             ncc_weight(0, 150, 150, 150)
         with pytest.raises(ValueError):
             ncc_weight(150, 150, 150, -1)
+        with pytest.raises(ValueError, match="n12"):
+            ncc_weight(150, 150, 150, 0)
 
 
 class TestDerivedQuantities:
@@ -119,9 +114,9 @@ class TestDerivedQuantities:
         assert config.period1_se == pytest.approx(0.11547005383792516, abs=1e-15)
 
     def test_rho_property_matches_function(self):
-        config = default_config(n12=0)
-        assert config.rho == 0.0
         assert default_config().rho == pytest.approx(0.25)
+        with pytest.raises(ValueError, match="n12"):
+            default_config(n12=0).rho
 
     def test_total_planned(self):
         assert default_config().total_planned == 750

@@ -60,7 +60,7 @@ def _hazard(x):
 
 def _without_arm1_period2(data: TrialDataset) -> TrialDataset:
     keep = ~((data.arm == 1) & (data.period == 2))
-    return TrialDataset(data.patient[keep], data.arm[keep], data.period[keep], data.y[keep])
+    return TrialDataset(data.arm[keep], data.period[keep], data.y[keep])
 
 
 def _oracle(config: DesignConfig, data: TrialDataset, continued: bool):
@@ -118,7 +118,7 @@ class TestBatchedCoreMatchesScalarPath:
         for row in range(4):
             data = expand_trial(config, draws, row, rng)
             for i, cell in enumerate(CELLS):
-                assert abs(data.mean(*cell) - draws.means[row, i]) <= 1e-12
+                assert abs(data.cell(*cell).mean() - draws.means[row, i]) <= 1e-12
 
             continued = bool(point.continued[row])
             z11, estimates, corrections = _oracle(config, data, continued)
@@ -157,11 +157,6 @@ class TestCellMeansDraw:
         )
         se = means.std(axis=0, ddof=1) / math.sqrt(means.shape[0])
         assert np.all(np.abs(means.mean(axis=0) - expected) < 4 * se)
-
-    def test_empty_cell_has_no_mean(self):
-        draws = draw_trials(default_config(n12=0), np.random.default_rng(1), 3)
-        assert np.all(np.isnan(draws.means[:, 3]))
-        assert not np.any(np.isnan(draws.means[:, [0, 1, 2, 4]]))
 
 
 def _scenario(replicates, bootstrap=None, scenario_id="engine", **overrides):
