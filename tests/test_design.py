@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nccsim import (
@@ -10,6 +11,7 @@ from nccsim import (
     ncc_weight,
     validate,
 )
+from nccsim.adjusted import point_estimates, scenario_constants
 from conftest import default_config
 
 
@@ -78,6 +80,19 @@ class TestNccWeight:
 
     def test_unequal_cells(self):
         assert ncc_weight(50, 150, 50, 150) == pytest.approx(0.125, abs=1e-15)
+
+    def test_stopped_arm_gives_zero(self):
+        """A futility stop gives the non-concurrent controls weight zero: every
+        stopped trial's estimate is ``m22 - m02``, whatever the means on the
+        non-concurrent route (m01, m11, m12)."""
+        config = default_config(alpha1=0.0)
+        route = np.array([[0.0, 0.0, 0.0], [1.5, -2.0, 4.0], [-3.0, 0.5, -1.0]])
+        means = np.column_stack([route[:, :2], np.full(3, 0.3), route[:, 2], np.full(3, 0.8)])
+        point = point_estimates(config, scenario_constants(config), means)
+        assert not point.continued.any()
+        for label, estimate in point.estimates.items():
+            np.testing.assert_array_equal(estimate, np.full(3, 0.8 - 0.3))
+            np.testing.assert_array_equal(point.corrections[label], np.zeros(3))
 
     def test_monotonicity_over_grid(self):
         sizes = (3, 10, 40, 150, 600)
