@@ -170,16 +170,17 @@ def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
     return out
 
 
-def bootstrap_mae_estimates(
-    data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
-) -> dict[str, np.ndarray]:
-    """Accepted-resample estimates of every mean-adjusted method.
+def bootstrap_resamples(
+    cells, config: DesignConfig, constants: ScenarioConstants, settings: BootstrapSettings
+) -> np.ndarray:
+    """``(b, 5)`` cell means of the accepted resamples of one trial.
 
-    Replays the trial on resampled data: draw the period-1 arm-1 and control
-    cells with replacement at their original sizes, keep the resample only if
-    its interim statistic clears the futility cutoff, then draw the three
-    period-2 cells. Repeats until ``settings.b`` resamples are accepted, then
-    analyses all accepted cell means with one :func:`point_estimates` call.
+    ``cells`` holds the trial's five cells' responses in ``CELLS`` order, and
+    ``constants`` the design's (:func:`scenario_constants`). Replays the
+    trial on resampled data: draw the period-1 arm-1 and control cells with
+    replacement at their original sizes, keep the resample only if its
+    interim statistic clears the futility cutoff, then draw the three
+    period-2 cells. Repeats until ``settings.b`` resamples are accepted.
 
     Period-1 proposals are drawn in batches sized for the ``need`` resamples
     still missing: ``ceil(1.25 * need / rate)`` proposals, at least 64 and at
@@ -191,26 +192,20 @@ def bootstrap_mae_estimates(
     accepted proposals of an i.i.d. proposal stream, so the batching changes
     which resamples are drawn, not their law; for a given ``settings.seed``
     they are deterministic. Each cell's resample means come from
-    :func:`_bootstrap_cell_means`. One B = 200 bootstrap of a continuing
-    default-design trial takes about 1.2 ms, and 5 ms when period 1 is ten
-    times as long (``r = 10``); at B = 1000, 5 ms and 20 ms (one core of a
-    2-vCPU VM, numpy 2.4).
+    :func:`_bootstrap_cell_means`.
 
-    The look and the correction use the design's constants
-    (:func:`scenario_constants`), so the dataset's cell counts must be the
-    design's.
-
-    Raises :class:`BootstrapError` after ``100 * b`` consecutive rejections,
-    and ``ValueError`` when the cell counts differ from the design's.
+    The look and the correction use the design's constants, so the cell
+    sizes must be the design's. Raises :class:`BootstrapError` after
+    ``100 * b`` consecutive rejections, and ``ValueError`` when the cell
+    sizes differ from the design's.
     """
-    counts = tuple(data.count(*cell) for cell in CELLS)
+    counts = tuple(values.size for values in cells)
     design = (config.n01, config.n11, config.n02, config.n12, config.n22)
     if counts != design:
         raise ValueError(
             f"the dataset's cell counts {counts} differ from the design's {design}"
         )
-    y01, y11, y02, y12, y22 = (data.cell(*cell) for cell in CELLS)
-    constants = scenario_constants(config)
+    y01, y11, y02, y12, y22 = cells
     c1, se1 = constants.c1, constants.se1
 
     rng = np.random.default_rng(settings.seed)
@@ -252,7 +247,46 @@ def bootstrap_mae_estimates(
         collected.append(np.column_stack([m01[take], m11[take], m02, m12, m22]))
         need -= take.size
 
-    point = point_estimates(config, constants, np.concatenate(collected))
+    return np.concatenate(collected)
+
+
+def resample_variances(
+    config: DesignConfig, constants: ScenarioConstants, resamples: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Bootstrap variance of every mean-adjusted method for ``k`` trials.
+
+    ``resamples`` is ``(k, b, 5)``: each trial's accepted resample cell means
+    from :func:`bootstrap_resamples`. All ``k * b`` rows are analysed with
+    one :func:`point_estimates` call and each trial's variance is taken over
+    its ``b`` estimates (divisor ``b``, matching the resample-count
+    convention). The analysis works element by element and a row-wise
+    ``np.var`` equals the 1-D one bit for bit, so a trial's variance does not
+    depend on which trials share its call.
+    """
+    k, b, _ = resamples.shape
+    point = point_estimates(config, constants, resamples.reshape(k * b, len(CELLS)))
+    return {
+        label: np.var(point.estimates[label].reshape(k, b), axis=-1)
+        for label in ADJUSTED_METHODS
+    }
+
+
+def _cells(data: TrialDataset) -> tuple[np.ndarray, ...]:
+    return tuple(data.cell(*cell) for cell in CELLS)
+
+
+def bootstrap_mae_estimates(
+    data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
+) -> dict[str, np.ndarray]:
+    """Accepted-resample estimates of every mean-adjusted method for one
+    trial's rows: :func:`bootstrap_resamples` analysed with
+    :func:`point_estimates`. One B = 200 bootstrap of a continuing
+    default-design trial takes about 1.2 ms, and 5 ms when period 1 is ten
+    times as long (``r = 10``); at B = 1000, 5 ms and 20 ms (one core of a
+    2-vCPU VM, numpy 2.4)."""
+    constants = scenario_constants(config)
+    resamples = bootstrap_resamples(_cells(data), config, constants, settings)
+    point = point_estimates(config, constants, resamples)
     return {label: point.estimates[label] for label in ADJUSTED_METHODS}
 
 
@@ -260,9 +294,11 @@ def bootstrap_variances(
     data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
 ) -> dict[str, float]:
     """Bootstrap variance of every mean-adjusted method from one shared
-    resampling pass (divisor ``b``, matching the resample-count convention)."""
-    estimates = bootstrap_mae_estimates(data, config, settings)
-    return {label: float(np.var(e)) for label, e in estimates.items()}
+    resampling pass of one trial's rows (:func:`resample_variances`)."""
+    constants = scenario_constants(config)
+    resamples = bootstrap_resamples(_cells(data), config, constants, settings)
+    variances = resample_variances(config, constants, resamples[None])
+    return {label: float(v[0]) for label, v in variances.items()}
 
 
 def bootstrap_variance(

@@ -34,13 +34,14 @@ from .adjusted import (
     BootstrapError,
     BootstrapSettings,
     ScenarioConstants,
-    bootstrap_variances,
+    bootstrap_resamples,
     point_estimates,
     rejections,
+    resample_variances,
     scenario_constants,
     wald_variances,
 )
-from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial
+from .datagen import CELLS, TrialDataset, TrialDraws, draw_trials, expand_trial
 from .design import DesignConfig, TimeTrendSpec, TrendPattern, validate
 
 #: Output order of the reported statistics.
@@ -59,6 +60,12 @@ MAX_FAILURE_FRACTION = 0.01
 
 #: Replicates drawn and analysed together; also the unit of work of a pool.
 CHUNK = 512
+
+#: Bootstrap resample rows analysed per call: a chunk's continuing
+#: replicates are analysed in groups of ``max(1, ANALYSIS_ROWS // b)``, which
+#: bounds the analysis's temporaries (about 2 MB of float arrays per 2^14
+#: rows) while removing nearly all of its per-call cost.
+ANALYSIS_ROWS = 2**14
 
 HYPOTHESES = ("null", "alternative")
 
@@ -193,14 +200,19 @@ def replicate_trial(scenario: Scenario, master_seed: int, index: int) -> TrialDa
 
 
 def _bootstrap_replicate(
-    scenario: Scenario, master_seed: int, index: int, draws: TrialDraws
-) -> dict[str, float]:
-    """Bootstrap variance of every adjusted method for one continuing
-    replicate; the resamples are shared by all methods."""
+    scenario: Scenario,
+    master_seed: int,
+    index: int,
+    draws: TrialDraws,
+    constants: ScenarioConstants,
+) -> np.ndarray:
+    """``(b, 5)`` accepted resample cell means of one continuing replicate;
+    the resamples are shared by all adjusted methods."""
     data = _replicate_trial(scenario, master_seed, index, draws)
+    cells = tuple(data.cell(*cell) for cell in CELLS)
     seed = replicate_stream(master_seed, scenario, index, 1, int(scenario.bootstrap.seed))
     settings = BootstrapSettings(b=scenario.bootstrap.b, seed=seed)
-    return bootstrap_variances(data, scenario.config, settings)
+    return bootstrap_resamples(cells, scenario.config, constants, settings)
 
 
 def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
@@ -218,27 +230,45 @@ def _run_chunk(
     only: int | None = None,
 ) -> ReplicateArrays:
     """Draw and analyse one chunk into its rows of the record. The bootstrap
-    runs for every continuing replicate, or for replicate ``only`` alone.
+    runs for every continuing replicate, or for replicate ``only`` alone; the
+    accepted resamples are analysed in groups of at most
+    :data:`ANALYSIS_ROWS` rows (one replicate when ``b`` is larger).
 
     A :class:`BootstrapError` marks a replicate failed, except for ``only``,
-    where it propagates. Any other error raises :class:`ReplicateError`.
+    where it propagates. Any other error raises :class:`ReplicateError`,
+    naming the replicate when it comes from its resampling and the chunk's
+    range otherwise.
     """
     rows = _chunk_rows(scenario, chunk)
+    chunk_key = f"replicates {rows.start}..{rows.stop - 1}"
     try:
         draws = _draw_chunk(scenario, master_seed, chunk)
         point = point_estimates(scenario.config, constants, draws.means)
     except Exception as exc:
-        which = f"replicates {rows.start}..{rows.stop - 1}"
-        raise _keyed_error(scenario, master_seed, which, exc) from exc
+        raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
     failed = np.zeros(len(rows), dtype=bool)
     bootstrap = {label: np.full(len(rows), np.nan) for label in ADJUSTED_METHODS}
     if scenario.bootstrap is not None:
+        group = max(1, ANALYSIS_ROWS // scenario.bootstrap.b)
+        pending_rows: list[int] = []
+        pending: list[np.ndarray] = []
+
+        def analyse_pending():
+            try:
+                variances = resample_variances(scenario.config, constants, np.stack(pending))
+            except Exception as exc:
+                raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
+            for label, values in variances.items():
+                bootstrap[label][pending_rows] = values
+            pending_rows.clear()
+            pending.clear()
+
         for row in np.flatnonzero(point.continued):
             index = rows[row]
             if only is not None and index != only:
                 continue
             try:
-                variances = _bootstrap_replicate(scenario, master_seed, index, draws)
+                resamples = _bootstrap_replicate(scenario, master_seed, index, draws, constants)
             except BootstrapError:
                 if only is not None:
                     raise
@@ -246,8 +276,12 @@ def _run_chunk(
                 continue
             except Exception as exc:
                 raise _keyed_error(scenario, master_seed, f"replicate {index}", exc) from exc
-            for label, value in variances.items():
-                bootstrap[label][row] = value
+            pending_rows.append(row)
+            pending.append(resamples)
+            if len(pending) == group:
+                analyse_pending()
+        if pending:
+            analyse_pending()
     variances = wald_variances(point, constants, bootstrap)
     return ReplicateArrays(
         z11=point.z11,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import nccsim.adjusted as adjusted_module
 import nccsim.harness as harness_module
 from nccsim import (
     CELLS,
@@ -24,9 +25,11 @@ from nccsim import (
     TrendPattern,
     TrialDataset,
     bootstrap_variance,
+    bootstrap_variances,
     collect_replicates,
     method_label,
     ols_fit,
+    replicate_stream,
     replicate_trial,
     run_replicate,
     run_scenario,
@@ -219,12 +222,57 @@ class TestChunks:
             _assert_same_arrays(short, long, slice(0, 40))
 
 
+class TestChunkBootstrap:
+    """The bootstrap of a chunk's continuing replicates: per-replicate
+    resamples, analysed in groups of at most ``ANALYSIS_ROWS`` rows."""
+
+    @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
+    def test_variances_are_the_bootstrap_of_the_replicate_trial(self, pattern):
+        scenario = _scenario(
+            30, BootstrapSettings(b=40, seed=3), n01=25, n11=25, n02=25, n12=25, n22=25,
+            trend=TimeTrendSpec(pattern, 0.15),
+        )
+        arrays = collect_replicates(scenario, 17)
+        continuing = np.flatnonzero(arrays.continued)
+        assert continuing.size >= 5
+        for index in continuing[:5]:
+            index = int(index)
+            seed = replicate_stream(17, scenario, index, 1, 3)
+            expected = bootstrap_variances(
+                replicate_trial(scenario, 17, index), scenario.config,
+                BootstrapSettings(b=40, seed=seed),
+            )
+            replayed = run_replicate(scenario, 17, index)
+            for label, value in expected.items():
+                assert replayed.variances[label][0] == value, label
+                assert arrays.variances[label][index] == value, label
+
+    def test_no_analysis_call_exceeds_the_row_cap(self, monkeypatch):
+        rows = []
+        real = adjusted_module.point_estimates
+
+        def spy(config, constants, means):
+            rows.append(means.shape[0])
+            return real(config, constants, means)
+
+        monkeypatch.setattr(adjusted_module, "point_estimates", spy)
+        scenario = _scenario(CHUNK, BootstrapSettings(b=1000), alpha1=0.95,
+                             n01=20, n11=20, n02=20, n12=20, n22=20)
+        arrays = collect_replicates(scenario, 29)
+        n_continuing = int(arrays.continued.sum())
+        assert n_continuing > 400 and not arrays.failed.any()
+        assert max(rows) <= harness_module.ANALYSIS_ROWS
+        assert sum(rows) == 1000 * n_continuing
+        # the groups are as large as the cap allows
+        assert len(rows) == -(-n_continuing // (harness_module.ANALYSIS_ROWS // 1000))
+
+
 class TestFailures:
     def test_unexpected_error_propagates_with_its_key(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(harness_module, "bootstrap_variances", broken)
+        monkeypatch.setattr(harness_module, "bootstrap_resamples", broken)
         scenario = _scenario(50, BootstrapSettings(b=5), scenario_id="broken")
         with pytest.raises(RuntimeError, match=r"'broken', replicate \d+, master seed 13") as info:
             run_scenario(scenario, 13)
@@ -243,10 +291,22 @@ class TestFailures:
         def failing(*args, **kwargs):
             raise BootstrapError("injected")
 
-        monkeypatch.setattr(harness_module, "bootstrap_variances", failing)
+        monkeypatch.setattr(harness_module, "bootstrap_resamples", failing)
         scenario = _scenario(50, BootstrapSettings(b=5), alpha1=1.0)
         with pytest.raises(BootstrapError):
             run_replicate(scenario, 13, 7)
+
+    def test_error_in_the_resample_analysis_names_the_chunk(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness_module, "resample_variances", broken)
+        scenario = _scenario(CHUNK + 50, BootstrapSettings(b=5), scenario_id="broken",
+                             alpha1=1.0)
+        with pytest.raises(ReplicateError, match=r"'broken', replicates 0\.\.511, master seed 13"):
+            run_scenario(scenario, 13)
+        with pytest.raises(ReplicateError, match=rf"replicates {CHUNK}\.\.{CHUNK + 49}, "):
+            run_replicate(scenario, 13, CHUNK + 7)
 
 
 class TestScenarioChecks:

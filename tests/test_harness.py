@@ -167,7 +167,7 @@ class TestRunScenario:
     def test_failed_replicates_are_counted_and_bounded(self, monkeypatch):
         import nccsim.harness as harness_module
 
-        real = harness_module.bootstrap_variances
+        real = harness_module.bootstrap_resamples
 
         def flaky(*args, **kwargs):
             flaky.calls += 1
@@ -176,7 +176,7 @@ class TestRunScenario:
             return real(*args, **kwargs)
 
         flaky.calls = 0
-        monkeypatch.setattr(harness_module, "bootstrap_variances", flaky)
+        monkeypatch.setattr(harness_module, "bootstrap_resamples", flaky)
         oc = run_scenario(small_scenario(replicates=100, bootstrap=BootstrapSettings(b=5)), 59)
         # one bootstrap per continuing replicate; failed ones are not counted as continuing
         assert flaky.calls == oc.n_continuing + oc.n_failed
