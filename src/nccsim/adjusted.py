@@ -153,19 +153,25 @@ GATHER_BLOCK_VALUES = 2**15
 def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
     """Means of ``draws`` resamples with replacement of ``values``.
 
-    All indices come from one ``rng.integers(0, n, size=(draws, n))`` draw.
+    All indices come from one ``rng.integers(0, n, size=(draws, n))`` draw,
+    as ``uint16`` when ``n <= 2**16`` (cheaper to draw) and ``int64`` above.
     The gather and the row sums run over blocks of about
-    :data:`GATHER_BLOCK_VALUES` values, so no ``(draws, n)`` float array is
-    built. A mean is its row sum divided by ``n``, so the result equals
-    ``values[idx].mean(axis=1)`` bit for bit.
+    :data:`GATHER_BLOCK_VALUES` values into one reused buffer, so no
+    ``(draws, n)`` float array is built; ``take`` skips the bounds check,
+    since the indices are in range by construction. A mean is its row sum
+    divided by ``n``, so the result equals ``values[idx].mean(axis=1)`` bit
+    for bit.
     """
     n = values.size
-    idx = rng.integers(0, n, size=(draws, n))
+    idx = rng.integers(0, n, size=(draws, n), dtype=np.uint16 if n <= 2**16 else np.int64)
     rows = max(1, GATHER_BLOCK_VALUES // n)
+    gathered = np.empty((min(rows, draws), n))
     out = np.empty(draws)
     for start in range(0, draws, rows):
-        block = slice(start, start + rows)
-        np.sum(values[idx[block]], axis=1, out=out[block])
+        block = idx[start : start + rows]
+        buffer = gathered[: block.shape[0]]
+        values.take(block, out=buffer, mode="clip")
+        np.sum(buffer, axis=1, out=out[start : start + rows])
     out /= n
     return out
 

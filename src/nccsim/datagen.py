@@ -12,9 +12,11 @@ Every analysis is a function of the five cell means, so trials are drawn as
 cell means, a batch at a time (:func:`draw_trials`). Responses are normal
 with known ``sigma``, so a cell mean is exactly ``Normal(theta_k + drift,
 sigma^2 / n)``, where ``drift`` is the mean trend over the cell's
-recruitment slots. Patient rows are built only where they are needed, by
-:func:`expand_trial`, which draws them from their exact conditional
-distribution given the cell means.
+recruitment slots. A trial's responses are drawn only where they are
+needed, from their exact conditional distribution given the cell means:
+cell by cell by :func:`trial_cells`, which is all the bootstrap resamples,
+and as patient rows in recruitment order by :func:`expand_trial`, for a
+replayed trial (``single --csv``).
 """
 
 from __future__ import annotations
@@ -155,31 +157,57 @@ def draw_trials(
     return TrialDraws(means=means, arms=arms)
 
 
-def expand_trial(
+def trial_cells(
     config: DesignConfig, draws: TrialDraws, row: int, rng: np.random.Generator
-) -> TrialDataset:
-    """Patient rows of trial ``row`` of ``draws``, consistent with its means.
+) -> tuple[np.ndarray, ...]:
+    """The responses of trial ``row`` of ``draws``, one array per cell in
+    ``CELLS`` order, consistent with its cell means.
 
     Given a cell mean ``m``, the responses of the cell are distributed as
     ``m + (d_i - mean(d)) + sigma * (e_i - mean(e))`` with ``d`` the
-    patients' drifts and ``e`` fresh standard normals, so expanding a drawn
-    trial is exact. The recruitment order is the drawn one when ``draws``
-    kept it, else it is drawn here.
+    patients' drifts and ``e`` fresh standard normals, so drawing the cells
+    of a drawn trial is exact. ``e`` is drawn from ``rng`` cell by cell.
+    Without a linear trend the patients of a cell share one drift and the
+    drift term is zero. With one, ``d`` are the drifts of the cell's slots in
+    the trial's drawn recruitment order, and a cell's values follow it.
     """
+    counts = (config.n01, config.n11, config.n02, config.n12, config.n22)
+    means = draws.means[row]
+    if draws.arms is not None:
+        period, slot_drift = _patient_layout(config)
+        slot_cell = draws.arms[row] + 2 * (period - 1)  # index into CELLS
+    cells = []
+    for k, n in enumerate(counts):
+        noise = rng.standard_normal(n)
+        residual = config.sigma * (noise - noise.mean())
+        if draws.arms is not None:
+            drift = slot_drift[slot_cell == k]
+            residual = (drift - drift.mean()) + residual
+        cells.append(means[k] + residual)
+    return tuple(cells)
+
+
+def expand_trial(
+    config: DesignConfig, draws: TrialDraws, row: int, rng: np.random.Generator
+) -> TrialDataset:
+    """Patient rows of trial ``row`` of ``draws``: its cells from
+    :func:`trial_cells`, placed into a recruitment order.
+
+    The order is the drawn one when ``draws`` kept it (a linear trend), else
+    it is drawn from ``rng`` after the cells. Each cell of the dataset is the
+    array :func:`trial_cells` drew from the same ``rng``.
+    """
+    cells = trial_cells(config, draws, row, rng)
     if draws.arms is None:
         arm = _recruitment_arms(config, (rng, rng), 1)[0]
     else:
         arm = draws.arms[row]
     arm = arm.astype(np.int64)
-    period, drift = _patient_layout(config)
-    cell = arm + 2 * (period - 1)  # index into CELLS
-    counts = np.bincount(cell, minlength=len(CELLS))
-    noise = rng.standard_normal(arm.size)
-    residual = (
-        drift - (np.bincount(cell, drift, len(CELLS)) / counts)[cell]
-        + config.sigma * (noise - (np.bincount(cell, noise, len(CELLS)) / counts)[cell])
-    )
-    y = draws.means[row][cell] + residual
+    period, _ = _patient_layout(config)
+    slot_cell = arm + 2 * (period - 1)
+    y = np.empty(arm.size)
+    for k, values in enumerate(cells):
+        y[slot_cell == k] = values
     return TrialDataset(arm=arm, period=period, y=y)
 
 

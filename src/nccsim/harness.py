@@ -8,14 +8,16 @@ decision, every estimate, bias correction and known-sigma test is computed
 for the whole chunk in one numpy pass (:mod:`nccsim.adjusted`), with the
 design's constants computed once per scenario. Replicate ``i`` is row
 ``i % CHUNK`` of chunk ``i // CHUNK``, and each stream draws its rows in
-order, so a row does not depend on how many replicates follow it. Patient
-rows are built only for the bootstrap of a continuing replicate, from a
-stream keyed by ``(master seed, scenario id, i)``; the bootstrap resamples
-from a stream keyed by the same triple and the bootstrap seed. Results are
-therefore bit-identical for any worker count and execution order, and
-:func:`run_replicate` replays any single replicate exactly. Each chunk
-returns its rows of the one per-replicate record, :class:`ReplicateArrays`;
-aggregation reduces it in index order.
+order, so a row does not depend on how many replicates follow it. For the
+bootstrap of a continuing replicate ``i``, its five cells' responses (not
+patient rows) are drawn from a stream keyed by ``(master seed, scenario id,
+i)``, and resampled from a stream keyed by the same triple and the
+bootstrap seed. The chunk analyses the accepted resamples of its continuing
+replicates together, in groups of at most :data:`ANALYSIS_ROWS` rows.
+Results are therefore bit-identical for any worker count and execution
+order, and :func:`run_replicate` replays any single replicate exactly. Each
+chunk returns its rows of the one per-replicate record,
+:class:`ReplicateArrays`; aggregation reduces it in index order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .adjusted import (
     scenario_constants,
     wald_variances,
 )
-from .datagen import CELLS, TrialDataset, TrialDraws, draw_trials, expand_trial
+from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial, trial_cells
 from .design import DesignConfig, TimeTrendSpec, TrendPattern, validate
 
 #: Output order of the reported statistics.
@@ -157,7 +159,8 @@ def replicate_stream(
 
     A chunk ``c`` draws the noise of its trials from ``(c)`` and their
     period-``s`` recruitment orders from ``(c, 2, s)``; a replicate ``i``
-    draws its patient rows from ``(i, 0)`` and its bootstrap resamples from
+    draws its cells (then, when replayed without a linear trend, its
+    recruitment order) from ``(i, 0)`` and its bootstrap resamples from
     ``(i, 1, bootstrap seed)``. No two of these keys coincide: they differ
     in length or in the entry after the index.
     """
@@ -185,18 +188,17 @@ def _draw_chunk(scenario: Scenario, master_seed: int, chunk: int) -> TrialDraws:
     return draw_trials(scenario.config, rng(), len(_chunk_rows(scenario, chunk)), orders)
 
 
-def _replicate_trial(
-    scenario: Scenario, master_seed: int, index: int, draws: TrialDraws
-) -> TrialDataset:
-    rng = np.random.default_rng(replicate_stream(master_seed, scenario, index, 0))
-    return expand_trial(scenario.config, draws, index % CHUNK, rng)
+def _trial_rng(scenario: Scenario, master_seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(replicate_stream(master_seed, scenario, index, 0))
 
 
 def replicate_trial(scenario: Scenario, master_seed: int, index: int) -> TrialDataset:
-    """Patient rows of replicate ``index``: the trial its analysis saw."""
+    """Patient rows of replicate ``index``: the trial its analysis saw, and
+    whose cells its bootstrap resampled."""
     _check_index(scenario, index)
     draws = _draw_chunk(scenario, master_seed, index // CHUNK)
-    return _replicate_trial(scenario, master_seed, index, draws)
+    rng = _trial_rng(scenario, master_seed, index)
+    return expand_trial(scenario.config, draws, index % CHUNK, rng)
 
 
 def _bootstrap_replicate(
@@ -208,8 +210,8 @@ def _bootstrap_replicate(
 ) -> np.ndarray:
     """``(b, 5)`` accepted resample cell means of one continuing replicate;
     the resamples are shared by all adjusted methods."""
-    data = _replicate_trial(scenario, master_seed, index, draws)
-    cells = tuple(data.cell(*cell) for cell in CELLS)
+    rng = _trial_rng(scenario, master_seed, index)
+    cells = trial_cells(scenario.config, draws, index % CHUNK, rng)
     seed = replicate_stream(master_seed, scenario, index, 1, int(scenario.bootstrap.seed))
     settings = BootstrapSettings(b=scenario.bootstrap.b, seed=seed)
     return bootstrap_resamples(cells, scenario.config, constants, settings)

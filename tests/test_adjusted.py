@@ -205,18 +205,31 @@ class TestMae:
 
 
 class TestResampler:
+    @staticmethod
+    def _assert_one_shot_mean(n, draws):
+        values = np.random.default_rng(n).normal(size=n)
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        means = _bootstrap_cell_means(rng, values, draws)
+        dtype = np.uint16 if n <= 2**16 else np.int64
+        idx = reference.integers(0, n, size=(draws, n), dtype=dtype)
+        expected = values[idx].mean(axis=1)
+        assert means.tobytes() == expected.tobytes()
+        # the stream is left where the one-shot draw leaves it
+        assert rng.random() == reference.random()
+
     # n = 2**15 + 1 gives one-row blocks; 63 and 500 draws leave a partial
     # last block at n = 150 and n = 1500
     @pytest.mark.parametrize("n", [1, 7, 150, 1500, GATHER_BLOCK_VALUES + 1])
     @pytest.mark.parametrize("draws", [1, 63, 64, 500])
     def test_blocked_gather_is_the_one_shot_mean(self, n, draws):
-        values = np.random.default_rng(n).normal(size=n)
-        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
-        means = _bootstrap_cell_means(rng, values, draws)
-        expected = values[reference.integers(0, n, size=(draws, n))].mean(axis=1)
-        assert means.tobytes() == expected.tobytes()
-        # the stream is left where the one-shot draw leaves it
-        assert rng.random() == reference.random()
+        self._assert_one_shot_mean(n, draws)
+
+    # the largest cell that uint16 indices can address, and the smallest
+    # that needs int64 ones
+    @pytest.mark.parametrize("n", [2**16, 2**16 + 1])
+    @pytest.mark.parametrize("draws", [1, 2, 3, 4])
+    def test_index_dtype_switches_above_two_to_the_sixteen(self, n, draws):
+        self._assert_one_shot_mean(n, draws)
 
 
 class TestBootstrap:

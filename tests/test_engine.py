@@ -247,6 +247,40 @@ class TestChunkBootstrap:
                 assert replayed.variances[label][0] == value, label
                 assert arrays.variances[label][index] == value, label
 
+    @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
+    def test_replicate_trial_holds_the_resampled_cells(self, pattern, monkeypatch):
+        resampled = []
+        real = harness_module.bootstrap_resamples
+
+        def spy(cells, *args):
+            resampled.append(cells)
+            return real(cells, *args)
+
+        monkeypatch.setattr(harness_module, "bootstrap_resamples", spy)
+        scenario = _scenario(
+            CHUNK + 20, BootstrapSettings(b=5), alpha1=1.0,
+            n01=12, n11=9, n02=10, n12=7, n22=11, trend=TimeTrendSpec(pattern, 0.15),
+        )
+        for index in (3, CHUNK + 11):
+            resampled.clear()
+            run_replicate(scenario, 19, index)
+            data = replicate_trial(scenario, 19, index)
+            assert len(resampled) == 1
+            for values, cell in zip(resampled[0], CELLS, strict=True):
+                assert data.cell(*cell).tobytes() == values.tobytes(), cell
+
+    def test_a_bootstrap_run_builds_no_patient_rows(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("a TrialDataset was built")
+
+        monkeypatch.setattr(TrialDataset, "__post_init__", forbidden)
+        for pattern in TrendPattern:
+            scenario = _scenario(40, BootstrapSettings(b=5), alpha1=0.9,
+                                 trend=TimeTrendSpec(pattern, 0.15))
+            arrays = collect_replicates(scenario, 23)
+            assert arrays.continued.any() and not arrays.failed.any()
+            assert np.all(np.isfinite(arrays.variances["mae_cumvue"]))
+
     def test_no_analysis_call_exceeds_the_row_cap(self, monkeypatch):
         rows = []
         real = adjusted_module.point_estimates
