@@ -49,14 +49,15 @@ class BootstrapError(RuntimeError):
 
 @dataclass(frozen=True)
 class BootstrapSettings:
-    """``b`` accepted resamples; ``seed`` keys the resampling stream."""
+    """``b`` accepted resamples; ``seed`` keys the resampling stream. One
+    resample has zero variance, so ``b`` must be at least 2."""
 
     b: int
     seed: object = 0
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"bootstrap resample count must be >= 1, got {self.b}")
+        if self.b < 2:
+            raise ValueError(f"bootstrap resample count must be >= 2, got {self.b}")
 
 
 def bias_correction(theta1_hat, c1: float, rho: float, se1: float):

@@ -173,9 +173,11 @@ def _build_scenario(
 def _bootstrap_settings(b: int, seed: int) -> BootstrapSettings | None:
     """The bootstrap of a ``simulate`` plan or a ``single`` trace; ``None``
     for ``b = 0``. Raises :class:`ConfigError` for a negative ``b`` or
-    ``seed``."""
+    ``seed``, and for ``b = 1``, whose variance is always 0."""
     if b < 0:
         raise ConfigError("bootstrap_b must be >= 0 (0 disables the bootstrap)")
+    if b == 1:
+        raise ConfigError("bootstrap_b must be 0 (no bootstrap) or at least 2, got 1")
     if seed < 0:
         raise ConfigError(f"bootstrap_seed must be >= 0, got {seed}")
     return BootstrapSettings(b=b, seed=seed) if b > 0 else None

@@ -330,6 +330,11 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             BootstrapSettings(b=0)
 
+    def test_one_resample_is_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 2, got 1"):
+            BootstrapSettings(b=1)
+        assert BootstrapSettings(b=2).b == 2
+
 
 class TestWaldTest:
     def test_stopped_branch_is_standard_z_test(self):

@@ -340,6 +340,23 @@ class TestSingleCommand:
             assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
+    def test_one_resample_bootstrap_exits_2_in_both_commands(self, tmp_path, capsys):
+        # one resample has variance 0, which would make every t statistic infinite
+        plan = write_plan(tmp_path, CUSTOM_PLAN)
+        for argv in (
+            ["single", "--seed", "12"],
+            ["simulate", "--config", str(plan), "--seed", "1", "--out", str(tmp_path / "o")],
+        ):
+            assert main(argv + ["--bootstrap-b", "1"]) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert "bootstrap_b must be 0 (no bootstrap) or at least 2, got 1" in captured.err
+            assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+        plan.write_text(CUSTOM_PLAN.replace("bootstrap_b: 0", "bootstrap_b: 1"))
+        assert main(["simulate", "--config", str(plan), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "at least 2, got 1" in capsys.readouterr().err
+
     def test_infinite_sigma_flag_exits_2(self, capsys):
         assert main(["single", "--seed", "1", "--sigma", "inf"]) == 2
         assert "sigma must be positive and finite" in capsys.readouterr().err
