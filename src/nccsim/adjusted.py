@@ -9,10 +9,13 @@ once (:func:`scenario_constants`). A stop is a mask: a stopped trial takes
 the concurrent-only estimate under every method. When arm 1 continues, the
 model-based estimate is debiased by subtracting a plug-in estimate of its
 conditional bias, and its variance is estimated with a stratified bootstrap
-that replays the trial including the futility rule and analyses the
-accepted resamples with :func:`point_estimates`. Each method is then tested
-with a Wald-type statistic: known-sigma for a stopped trial and the
-unadjusted estimate, bootstrap for the adjusted ones.
+that replays the trial including the futility rule. The bootstrap has two
+steps: :func:`bootstrap_resamples` resamples one trial's five cells into
+the cell means of its accepted resamples, and :func:`resample_variances`
+analyses the resamples of many trials with one :func:`point_estimates`
+call. Each method is then tested with a Wald-type statistic: known-sigma
+for a stopped trial and the unadjusted estimate, bootstrap for the
+adjusted ones.
 """
 
 from __future__ import annotations
@@ -178,7 +181,10 @@ def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
 
 
 def bootstrap_resamples(
-    cells, config: DesignConfig, constants: ScenarioConstants, settings: BootstrapSettings
+    cells: tuple[np.ndarray, ...],
+    config: DesignConfig,
+    constants: ScenarioConstants,
+    settings: BootstrapSettings,
 ) -> np.ndarray:
     """``(b, 5)`` cell means of the accepted resamples of one trial.
 
@@ -210,7 +216,7 @@ def bootstrap_resamples(
     design = (config.n01, config.n11, config.n02, config.n12, config.n22)
     if counts != design:
         raise ValueError(
-            f"the dataset's cell counts {counts} differ from the design's {design}"
+            f"the trial's cell counts {counts} differ from the design's {design}"
         )
     y01, y11, y02, y12, y22 = cells
     c1, se1 = constants.c1, constants.se1
