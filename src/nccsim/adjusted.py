@@ -293,10 +293,8 @@ def bootstrap_mae_estimates(
 ) -> dict[str, np.ndarray]:
     """Accepted-resample estimates of every mean-adjusted method for one
     trial's rows: :func:`bootstrap_resamples` analysed with
-    :func:`point_estimates`. One B = 200 bootstrap of a continuing
-    default-design trial takes about 1.2 ms, and 5 ms when period 1 is ten
-    times as long (``r = 10``); at B = 1000, 5 ms and 20 ms (one core of a
-    2-vCPU VM, numpy 2.4)."""
+    :func:`point_estimates`. The simulation harness does not build rows; it
+    bootstraps a replicate's cells and analyses many replicates at once."""
     constants = scenario_constants(config)
     resamples = bootstrap_resamples(_cells(data), config, constants, settings)
     point = point_estimates(config, constants, resamples)
