@@ -6,8 +6,6 @@ from .adjusted import (
     BootstrapSettings,
     METHOD_SEPARATE,
     METHOD_UNADJUSTED,
-    bootstrap_mae_estimates,
-    bootstrap_variance,
     bootstrap_variances,
     method_label,
 )

@@ -284,42 +284,17 @@ def resample_variances(
     }
 
 
-def _cells(data: TrialDataset) -> tuple[np.ndarray, ...]:
-    return tuple(data.cell(*cell) for cell in CELLS)
-
-
-def bootstrap_mae_estimates(
-    data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
-) -> dict[str, np.ndarray]:
-    """Accepted-resample estimates of every mean-adjusted method for one
-    trial's rows: :func:`bootstrap_resamples` analysed with
-    :func:`point_estimates`. The simulation harness does not build rows; it
-    bootstraps a replicate's cells and analyses many replicates at once."""
-    constants = scenario_constants(config)
-    resamples = bootstrap_resamples(_cells(data), config, constants, settings)
-    point = point_estimates(config, constants, resamples)
-    return {label: point.estimates[label] for label in ADJUSTED_METHODS}
-
-
 def bootstrap_variances(
     data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
 ) -> dict[str, float]:
-    """Bootstrap variance of every mean-adjusted method from one shared
-    resampling pass of one trial's rows (:func:`resample_variances`)."""
+    """Bootstrap variance of every mean-adjusted method, keyed by its
+    :func:`method_label`, from one shared resampling pass of one trial's
+    rows (:func:`resample_variances`). The per-trial bootstrap entry."""
     constants = scenario_constants(config)
-    resamples = bootstrap_resamples(_cells(data), config, constants, settings)
+    cells = tuple(data.cell(*cell) for cell in CELLS)
+    resamples = bootstrap_resamples(cells, config, constants, settings)
     variances = resample_variances(config, constants, resamples[None])
     return {label: float(v[0]) for label, v in variances.items()}
-
-
-def bootstrap_variance(
-    data: TrialDataset,
-    config: DesignConfig,
-    settings: BootstrapSettings,
-    method: Theta1Method = Theta1Method.CUMVUE,
-) -> float:
-    """Bootstrap variance of the adjusted estimate for one arm-1 estimator."""
-    return bootstrap_variances(data, config, settings)[method_label(method)]
 
 
 def wald_variances(

@@ -22,7 +22,7 @@ from nccsim import (
     TimeTrendSpec,
     TrendPattern,
     bias_inputs,
-    bootstrap_variance,
+    bootstrap_variances,
     collect_replicates,
     conditional_bias,
     marginal_bias,
@@ -325,9 +325,7 @@ def _bootstrap_sd_chunk(start: int, stop: int):
             continue
         out[offset, 0] = point.estimates["mae_cumvue"][0]
         seed = np.random.SeedSequence(entropy=MASTER_SEED, spawn_key=(7, rep))
-        variance = bootstrap_variance(
-            data, config, BootstrapSettings(b=1000, seed=seed), Theta1Method.CUMVUE
-        )
+        variance = bootstrap_variances(data, config, BootstrapSettings(b=1000, seed=seed))["mae_cumvue"]
         out[offset, 1] = math.sqrt(variance)
     return out
 

@@ -9,9 +9,8 @@ from nccsim import (
     BootstrapError,
     BootstrapSettings,
     InformationLevels,
+    CELLS,
     Theta1Method,
-    bootstrap_mae_estimates,
-    bootstrap_variance,
     bootstrap_variances,
     cumvue_from_means,
     method_label,
@@ -23,6 +22,8 @@ from nccsim.adjusted import (
     GATHER_BLOCK_VALUES,
     _bootstrap_cell_means,
     bias_correction,
+    bootstrap_resamples,
+    point_estimates,
     rejections,
     scenario_constants,
     t_statistic,
@@ -37,6 +38,14 @@ def conditional_bias_estimate(theta1_hat, config):
     """The bias correction at ``config``'s constants."""
     constants = scenario_constants(config)
     return bias_correction(theta1_hat, constants.c1, constants.rho, constants.se1)
+
+
+def resample_estimates(data, config, settings):
+    """Every method's estimate on each accepted resample of one trial."""
+    constants = scenario_constants(config)
+    cells = tuple(data.cell(*cell) for cell in CELLS)
+    resamples = bootstrap_resamples(cells, config, constants, settings)
+    return point_estimates(config, constants, resamples).estimates
 
 
 def wald_tests(data, config, bootstrap=None):
@@ -236,7 +245,7 @@ class TestBootstrap:
     def test_degenerate_cells_give_zero_variance(self):
         config = default_config(n01=5, n11=5, n02=5, n12=5, n22=5)
         data = make_dataset(constant_cells())
-        estimates = bootstrap_mae_estimates(data, config, BootstrapSettings(b=50, seed=3))
+        estimates = resample_estimates(data, config, BootstrapSettings(b=50, seed=3))
         variances = bootstrap_variances(data, config, BootstrapSettings(b=50, seed=3))
         assert set(variances) == {method_label(m) for m in ALL_METHODS}
         for method, variance in variances.items():
@@ -251,15 +260,15 @@ class TestBootstrap:
         config = default_config(n01=4, n11=4, n02=4, n12=4, n22=4, alpha1=0.2)
         data = make_dataset(constant_cells(n=4, z11_positive=False))
         with pytest.raises(BootstrapError):
-            bootstrap_variance(data, config, BootstrapSettings(b=2, seed=1))
+            bootstrap_variances(data, config, BootstrapSettings(b=2, seed=1))
 
     def test_deterministic_in_seed(self):
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
         data = simulate_trial(config, 2)
         assert analyse(data, config).continued[0]
-        a = bootstrap_variance(data, config, BootstrapSettings(b=100, seed=5))
-        b = bootstrap_variance(data, config, BootstrapSettings(b=100, seed=5))
-        c = bootstrap_variance(data, config, BootstrapSettings(b=100, seed=6))
+        a = bootstrap_variances(data, config, BootstrapSettings(b=100, seed=5))["mae_cumvue"]
+        b = bootstrap_variances(data, config, BootstrapSettings(b=100, seed=5))["mae_cumvue"]
+        c = bootstrap_variances(data, config, BootstrapSettings(b=100, seed=6))["mae_cumvue"]
         assert a == b
         assert a != c
 
@@ -267,7 +276,7 @@ class TestBootstrap:
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
         data = simulate_trial(config, 3)
         assert analyse(data, config).continued[0]
-        estimates = bootstrap_mae_estimates(data, config, BootstrapSettings(b=37, seed=0))
+        estimates = resample_estimates(data, config, BootstrapSettings(b=37, seed=0))
         for method in ALL_METHODS:
             assert estimates[method_label(method)].shape == (37,)
 
@@ -285,11 +294,10 @@ class TestBootstrap:
             return cell_means(rng, values, count)
 
         monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
-        estimates = bootstrap_mae_estimates(data, config, BootstrapSettings(b=200, seed=4))
+        estimates = resample_estimates(data, config, BootstrapSettings(b=200, seed=4))
         assert draws[:2] == [250, 250]  # arm 1 and control of period 1
-        assert set(estimates) == {method_label(m) for m in ALL_METHODS}
-        for e in estimates.values():
-            assert e.shape == (200,)
+        for method in ALL_METHODS:
+            assert estimates[method_label(method)].shape == (200,)
 
     def test_doubling_b_keeps_the_target_fixed(self):
         config = default_config(n01=30, n11=30, n02=30, n12=30, n22=30)
@@ -297,12 +305,14 @@ class TestBootstrap:
         assert analyse(data, config).continued[0]
         # E[v_b] = target * (b-1)/b with the resample-count divisor, so
         # rescale before comparing the two resample counts
-        small = np.array(
-            [bootstrap_variance(data, config, BootstrapSettings(b=80, seed=s)) for s in range(150)]
-        ) * (80 / 79)
-        big = np.array(
-            [bootstrap_variance(data, config, BootstrapSettings(b=160, seed=s + 5000)) for s in range(150)]
-        ) * (160 / 159)
+        def cumvue_variances(b, seeds):
+            return np.array([
+                bootstrap_variances(data, config, BootstrapSettings(b=b, seed=s))["mae_cumvue"]
+                for s in seeds
+            ])
+
+        small = cumvue_variances(80, range(150)) * (80 / 79)
+        big = cumvue_variances(160, range(5000, 5150)) * (160 / 159)
         diff = small.mean() - big.mean()
         se = math.hypot(small.std(ddof=1) / math.sqrt(small.size), big.std(ddof=1) / math.sqrt(big.size))
         assert abs(diff) < 3 * se
@@ -314,8 +324,8 @@ class TestBootstrap:
         data = simulate_trial(config, 85)
         assert analyse(data, config).continued[0]
         settings = BootstrapSettings(b=25, seed=9)
-        estimates = bootstrap_mae_estimates(data, config, settings)
-        variance = bootstrap_variance(data, config, settings, Theta1Method.CUMVUE)
+        estimates = resample_estimates(data, config, settings)
+        variance = bootstrap_variances(data, config, settings)["mae_cumvue"]
         e = estimates["mae_cumvue"]
         assert variance == pytest.approx(((e - e.mean()) ** 2).sum() / settings.b, rel=1e-12)
 
@@ -324,7 +334,7 @@ class TestBootstrap:
         data = simulate_trial(default_config(n01=20, n11=20, n02=20, n12=20, n22=20), 2)
         config = default_config(n01=20, n11=21, n02=20, n12=20, n22=20)
         with pytest.raises(ValueError, match="cell counts"):
-            bootstrap_variance(data, config, BootstrapSettings(b=10, seed=5))
+            bootstrap_variances(data, config, BootstrapSettings(b=10, seed=5))
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -374,7 +384,7 @@ class TestWaldTest:
         data = simulate_trial(config, 3)
         assert analyse(data, config).continued[0]
         settings = BootstrapSettings(b=60, seed=4)
-        expected_var = bootstrap_variance(data, config, settings, Theta1Method.PERIOD2)
+        expected_var = bootstrap_variances(data, config, settings)["mae_period2"]
         tests = wald_tests(data, config, {Theta1Method.PERIOD2: expected_var})
         assert method_label(Theta1Method.PERIOD2) == "mae_period2"
         record = tests["mae_period2"]

@@ -24,7 +24,6 @@ from nccsim import (
     TimeTrendSpec,
     TrendPattern,
     TrialDataset,
-    bootstrap_variance,
     bootstrap_variances,
     collect_replicates,
     method_label,
@@ -358,7 +357,7 @@ class TestScenarioChecks:
         data = simulate_trial(config, 1)
         assert analyse(data, config).continued[0]
         settings_ = BootstrapSettings(b=20, seed=np.random.SeedSequence(3))
-        assert bootstrap_variance(data, config, settings_) > 0
+        assert bootstrap_variances(data, config, settings_)["mae_cumvue"] > 0
 
     def test_arm1_needs_period2_patients(self):
         with pytest.raises(ValueError, match="n12"):
