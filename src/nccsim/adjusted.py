@@ -228,7 +228,7 @@ def bootstrap_resamples(
     streak = 0
     attempts = 0
     accepted = 0
-    collected: list[np.ndarray] = []
+    out = np.empty((b, len(CELLS)))
 
     while need > 0:
         rate = max(accepted / attempts if attempts else 1.0, 0.02)
@@ -240,27 +240,27 @@ def bootstrap_resamples(
         hits = np.flatnonzero(z_star >= c1)
         accepted += hits.size
 
+        # The run of rejections up to this batch's first hit, or through the
+        # batch. A batch holds at most max(64, ceil(62.5 * b)) < 100 * b
+        # proposals, so no run between two of its hits reaches the limit.
+        run = streak + (int(hits[0]) if hits.size else batch)
+        if run >= rejection_limit:
+            raise BootstrapError("bootstrap cannot satisfy continuation condition")
         if hits.size == 0:
-            streak += batch
-            if streak >= rejection_limit:
-                raise BootstrapError("bootstrap cannot satisfy continuation condition")
+            streak = run
             continue
-        if streak + hits[0] >= rejection_limit:
-            raise BootstrapError("bootstrap cannot satisfy continuation condition")
-        gaps = np.diff(hits) - 1
-        if gaps.size and int(gaps.max()) >= rejection_limit:
-            raise BootstrapError("bootstrap cannot satisfy continuation condition")
+        streak = batch - 1 - int(hits[-1])
 
         take = hits[:need]
-        if take.size == hits.size:
-            streak = batch - 1 - int(hits[-1])
-        m12 = _bootstrap_cell_means(rng, y12, take.size)
-        m02 = _bootstrap_cell_means(rng, y02, take.size)
-        m22 = _bootstrap_cell_means(rng, y22, take.size)
-        collected.append(np.column_stack([m01[take], m11[take], m02, m12, m22]))
+        rows = out[b - need : b - need + take.size]
+        rows[:, 0] = m01[take]
+        rows[:, 1] = m11[take]
+        rows[:, 3] = _bootstrap_cell_means(rng, y12, take.size)
+        rows[:, 2] = _bootstrap_cell_means(rng, y02, take.size)
+        rows[:, 4] = _bootstrap_cell_means(rng, y22, take.size)
         need -= take.size
 
-    return np.concatenate(collected)
+    return out
 
 
 def resample_variances(

@@ -299,6 +299,66 @@ class TestBootstrap:
         for method in ALL_METHODS:
             assert estimates[method_label(method)].shape == (200,)
 
+    @pytest.mark.parametrize("gap, raises", [(199, False), (200, True)])
+    def test_rejections_carried_across_batches_reach_the_limit(self, monkeypatch, gap, raises):
+        # b = 2 allows 199 rejections in a row. The period-1 proposals are a
+        # fixed stream: a hit, `gap` misses, then hits. The misses span four
+        # batches of 64, so only those carried over from the earlier
+        # batches bring the run to the limit.
+        config = default_config(n01=4, n11=4, n02=4, n12=4, n22=4)
+        cells = tuple(np.zeros(4) for _ in CELLS)
+        stream = np.concatenate([[1.0], np.full(gap, -1.0), np.ones(256)])
+        batches = []
+
+        def fake(rng, values, draws):
+            if values is not cells[1]:
+                return np.zeros(draws)
+            start = sum(batches)
+            batches.append(draws)
+            return stream[start : start + draws]  # arm-1 mean; c1 = 0
+
+        monkeypatch.setattr(adjusted, "_bootstrap_cell_means", fake)
+        args = (cells, config, scenario_constants(config), BootstrapSettings(b=2, seed=0))
+        if raises:
+            with pytest.raises(BootstrapError):
+                bootstrap_resamples(*args)
+        else:
+            assert bootstrap_resamples(*args).shape == (2, 5)
+        assert batches == [64, 64, 64, 64]
+
+    @pytest.mark.parametrize("b", [2, 3, 50, 200, 1000])
+    @pytest.mark.parametrize("z11", [1.0, -2.3], ids=["continuing", "stopped"])
+    def test_period1_batches_stay_below_the_rejection_limit(self, monkeypatch, b, z11):
+        # No run of 100 b rejections fits between two hits of one batch, so
+        # only runs that start in an earlier batch are checked. The stopped
+        # trial's resamples are accepted about 1 % of the time, below the
+        # 0.02 floor of the acceptance rate that sizes a batch.
+        n = 20
+        config = default_config(n01=n, n11=n, n02=n, n12=n, n22=n)
+        rng = np.random.default_rng(5)
+        cells = [rng.normal(size=n) for _ in CELLS]
+        for cell in cells[:2]:
+            cell -= cell.mean()
+            cell /= cell.std()
+        constants = scenario_constants(config)
+        cells[1] += z11 * constants.se1
+        batches = []
+        cell_means = adjusted._bootstrap_cell_means
+
+        def spy(rng, values, draws):
+            if values is cells[0] or values is cells[1]:
+                batches.append(draws)
+            return cell_means(rng, values, draws)
+
+        monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
+        try:
+            bootstrap_resamples(tuple(cells), config, constants, BootstrapSettings(b=b, seed=1))
+        except BootstrapError:
+            assert z11 < 0
+        assert max(batches) < 100 * b
+        if z11 < 0:
+            assert sum(batches) / 2 > 50 * b  # over 50 proposals per resample
+
     def test_doubling_b_keeps_the_target_fixed(self):
         config = default_config(n01=30, n11=30, n02=30, n12=30, n22=30)
         data = simulate_trial(config, 81)
