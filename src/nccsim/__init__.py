@@ -25,7 +25,6 @@ from .design import (
     critical_value,
     futility_cutoff,
     ncc_weight,
-    validate,
 )
 from .estimators import (
     RegressionFit,

@@ -25,7 +25,6 @@ from .design import (
     TrendPattern,
     futility_cutoff,
     ncc_weight,
-    validate,
 )
 from .harness import (
     METHODS,
@@ -144,14 +143,12 @@ def _build_scenario(
     values = dict(_SCENARIO_DEFAULTS)
     values.update({k: v for k, v in block.items() if k not in ("id", "hypothesis")})
     try:
-        config = validate(
-            DesignConfig(
-                n01=values["n01"], n11=values["n11"], n02=values["n02"],
-                n12=values["n12"], n22=values["n22"],
-                alpha1=values["alpha1"], alpha=values["alpha"], sigma=values["sigma"],
-                theta1=values["theta1"], theta2=values["theta2"],
-                trend=TimeTrendSpec(TrendPattern(values["trend"]), values["lambda"]),
-            )
+        config = DesignConfig(
+            n01=values["n01"], n11=values["n11"], n02=values["n02"],
+            n12=values["n12"], n22=values["n22"],
+            alpha1=values["alpha1"], alpha=values["alpha"], sigma=values["sigma"],
+            theta1=values["theta1"], theta2=values["theta2"],
+            trend=TimeTrendSpec(TrendPattern(values["trend"]), values["lambda"]),
         )
         inferred = "null" if config.theta2 == 0.0 else "alternative"
         hypothesis = block.get("hypothesis", inferred)

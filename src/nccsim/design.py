@@ -35,7 +35,9 @@ class DesignConfig:
     ``alpha1`` is the futility bound on the interim one-sided p-value
     (0 = always stop, 1 = never stop), ``alpha`` the one-sided significance
     level of the final test, and ``sigma`` the known response standard
-    deviation.
+    deviation. Construction (``dataclasses.replace`` included) checks every
+    field: each of the five cells holds at least one patient, since a
+    futility stop only decides whether the arm-1 period-2 cell is analysed.
     """
 
     n01: int
@@ -49,6 +51,25 @@ class DesignConfig:
     theta1: float = 0.0
     theta2: float = 0.0
     trend: TimeTrendSpec = field(default_factory=TimeTrendSpec)
+
+    def __post_init__(self):
+        for name in ("n01", "n11", "n02", "n12", "n22"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0.0 <= self.alpha1 <= 1.0:
+            raise ValueError(f"alpha1 out of range [0, 1]: {self.alpha1!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha!r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        for name in ("theta1", "theta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not isinstance(self.trend.pattern, TrendPattern):
+            raise ValueError(f"unknown trend pattern: {self.trend.pattern!r}")
+        if not math.isfinite(self.trend.lam):
+            raise ValueError("trend lambda must be finite")
 
     @property
     def period1_se(self) -> float:
@@ -74,32 +95,6 @@ class DesignConfig:
     def total_planned(self) -> int:
         """Maximum sample size, assuming arm 1 continues to period 2."""
         return self.n01 + self.n11 + self.n02 + self.n12 + self.n22
-
-
-def validate(config: DesignConfig) -> DesignConfig:
-    """Check all invariants; returns the config unchanged if they hold.
-
-    Each of the five cells holds at least one patient: a futility stop only
-    decides whether the arm-1 period-2 cell is analysed.
-    """
-    for name in ("n01", "n11", "n02", "n12", "n22"):
-        value = getattr(config, name)
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if not 0.0 <= config.alpha1 <= 1.0:
-        raise ValueError(f"alpha1 out of range [0, 1]: {config.alpha1!r}")
-    if not 0.0 < config.alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {config.alpha!r}")
-    if not 0.0 < config.sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {config.sigma!r}")
-    for name in ("theta1", "theta2"):
-        if not math.isfinite(getattr(config, name)):
-            raise ValueError(f"{name} must be finite")
-    if not isinstance(config.trend.pattern, TrendPattern):
-        raise ValueError(f"unknown trend pattern: {config.trend.pattern!r}")
-    if not math.isfinite(config.trend.lam):
-        raise ValueError("trend lambda must be finite")
-    return config
 
 
 def critical_value(alpha1: float) -> float:

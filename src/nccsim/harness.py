@@ -44,7 +44,7 @@ from .adjusted import (
     wald_variances,
 )
 from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial, trial_cells
-from .design import DesignConfig, TimeTrendSpec, TrendPattern, validate
+from .design import DesignConfig, TimeTrendSpec, TrendPattern
 
 #: Output order of the reported statistics.
 STATISTICS = (
@@ -89,7 +89,6 @@ class Scenario:
             raise ValueError(f"hypothesis must be one of {HYPOTHESES}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        validate(self.config)
         if self.bootstrap is not None:
             seed = self.bootstrap.seed
             if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

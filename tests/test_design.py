@@ -1,51 +1,82 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from nccsim import (
+    DesignConfig,
     TimeTrendSpec,
     TrendPattern,
     critical_value,
     futility_cutoff,
     ncc_weight,
-    validate,
 )
 from nccsim.adjusted import point_estimates, scenario_constants
 from conftest import default_config
 
 
+#: One invalid value per checked field, with the start of its message.
+INVALID_FIELDS = [
+    ("n01", 0, "n01 must be an integer >= 1"),
+    ("n11", -1, "n11 must be an integer >= 1"),
+    ("n02", 2.0, "n02 must be an integer >= 1"),
+    ("n12", 0, "n12 must be an integer >= 1"),
+    ("n22", 0, "n22 must be an integer >= 1"),
+    ("alpha1", 1.2, "alpha1 out of range"),
+    ("alpha", 0.0, "alpha must lie strictly inside"),
+    ("sigma", math.inf, "sigma must be positive and finite"),
+    ("theta1", math.nan, "theta1 must be finite"),
+    ("theta2", math.inf, "theta2 must be finite"),
+    ("trend", TimeTrendSpec("linear", 0.1), "unknown trend pattern"),
+    ("trend", TimeTrendSpec(TrendPattern.LINEAR, math.nan), "trend lambda must be finite"),
+]
+
+
 class TestValidate:
+    """A ``DesignConfig`` checks its fields when it is built."""
+
     def test_defaults_are_valid(self):
-        config = default_config(sigma=1.0, alpha1=0.5)
-        assert validate(config) is config
+        config = DesignConfig(n01=150, n11=150, n02=150, n12=150, n22=150, alpha1=0.5)
+        assert config == default_config(sigma=1.0, alpha1=0.5)
+        assert dataclasses.replace(config) == config
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
-            validate(default_config(sigma=0.0))
+            default_config(sigma=0.0)
 
     def test_alpha1_out_of_range(self):
         with pytest.raises(ValueError, match="alpha1 out of range"):
-            validate(default_config(alpha1=1.2))
+            default_config(alpha1=1.2)
 
     def test_alpha1_bounds_are_legal(self):
-        validate(default_config(alpha1=0.0))
-        validate(default_config(alpha1=1.0))
+        default_config(alpha1=0.0)
+        default_config(alpha1=1.0)
 
     def test_analysis_cells_require_patients(self):
         for name in ("n01", "n11", "n02", "n12", "n22"):
             for size in (0, -1):
                 with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
-                    validate(default_config(**{name: size}))
+                    default_config(**{name: size})
 
     def test_alpha_strictly_inside_unit_interval(self):
         for alpha in (0.0, 1.0):
             with pytest.raises(ValueError, match="alpha"):
-                validate(default_config(alpha=alpha))
+                default_config(alpha=alpha)
 
     def test_nonfinite_effects_rejected(self):
         with pytest.raises(ValueError, match="theta1"):
-            validate(default_config(theta1=math.nan))
+            default_config(theta1=math.nan)
+
+    @pytest.mark.parametrize("name, value, message", INVALID_FIELDS, ids=[
+        "n01", "n11", "n02", "n12", "n22", "alpha1", "alpha", "sigma", "theta1", "theta2",
+        "trend_pattern", "trend_lambda",
+    ])
+    def test_construction_and_replace_check_every_field(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            default_config(**{name: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(default_config(), **{name: value})
 
 
 class TestCriticalValue:
