@@ -15,14 +15,12 @@ from .bias import (
     conditional_bias,
     marginal_bias,
     stop_probability,
-    truncated_normal_mean,
 )
 from .datagen import CELLS, TrialDataset, simulate_trial
 from .design import (
     DesignConfig,
     TimeTrendSpec,
     TrendPattern,
-    critical_value,
     futility_cutoff,
     ncc_weight,
 )

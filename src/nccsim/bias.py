@@ -59,18 +59,3 @@ def conditional_bias(inputs: BiasInputs) -> float:
         raise ValueError("continuation probability ~ 0; conditional bias undefined")
     return marginal_bias(inputs) / continue_prob
 
-
-def truncated_normal_mean(mu: float, sd: float, bound: float, side: str) -> float:
-    """Mean of a normal restricted to one side of ``bound``.
-
-    ``side='above'`` gives ``E[X | X > bound]``, ``side='below'`` gives
-    ``E[X | X < bound]``.
-    """
-    if sd <= 0:
-        raise ValueError("sd must be positive")
-    z = (bound - mu) / sd
-    if side == "above":
-        return mu + sd * float(normal.hazard(z))
-    if side == "below":
-        return mu - sd * float(normal.hazard(-z))
-    raise ValueError(f"side must be 'above' or 'below', got {side!r}")

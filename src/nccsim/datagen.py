@@ -61,9 +61,6 @@ class TrialDataset:
     def cell(self, arm: int, period: int) -> np.ndarray:
         return self._cells[(arm, period)]
 
-    def count(self, arm: int, period: int) -> int:
-        return self._cells[(arm, period)].size
-
 
 #: Arm and period of each cell, in ``CELLS`` order.
 _CELL_ARM = np.array([k for k, _ in CELLS])

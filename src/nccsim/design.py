@@ -97,27 +97,14 @@ class DesignConfig:
         return self.n01 + self.n11 + self.n02 + self.n12 + self.n22
 
 
-def critical_value(alpha1: float) -> float:
-    """Interim cutoff: the standard normal quantile at ``1 - alpha1``.
-
-    The bounds 0 and 1 are degenerate rules (always stop / never stop) and
-    are rejected here; callers represent them via :func:`futility_cutoff`.
-    """
-    if not 0.0 < alpha1 < 1.0:
-        raise ValueError(
-            "alpha1 must lie strictly inside (0, 1); 0 and 1 are the "
-            "always-stop / never-stop rules"
-        )
-    return float(normal.quantile(1.0 - alpha1))
-
-
 def futility_cutoff(alpha1: float) -> float:
-    """Like :func:`critical_value` but maps the degenerate bounds to +/-inf."""
+    """Interim cutoff: the standard normal quantile at ``1 - alpha1``. The
+    degenerate bounds 0 (always stop) and 1 (never stop) map to +/-inf."""
     if alpha1 <= 0.0:
         return math.inf
     if alpha1 >= 1.0:
         return -math.inf
-    return critical_value(alpha1)
+    return float(normal.quantile(1.0 - alpha1))
 
 
 def ncc_weight(n01, n02, n11, n12) -> float:

@@ -28,11 +28,11 @@ def make_dataset(cells: dict[tuple[int, int], list[float]]) -> TrialDataset:
 
 def cell_means(data: TrialDataset) -> np.ndarray:
     """The five cell means of ``data`` in ``CELLS`` order; NaN for an empty cell."""
-    return np.array([data.cell(*cell).mean() if data.count(*cell) else np.nan for cell in CELLS])
+    return np.array([data.cell(*cell).mean() if data.cell(*cell).size else np.nan for cell in CELLS])
 
 
 def cell_counts(data: TrialDataset) -> tuple[int, ...]:
-    return tuple(data.count(*cell) for cell in CELLS)
+    return tuple(data.cell(*cell).size for cell in CELLS)
 
 
 def analyse(data: TrialDataset, config: DesignConfig):

@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 
 from nccsim import (
@@ -9,7 +6,6 @@ from nccsim import (
     conditional_bias,
     marginal_bias,
     stop_probability,
-    truncated_normal_mean,
 )
 from conftest import default_config
 
@@ -90,40 +86,6 @@ class TestConditionalBias:
             p_stop = stop_probability(inputs)
             recon = (1.0 - p_stop) * conditional_bias(inputs)
             assert recon == pytest.approx(marginal_bias(inputs), rel=1e-12)
-
-
-class TestTruncatedNormalMean:
-    def test_half_normal(self):
-        assert truncated_normal_mean(0.0, 1.0, 0.0, "above") == pytest.approx(
-            0.7978845608028654, abs=1e-12
-        )
-
-    def test_total_expectation_recovers_mu(self):
-        from nccsim import normal
-
-        for mu, sd, bound in ((0.0, 1.0, 0.3), (-2.0, 0.5, -1.7), (4.0, 3.0, 9.0)):
-            z = (bound - mu) / sd
-            p_below = float(normal.cdf(z))
-            total = p_below * truncated_normal_mean(mu, sd, bound, "below") + (
-                1 - p_below
-            ) * truncated_normal_mean(mu, sd, bound, "above")
-            assert total == pytest.approx(mu, abs=1e-12)
-
-    def test_against_monte_carlo(self):
-        rng = np.random.default_rng(99)
-        draws = rng.normal(1.0, 2.0, 1_000_000)
-        for side, keep in (("above", draws > 1.5), ("below", draws < 1.5)):
-            sample = draws[keep]
-            se = sample.std(ddof=1) / math.sqrt(sample.size)
-            assert truncated_normal_mean(1.0, 2.0, 1.5, side) == pytest.approx(
-                sample.mean(), abs=3 * se
-            )
-
-    def test_side_validation(self):
-        with pytest.raises(ValueError):
-            truncated_normal_mean(0.0, 1.0, 0.0, "sideways")
-        with pytest.raises(ValueError):
-            truncated_normal_mean(0.0, -1.0, 0.0, "above")
 
 
 class TestBiasInputs:

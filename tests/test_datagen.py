@@ -60,7 +60,7 @@ class TestSimulateTrial:
         config = default_config(n01=10, n11=20, n02=30, n12=40, n22=50)
         data = simulate_trial(config, 7)
         for (k, s), n in zip(CELLS, (10, 20, 30, 40, 50)):
-            assert data.count(k, s) == n
+            assert data.cell(k, s).size == n
         assert data.y.size == config.total_planned
 
     def test_recruitment_order_periods(self):

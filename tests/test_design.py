@@ -8,7 +8,6 @@ from nccsim import (
     DesignConfig,
     TimeTrendSpec,
     TrendPattern,
-    critical_value,
     futility_cutoff,
     ncc_weight,
 )
@@ -81,27 +80,25 @@ class TestValidate:
 
 class TestCriticalValue:
     def test_median_is_exactly_zero(self):
-        assert critical_value(0.5) == 0.0
+        assert futility_cutoff(0.5) == 0.0
 
     def test_high_precision_quantile(self):
-        assert critical_value(0.025) == pytest.approx(1.9599639845400542, abs=1e-12)
+        assert futility_cutoff(0.025) == pytest.approx(1.9599639845400542, abs=1e-12)
 
     def test_unit_cutoff(self):
         # alpha1 chosen as the rounded upper-tail mass at 1.0
-        value = critical_value(0.15866)
+        value = futility_cutoff(0.15866)
         assert value == pytest.approx(0.9999803859660789, abs=1e-12)
         assert value == pytest.approx(1.0, abs=1e-3)
 
     def test_degenerate_bounds_signal_the_caller(self):
-        for alpha1 in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                critical_value(alpha1)
+        # 0 always stops and 1 never stops
         assert futility_cutoff(0.0) == math.inf
         assert futility_cutoff(1.0) == -math.inf
 
     def test_strictly_decreasing(self):
         grid = [i / 40 for i in range(1, 40)]
-        values = [critical_value(a) for a in grid]
+        values = [futility_cutoff(a) for a in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
