@@ -58,23 +58,19 @@ RESULTS_CSV_COLUMNS = (
     "n_continuing",
 )
 
-DEFAULT_REPLICATES = 10_000
-DEFAULT_BOOTSTRAP_B = 1000
-
-_TOP_KEYS = {"grid", "replicates", "bootstrap_b", "bootstrap_seed"}
-_SCENARIO_KEYS = {
-    "id", "hypothesis", "alpha1", "alpha", "sigma", "theta1", "theta2",
-    "trend", "lambda", "n01", "n11", "n02", "n12", "n22",
+#: Every key of a plan with its default: the keys at the top of the file,
+#: then those of a ``[scenario]`` block. A value is parsed as its default's
+#: type when that is int or float and kept as text otherwise; ``None`` marks
+#: a text key without a default.
+_PLAN_DEFAULTS = {
+    "top": {"grid": None, "replicates": 10_000, "bootstrap_b": 1000, "bootstrap_seed": 0},
+    "scenario": {
+        "id": None, "hypothesis": None,
+        "alpha1": 0.5, "alpha": 0.025, "sigma": 1.0, "theta1": 0.0, "theta2": 0.0,
+        "trend": "none", "lambda": 0.0,
+        "n01": 150, "n11": 150, "n02": 150, "n12": 150, "n22": 150,
+    },
 }
-_SCENARIO_DEFAULTS = {
-    "alpha1": 0.5, "alpha": 0.025, "sigma": 1.0, "theta1": 0.0, "theta2": 0.0,
-    "trend": "none", "lambda": 0.0,
-    "n01": 150, "n11": 150, "n02": 150, "n12": 150, "n22": 150,
-}
-_INT_KEYS = {
-    "n01", "n11", "n02", "n12", "n22", "replicates", "bootstrap_b", "bootstrap_seed",
-}
-_FLOAT_KEYS = {"alpha1", "alpha", "sigma", "theta1", "theta2", "lambda"}
 
 
 class ConfigError(ValueError):
@@ -105,19 +101,17 @@ def _parse_plan_text(path: Path):
         key = key.strip()
         value = value.strip()
         if current is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            target = top
+            defaults, target, kind = _PLAN_DEFAULTS["top"], top, "key"
         else:
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown scenario key '{key}'")
-            target = current
+            defaults, target, kind = _PLAN_DEFAULTS["scenario"], current, "scenario key"
+        if key not in defaults:
+            raise ConfigError(f"{path}:{lineno}: unknown {kind} '{key}'")
         if key in target:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         if not value:
             raise ConfigError(f"{path}:{lineno}: missing value for '{key}'")
         try:
-            target[key] = _coerce(key, value)
+            target[key] = _coerce(value, defaults[key])
         except ValueError as exc:
             raise ConfigError(
                 f"{path}:{lineno}: invalid value for '{key}': {value!r}"
@@ -125,12 +119,8 @@ def _parse_plan_text(path: Path):
     return top, blocks
 
 
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+def _coerce(value: str, default):
+    return type(default)(value) if isinstance(default, (int, float)) else value
 
 
 def _build_scenario(
@@ -140,8 +130,7 @@ def _build_scenario(
     """The scenario of one block of coerced values; any error it raises is a
     :class:`ConfigError` naming the block by id, else by position."""
     where = f"id {block['id']!r}" if "id" in block else f"number {index}"
-    values = dict(_SCENARIO_DEFAULTS)
-    values.update({k: v for k, v in block.items() if k not in ("id", "hypothesis")})
+    values = {**_PLAN_DEFAULTS["scenario"], **block}
     try:
         config = DesignConfig(
             n01=values["n01"], n11=values["n11"], n02=values["n02"],
@@ -196,17 +185,14 @@ def parse_config(
     path = Path(path)
     top, blocks = _parse_plan_text(path)
 
-    replicates = replicates_override if replicates_override is not None else top.get(
-        "replicates", DEFAULT_REPLICATES
-    )
-    b = bootstrap_b_override if bootstrap_b_override is not None else top.get(
-        "bootstrap_b", DEFAULT_BOOTSTRAP_B
-    )
+    top = {**_PLAN_DEFAULTS["top"], **top}
+    replicates = top["replicates"] if replicates_override is None else replicates_override
+    b = top["bootstrap_b"] if bootstrap_b_override is None else bootstrap_b_override
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    bootstrap = _bootstrap_settings(b, top.get("bootstrap_seed", 0))
+    bootstrap = _bootstrap_settings(b, top["bootstrap_seed"])
 
-    grid = top.get("grid")
+    grid = top["grid"]
     if grid is not None:
         if blocks:
             raise ConfigError("'grid' cannot be combined with [scenario] blocks")
@@ -376,7 +362,8 @@ def emit_analytic(rows, out_dir: Path | str) -> Path:
 
 
 def _single_scenario(args) -> Scenario:
-    block = {key: getattr(args, key) for key in _SCENARIO_DEFAULTS}
+    defaults = _PLAN_DEFAULTS["scenario"]
+    block = {key: getattr(args, key) for key, value in defaults.items() if value is not None}
     block["id"] = "single"
     return _build_scenario(block, 1, 1, _bootstrap_settings(args.bootstrap_b, 0))
 
@@ -427,13 +414,12 @@ def run_single(args, out=None) -> int:
 
 
 def _add_design_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per scenario key of a plan, with the plan's default."""
-    for key, default in _SCENARIO_DEFAULTS.items():
+    """One flag per design key of a plan, with the plan's default and type."""
+    for key, default in _PLAN_DEFAULTS["scenario"].items():
         if key == "trend":
             parser.add_argument("--trend", default=default, choices=[p.value for p in TrendPattern])
-        else:
-            kind = int if key in _INT_KEYS else float
-            parser.add_argument(f"--{key}", type=kind, default=default)
+        elif default is not None:
+            parser.add_argument(f"--{key}", type=type(default), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     single = sub.add_parser("single", help="trace one simulated trial")
     single.add_argument("--seed", required=True, type=int)
-    single.add_argument("--bootstrap-b", type=int, default=DEFAULT_BOOTSTRAP_B)
+    single.add_argument("--bootstrap-b", type=int, default=_PLAN_DEFAULTS["top"]["bootstrap_b"])
     single.add_argument("--csv", type=Path, default=None, help="dump patient rows to CSV")
     _add_design_flags(single)
     return parser

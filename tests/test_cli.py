@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nccsim import METHODS, STATISTICS, Scenario, run_replicate, run_scenario
 from nccsim.cli import (
-    _SCENARIO_KEYS,
-    _TOP_KEYS,
+    _PLAN_DEFAULTS,
     ConfigError,
     RESULTS_CSV_COLUMNS,
     analytic_rows,
@@ -139,7 +138,7 @@ class TestParseConfig:
         assert "error:" in capsys.readouterr().err
 
 
-PLAN_KEYS = sorted(_TOP_KEYS | _SCENARIO_KEYS) + ["bogus"]
+PLAN_KEYS = sorted(key for section in _PLAN_DEFAULTS.values() for key in section) + ["bogus"]
 PLAN_VALUES = st.one_of(
     st.sampled_from([
         "0", "1", "3", "-1", "1e3", "0.5", "1.5", "inf", "nan", "x", "table1",
