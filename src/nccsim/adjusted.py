@@ -53,12 +53,14 @@ class BootstrapError(RuntimeError):
 @dataclass(frozen=True)
 class BootstrapSettings:
     """``b`` accepted resamples; ``seed`` keys the resampling stream. One
-    resample has zero variance, so ``b`` must be at least 2."""
+    resample has zero variance, so ``b`` must be an integer of at least 2."""
 
     b: int
     seed: object = 0
 
     def __post_init__(self):
+        if isinstance(self.b, bool) or not isinstance(self.b, (int, np.integer)):
+            raise ValueError(f"bootstrap resample count b must be an integer, got {self.b!r}")
         if self.b < 2:
             raise ValueError(f"bootstrap resample count must be >= 2, got {self.b}")
 

@@ -74,6 +74,10 @@ ANALYSIS_ROWS = 2**13
 HYPOTHESES = ("null", "alternative")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation scenario: a design, a hypothesis tag, and run sizes."""
@@ -87,11 +91,13 @@ class Scenario:
     def __post_init__(self):
         if self.hypothesis not in HYPOTHESES:
             raise ValueError(f"hypothesis must be one of {HYPOTHESES}")
+        if not _is_integer(self.replicates):
+            raise ValueError(f"replicates must be an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.bootstrap is not None:
             seed = self.bootstrap.seed
-            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            if not _is_integer(seed) or seed < 0:
                 raise ValueError(
                     f"bootstrap seed must be a non-negative integer, got {seed!r}"
                 )

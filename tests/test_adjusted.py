@@ -400,6 +400,12 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             BootstrapSettings(b=0)
 
+    @pytest.mark.parametrize("b", [2.5, 3.0, True, "3"])
+    def test_non_integer_count_is_rejected(self, b):
+        with pytest.raises(ValueError, match="resample count b must be an integer"):
+            BootstrapSettings(b=b)
+        assert BootstrapSettings(b=np.int64(3)).b == 3
+
     def test_one_resample_is_rejected(self):
         with pytest.raises(ValueError, match="must be >= 2, got 1"):
             BootstrapSettings(b=1)

@@ -348,6 +348,14 @@ class TestScenarioChecks:
         with pytest.raises(ValueError, match="bootstrap seed"):
             _scenario(20, BootstrapSettings(b=20, seed=seed))
 
+    @pytest.mark.parametrize("replicates", [2.5, 3.0, True, "3"])
+    def test_replicates_must_be_an_integer(self, replicates):
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            _scenario(replicates)
+
+    def test_integer_replicate_counts_are_accepted(self):
+        assert run_scenario(_scenario(np.int64(3)), 5).n_replicates == 3
+
     def test_integer_bootstrap_seeds_are_accepted(self):
         _scenario(20, BootstrapSettings(b=20, seed=3))
         _scenario(20, BootstrapSettings(b=20, seed=np.int64(3)))
