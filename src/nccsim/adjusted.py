@@ -257,6 +257,7 @@ def bootstrap_resamples(
         rows = out[b - need : b - need + take.size]
         rows[:, 0] = m01[take]
         rows[:, 1] = m11[take]
+        # the stream draws the period-2 cells in the order y12, y02, y22
         rows[:, 3] = _bootstrap_cell_means(rng, y12, take.size)
         rows[:, 2] = _bootstrap_cell_means(rng, y02, take.size)
         rows[:, 4] = _bootstrap_cell_means(rng, y22, take.size)
