@@ -56,6 +56,8 @@ RESULTS_CSV_COLUMNS = (
     "mc_se",
     "n_replicates",
     "n_continuing",
+    "n_failed",
+    "valid",
 )
 
 #: Every key of a plan with its default: the keys at the top of the file,
@@ -247,6 +249,8 @@ def _result_rows(result: OperatingCharacteristics):
                 _fmt(stat.mc_se),
                 result.n_replicates,
                 result.n_continuing,
+                result.n_failed,
+                result.valid,
             )
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nccsim import METHODS, STATISTICS, Scenario, run_replicate, run_scenario
+from nccsim import (
+    METHODS, STATISTICS, BootstrapError, Scenario, harness, run_replicate, run_scenario,
+)
 from nccsim.cli import (
     _PLAN_DEFAULTS,
     ConfigError,
@@ -187,6 +189,25 @@ class TestSimulateCommand:
             assert by_method[method] == list(STATISTICS)
         assert rows[0]["scenario_id"] == "demo"
         assert rows[0]["n_replicates"] == "80"
+        assert rows[0]["n_failed"] == "0"
+        assert rows[0]["valid"] == "True"
+
+    def test_csv_carries_failures_and_validity(self, tmp_path, monkeypatch):
+        # every bootstrap fails, so every continuing replicate is a failure
+        def fail(*args):
+            raise BootstrapError("bootstrap cannot satisfy continuation condition")
+
+        monkeypatch.setattr(harness, "bootstrap_resamples", fail)
+        plan = write_plan(tmp_path, CUSTOM_PLAN.replace("bootstrap_b: 0", "bootstrap_b: 5"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(plan), "--seed", "7", "--out", str(out)]) == 0
+        entry = json.loads((out / "results.json").read_text())["results"][0]
+        assert entry["n_failed"] > 0 and not entry["valid"]
+        with (out / "results.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert {(row["n_failed"], row["valid"]) for row in rows} == {
+            (str(entry["n_failed"]), "False")
+        }
 
     def test_csv_values_match_direct_run(self, tmp_path):
         plan = write_plan(tmp_path, CUSTOM_PLAN)
