@@ -48,12 +48,6 @@ from .harness import (
     scenario_grid,
     summarize,
 )
-from .theta1 import (
-    InformationLevels,
-    Theta1Method,
-    cumvue_from_means,
-    information_levels,
-    umvue_from_means,
-)
+from .theta1 import Theta1Method, cumvue_from_means, umvue_from_means
 
 __version__ = "0.1.0"

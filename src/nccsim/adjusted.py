@@ -4,18 +4,18 @@ Every analysis of a trial is a function of its five cell means at the
 design's cell counts, and this module holds its one implementation.
 :func:`point_estimates` analyses a batch of trials in one numpy pass: the
 interim look, the unadjusted (model-based), separate and mean-adjusted
-estimates and the bias corrections, with the design's constants computed
-once (:func:`scenario_constants`). A stop is a mask: a stopped trial takes
-the concurrent-only estimate under every method. When arm 1 continues, the
-model-based estimate is debiased by subtracting a plug-in estimate of its
-conditional bias, and its variance is estimated with a stratified bootstrap
-that replays the trial including the futility rule. The bootstrap has two
-steps: :func:`bootstrap_resamples` resamples one trial's five cells into
-the cell means of its accepted resamples, and :func:`resample_variances`
-analyses the resamples of many trials with one :func:`point_estimates`
-call. Each method is then tested with a Wald-type statistic: known-sigma
-for a stopped trial and the unadjusted estimate, bootstrap for the
-adjusted ones.
+estimates and the bias corrections, with the constants the design
+determines read from its :class:`DesignConfig`. A stop is a mask: a stopped
+trial takes the concurrent-only estimate under every method. When arm 1
+continues, the model-based estimate is debiased by subtracting a plug-in
+estimate of its conditional bias, and its variance is estimated with a
+stratified bootstrap that replays the trial including the futility rule.
+The bootstrap has two steps: :func:`bootstrap_resamples` resamples one
+trial's five cells into the cell means of its accepted resamples, and
+:func:`resample_variances` analyses the resamples of many trials with one
+:func:`point_estimates` call. Each method is then tested with a Wald-type
+statistic: known-sigma for a stopped trial and the unadjusted estimate,
+bootstrap for the adjusted ones.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from . import normal
 from .datagen import CELLS, TrialDataset
-from .design import DesignConfig, futility_cutoff
+from .design import DesignConfig, as_integer
 from .estimators import model_based_from_means, model_based_variance, separate_variance
-from .theta1 import InformationLevels, Theta1Method, information_levels, plug_ins
+from .theta1 import Theta1Method, plug_ins
 
 METHOD_UNADJUSTED = "unadjusted"
 METHOD_SEPARATE = "separate"
@@ -59,49 +59,26 @@ class BootstrapSettings:
     seed: object = 0
 
     def __post_init__(self):
-        if isinstance(self.b, bool) or not isinstance(self.b, (int, np.integer)):
+        b = as_integer(self.b)
+        if b is None:
             raise ValueError(f"bootstrap resample count b must be an integer, got {self.b!r}")
-        if self.b < 2:
-            raise ValueError(f"bootstrap resample count must be >= 2, got {self.b}")
+        if b < 2:
+            raise ValueError(f"bootstrap resample count must be >= 2, got {b}")
+        object.__setattr__(self, "b", b)
 
 
-def bias_correction(theta1_hat, c1: float, rho: float, se1: float):
-    """``rho * se1 * hazard(c1 - theta1_hat / se1)`` for precomputed constants.
+def bias_correction(theta1_hat, config: DesignConfig):
+    """``rho * se1 * hazard(c1 - theta1_hat / se1)`` at ``config``'s ``rho``,
+    period-1 SE ``se1`` and interim cutoff ``c1``.
 
     The normal hazard is finite for every finite argument, so the correction
     is finite, continuous and non-increasing in ``theta1_hat``. Broadcasts
     over arrays of ``theta1_hat``.
     """
-    gamma = c1 - np.asarray(theta1_hat, dtype=float) / se1
-    out = rho * se1 * normal.hazard(gamma)
+    se1 = config.period1_se
+    gamma = config.c1 - np.asarray(theta1_hat, dtype=float) / se1
+    out = config.rho * se1 * normal.hazard(gamma)
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class ScenarioConstants:
-    """Everything in the analysis that depends on the design alone."""
-
-    c1: float
-    se1: float
-    rho: float
-    info: InformationLevels
-    z_alpha: float
-    var_model_based: float
-    var_separate: float
-
-
-def scenario_constants(config: DesignConfig) -> ScenarioConstants:
-    """Compute the design's constants; once per scenario, not per replicate."""
-    n = (config.n01, config.n11, config.n02, config.n12, config.n22)
-    return ScenarioConstants(
-        c1=futility_cutoff(config.alpha1),
-        se1=config.period1_se,
-        rho=config.rho,
-        info=information_levels(config),
-        z_alpha=normal.quantile(1.0 - config.alpha),
-        var_model_based=model_based_variance(*n, config.sigma),
-        var_separate=separate_variance(config.n02, config.n22, config.sigma),
-    )
 
 
 @dataclass(frozen=True)
@@ -116,20 +93,17 @@ class PointEstimates:
     corrections: dict[str, np.ndarray]
 
 
-def point_estimates(
-    config: DesignConfig, constants: ScenarioConstants, means: np.ndarray
-) -> PointEstimates:
+def point_estimates(config: DesignConfig, means: np.ndarray) -> PointEstimates:
     """Analyse ``(n, 5)`` cell means (``CELLS`` order) of trials of ``config``."""
     m01, m11, m02, m12, m22 = means.T
-    z11 = (m11 - m01) / constants.se1
-    continued = z11 >= constants.c1
+    z11 = (m11 - m01) / config.period1_se
+    continued = z11 >= config.c1
     separate = m22 - m02
 
     cont = np.flatnonzero(continued)
     c01, c11, c02, c12, c22 = means[cont].T
-    n = (config.n01, config.n11, config.n02, config.n12)
-    model_based = model_based_from_means(c01, c11, c02, c12, c22, *n)
-    theta1_hats = plug_ins(c01, c11, c02, c12, config, constants.info, constants.c1)
+    model_based = model_based_from_means(c01, c11, c02, c12, c22, *config.cells[:4])
+    theta1_hats = plug_ins(c01, c11, c02, c12, config)
 
     def on_continued(values, stopped):
         out = np.array(stopped, dtype=float)
@@ -143,7 +117,7 @@ def point_estimates(
     }
     corrections = {METHOD_UNADJUSTED: zero, METHOD_SEPARATE: zero}
     for method, theta1_hat in theta1_hats.items():
-        correction = bias_correction(theta1_hat, constants.c1, constants.rho, constants.se1)
+        correction = bias_correction(theta1_hat, config)
         label = method_label(method)
         estimates[label] = on_continued(model_based - correction, separate)
         corrections[label] = on_continued(correction, zero)
@@ -183,16 +157,12 @@ def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
 
 
 def bootstrap_resamples(
-    cells: tuple[np.ndarray, ...],
-    config: DesignConfig,
-    constants: ScenarioConstants,
-    settings: BootstrapSettings,
+    cells: tuple[np.ndarray, ...], config: DesignConfig, settings: BootstrapSettings
 ) -> np.ndarray:
     """``(b, 5)`` cell means of the accepted resamples of one trial.
 
-    ``cells`` holds the trial's five cells' responses in ``CELLS`` order, and
-    ``constants`` the design's (:func:`scenario_constants`). Replays the
-    trial on resampled data: draw the period-1 arm-1 and control cells with
+    ``cells`` holds the trial's five cells' responses in ``CELLS`` order.
+    Replays the trial on resampled data: draw the period-1 arm-1 and control cells with
     replacement at their original sizes, keep the resample only if its
     interim statistic clears the futility cutoff, then draw the three
     period-2 cells. Repeats until ``settings.b`` resamples are accepted.
@@ -209,19 +179,18 @@ def bootstrap_resamples(
     they are deterministic. Each cell's resample means come from
     :func:`_bootstrap_cell_means`.
 
-    The look and the correction use the design's constants, so the cell
+    The look and the correction use the design's cutoff and SE, so the cell
     sizes must be the design's. Raises :class:`BootstrapError` after
     ``100 * b`` consecutive rejections, and ``ValueError`` when the cell
     sizes differ from the design's.
     """
     counts = tuple(values.size for values in cells)
-    design = (config.n01, config.n11, config.n02, config.n12, config.n22)
-    if counts != design:
+    if counts != config.cells:
         raise ValueError(
-            f"the trial's cell counts {counts} differ from the design's {design}"
+            f"the trial's cell counts {counts} differ from the design's {config.cells}"
         )
     y01, y11, y02, y12, y22 = cells
-    c1, se1 = constants.c1, constants.se1
+    c1, se1 = config.c1, config.period1_se
 
     rng = np.random.default_rng(settings.seed)
     b = settings.b
@@ -266,9 +235,7 @@ def bootstrap_resamples(
     return out
 
 
-def resample_variances(
-    config: DesignConfig, constants: ScenarioConstants, resamples: np.ndarray
-) -> dict[str, np.ndarray]:
+def resample_variances(config: DesignConfig, resamples: np.ndarray) -> dict[str, np.ndarray]:
     """Bootstrap variance of every mean-adjusted method for ``k`` trials.
 
     ``resamples`` is ``(k, b, 5)``: each trial's accepted resample cell means
@@ -280,7 +247,7 @@ def resample_variances(
     depend on which trials share its call.
     """
     k, b, _ = resamples.shape
-    point = point_estimates(config, constants, resamples.reshape(k * b, len(CELLS)))
+    point = point_estimates(config, resamples.reshape(k * b, len(CELLS)))
     return {
         label: np.var(point.estimates[label].reshape(k, b), axis=-1)
         for label in ADJUSTED_METHODS
@@ -293,15 +260,14 @@ def bootstrap_variances(
     """Bootstrap variance of every mean-adjusted method, keyed by its
     :func:`method_label`, from one shared resampling pass of one trial's
     rows (:func:`resample_variances`). The per-trial bootstrap entry."""
-    constants = scenario_constants(config)
     cells = tuple(data.cell(*cell) for cell in CELLS)
-    resamples = bootstrap_resamples(cells, config, constants, settings)
-    variances = resample_variances(config, constants, resamples[None])
+    resamples = bootstrap_resamples(cells, config, settings)
+    variances = resample_variances(config, resamples[None])
     return {label: float(v[0]) for label, v in variances.items()}
 
 
 def wald_variances(
-    point: PointEstimates, constants: ScenarioConstants, bootstrap: dict[str, np.ndarray]
+    point: PointEstimates, config: DesignConfig, bootstrap: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Per-trial variance behind each method's test; NaN where it has none.
 
@@ -310,9 +276,11 @@ def wald_variances(
     bootstrap variance (adjusted methods, NaN when not bootstrapped).
     """
     cont = point.continued
-    separate = np.full(cont.size, constants.var_separate)
+    separate = np.full(cont.size, separate_variance(config.n02, config.n22, config.sigma))
     out = {
-        METHOD_UNADJUSTED: np.where(cont, constants.var_model_based, separate),
+        METHOD_UNADJUSTED: np.where(
+            cont, model_based_variance(*config.cells, config.sigma), separate
+        ),
         METHOD_SEPARATE: separate,
     }
     for label in ADJUSTED_METHODS:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import normal
-from .design import DesignConfig, futility_cutoff
+from .design import DesignConfig
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def bias_inputs(config: DesignConfig) -> BiasInputs:
     return BiasInputs(
         rho=config.rho,
         se1=config.period1_se,
-        c1=futility_cutoff(config.alpha1),
+        c1=config.c1,
         theta1=config.theta1,
     )
 

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .adjusted import BootstrapSettings, scenario_constants, t_statistic
+from .adjusted import BootstrapSettings, t_statistic
 from .bias import BiasInputs, conditional_bias, marginal_bias
 from .design import (
     DesignConfig,
@@ -219,7 +219,7 @@ def parse_config(
 def _fmt(value) -> str:
     if value is None:
         return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _result_rows(result: OperatingCharacteristics):
@@ -385,7 +385,7 @@ def run_single(args, out=None) -> int:
     decision = "continue" if record.continued[0] else "stop"
     print(f"seed: {args.seed}", file=out)
     print(f"z11: {_fmt(float(record.z11[0]))}", file=out)
-    print(f"c1: {_fmt(scenario_constants(scenario.config).c1)}", file=out)
+    print(f"c1: {_fmt(scenario.config.c1)}", file=out)
     print(f"decision: {decision}", file=out)
     header = f"{'method':<14} {'estimate':>22} {'bias_correction':>22} {'variance':>22} {'t':>22} {'rejected':>8}"
     print(header, file=out)
@@ -476,6 +476,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "analytic" and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "simulate":
             workers = resolve_workers(args.workers)
             scenarios = parse_config(

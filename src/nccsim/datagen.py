@@ -128,7 +128,7 @@ def draw_trials(
     recruitment orders; each draws its rows in turn, so with separate
     streams row ``i`` does not depend on ``size``.
     """
-    counts = np.array([config.n01, config.n11, config.n02, config.n12, config.n22])
+    counts = np.array(config.cells)
     spec = config.trend
     arms = None
     if spec.pattern is TrendPattern.LINEAR:
@@ -168,13 +168,12 @@ def trial_cells(
     drift term is zero. With one, ``d`` are the drifts of the cell's slots in
     the trial's drawn recruitment order, and a cell's values follow it.
     """
-    counts = (config.n01, config.n11, config.n02, config.n12, config.n22)
     means = draws.means[row]
     if draws.arms is not None:
         period, slot_drift = _patient_layout(config)
         slot_cell = draws.arms[row] + 2 * (period - 1)  # index into CELLS
     cells = []
-    for k, n in enumerate(counts):
+    for k, n in enumerate(config.cells):
         noise = rng.standard_normal(n)
         residual = config.sigma * (noise - noise.mean())
         if draws.arms is not None:

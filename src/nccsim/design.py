@@ -10,8 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from . import normal
+
+
+def as_integer(value) -> int | None:
+    """``value`` as a Python ``int`` when it is a Python or numpy integer
+    other than ``bool``; ``None`` for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return None
+    return int(value)
 
 
 class TrendPattern(Enum):
@@ -38,6 +49,10 @@ class DesignConfig:
     deviation. Construction (``dataclasses.replace`` included) checks every
     field: each of the five cells holds at least one patient, since a
     futility stop only decides whether the arm-1 period-2 cell is analysed.
+    A numpy integer size is stored as an ``int``.
+
+    The members below are what the design alone determines; every analysis
+    reads them here. ``c1`` and ``z_alpha`` are computed once per instance.
     """
 
     n01: int
@@ -54,9 +69,10 @@ class DesignConfig:
 
     def __post_init__(self):
         for name in ("n01", "n11", "n02", "n12", "n22"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            value = as_integer(getattr(self, name))
+            if value is None or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.alpha1 <= 1.0:
             raise ValueError(f"alpha1 out of range [0, 1]: {self.alpha1!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -70,6 +86,33 @@ class DesignConfig:
             raise ValueError(f"unknown trend pattern: {self.trend.pattern!r}")
         if not math.isfinite(self.trend.lam):
             raise ValueError("trend lambda must be finite")
+
+    @property
+    def cells(self) -> tuple[int, int, int, int, int]:
+        """The five cell sizes in ``datagen.CELLS`` order."""
+        return (self.n01, self.n11, self.n02, self.n12, self.n22)
+
+    @cached_property
+    def c1(self) -> float:
+        """Futility cutoff of the interim z statistic."""
+        return futility_cutoff(self.alpha1)
+
+    @cached_property
+    def z_alpha(self) -> float:
+        """Critical value of the final one-sided test."""
+        return normal.quantile(1.0 - self.alpha)
+
+    @property
+    def i1(self) -> float:
+        """Fisher information of the arm-1 effect at the interim look."""
+        n01, n11, sigma = self.n01, self.n11, self.sigma
+        return 1.0 / (sigma * sigma * (1.0 / n11 + 1.0 / n01))
+
+    @property
+    def i2(self) -> float:
+        """Fisher information of the arm-1 effect at the final look."""
+        n01, n11, n02, n12, sigma = self.n01, self.n11, self.n02, self.n12, self.sigma
+        return 1.0 / (sigma * sigma * (1.0 / (n11 + n12) + 1.0 / (n01 + n02)))
 
     @property
     def period1_se(self) -> float:
@@ -94,7 +137,7 @@ class DesignConfig:
     @property
     def total_planned(self) -> int:
         """Maximum sample size, assuming arm 1 continues to period 2."""
-        return self.n01 + self.n11 + self.n02 + self.n12 + self.n22
+        return sum(self.cells)
 
 
 def futility_cutoff(alpha1: float) -> float:

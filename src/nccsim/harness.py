@@ -5,19 +5,19 @@ indices. The trials of chunk ``c`` are drawn as cell means from a seed
 stream keyed by ``(master seed, scenario id, c)`` (a linear trend's
 recruitment orders from two more, one per period), and the interim
 decision, every estimate, bias correction and known-sigma test is computed
-for the whole chunk in one numpy pass (:mod:`nccsim.adjusted`), with the
-design's constants computed once per scenario. Replicate ``i`` is row
-``i % CHUNK`` of chunk ``i // CHUNK``, and each stream draws its rows in
-order, so a row does not depend on how many replicates follow it. For the
-bootstrap of a continuing replicate ``i``, its five cells' responses (not
-patient rows) are drawn from a stream keyed by ``(master seed, scenario id,
-i)``, and resampled from a stream keyed by the same triple and the
-bootstrap seed. The chunk analyses the accepted resamples of its continuing
-replicates together, in groups of at most :data:`ANALYSIS_ROWS` rows.
-Results are therefore bit-identical for any worker count and execution
-order, and :func:`run_replicate` replays any single replicate exactly. Each
-chunk returns its rows of the one per-replicate record,
-:class:`ReplicateArrays`; aggregation reduces it in index order.
+for the whole chunk in one numpy pass (:mod:`nccsim.adjusted`). Replicate
+``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``, and each stream draws
+its rows in order, so a row does not depend on how many replicates follow
+it. For the bootstrap of a continuing replicate ``i``, its five cells'
+responses (not patient rows) are drawn from a stream keyed by ``(master
+seed, scenario id, i)``, and resampled from a stream keyed by the same
+triple and the bootstrap seed. The chunk analyses the accepted resamples of
+its continuing replicates together, in groups of at most
+:data:`ANALYSIS_ROWS` rows. Results are therefore bit-identical for any
+worker count and execution order, and :func:`run_replicate` replays any
+single replicate exactly. Each chunk returns its rows of the one
+per-replicate record, :class:`ReplicateArrays`; aggregation reduces it in
+index order.
 """
 
 from __future__ import annotations
@@ -35,16 +35,14 @@ from .adjusted import (
     METHODS,
     BootstrapError,
     BootstrapSettings,
-    ScenarioConstants,
     bootstrap_resamples,
     point_estimates,
     rejections,
     resample_variances,
-    scenario_constants,
     wald_variances,
 )
 from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial, trial_cells
-from .design import DesignConfig, TimeTrendSpec, TrendPattern
+from .design import DesignConfig, TimeTrendSpec, TrendPattern, as_integer
 
 #: Output order of the reported statistics.
 STATISTICS = (
@@ -74,13 +72,10 @@ ANALYSIS_ROWS = 2**13
 HYPOTHESES = ("null", "alternative")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation scenario: a design, a hypothesis tag, and run sizes."""
+    """One simulation scenario: a design, a hypothesis tag, and run sizes.
+    A numpy integer ``replicates`` is stored as an ``int``."""
 
     scenario_id: str
     config: DesignConfig
@@ -91,15 +86,18 @@ class Scenario:
     def __post_init__(self):
         if self.hypothesis not in HYPOTHESES:
             raise ValueError(f"hypothesis must be one of {HYPOTHESES}")
-        if not _is_integer(self.replicates):
+        replicates = as_integer(self.replicates)
+        if replicates is None:
             raise ValueError(f"replicates must be an integer, got {self.replicates!r}")
-        if self.replicates < 1:
+        if replicates < 1:
             raise ValueError("replicates must be >= 1")
+        object.__setattr__(self, "replicates", replicates)
         if self.bootstrap is not None:
-            seed = self.bootstrap.seed
-            if not _is_integer(seed) or seed < 0:
+            seed = as_integer(self.bootstrap.seed)
+            if seed is None or seed < 0:
                 raise ValueError(
-                    f"bootstrap seed must be a non-negative integer, got {seed!r}"
+                    "bootstrap seed must be a non-negative integer, "
+                    f"got {self.bootstrap.seed!r}"
                 )
 
 
@@ -209,11 +207,7 @@ def replicate_trial(scenario: Scenario, master_seed: int, index: int) -> TrialDa
 
 
 def _bootstrap_replicate(
-    scenario: Scenario,
-    master_seed: int,
-    index: int,
-    draws: TrialDraws,
-    constants: ScenarioConstants,
+    scenario: Scenario, master_seed: int, index: int, draws: TrialDraws
 ) -> np.ndarray:
     """``(b, 5)`` accepted resample cell means of one continuing replicate;
     the resamples are shared by all adjusted methods."""
@@ -221,7 +215,7 @@ def _bootstrap_replicate(
     cells = trial_cells(scenario.config, draws, index % CHUNK, rng)
     seed = replicate_stream(master_seed, scenario, index, 1, int(scenario.bootstrap.seed))
     settings = BootstrapSettings(b=scenario.bootstrap.b, seed=seed)
-    return bootstrap_resamples(cells, scenario.config, constants, settings)
+    return bootstrap_resamples(cells, scenario.config, settings)
 
 
 def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
@@ -232,11 +226,7 @@ def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exceptio
 
 
 def _run_chunk(
-    scenario: Scenario,
-    master_seed: int,
-    chunk: int,
-    constants: ScenarioConstants,
-    only: int | None = None,
+    scenario: Scenario, master_seed: int, chunk: int, only: int | None = None
 ) -> ReplicateArrays:
     """Draw and analyse one chunk into its rows of the record. The bootstrap
     runs for every continuing replicate, or for replicate ``only`` alone; the
@@ -252,7 +242,7 @@ def _run_chunk(
     chunk_key = f"replicates {rows.start}..{rows.stop - 1}"
     try:
         draws = _draw_chunk(scenario, master_seed, chunk)
-        point = point_estimates(scenario.config, constants, draws.means)
+        point = point_estimates(scenario.config, draws.means)
     except Exception as exc:
         raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
     failed = np.zeros(len(rows), dtype=bool)
@@ -264,7 +254,7 @@ def _run_chunk(
 
         def analyse_pending():
             try:
-                variances = resample_variances(scenario.config, constants, np.stack(pending))
+                variances = resample_variances(scenario.config, np.stack(pending))
             except Exception as exc:
                 raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
             for label, values in variances.items():
@@ -277,7 +267,7 @@ def _run_chunk(
             if only is not None and index != only:
                 continue
             try:
-                resamples = _bootstrap_replicate(scenario, master_seed, index, draws, constants)
+                resamples = _bootstrap_replicate(scenario, master_seed, index, draws)
             except BootstrapError:
                 if only is not None:
                     raise
@@ -291,7 +281,7 @@ def _run_chunk(
                 analyse_pending()
         if pending:
             analyse_pending()
-    variances = wald_variances(point, constants, bootstrap)
+    variances = wald_variances(point, scenario.config, bootstrap)
     return ReplicateArrays(
         z11=point.z11,
         continued=point.continued,
@@ -300,7 +290,7 @@ def _run_chunk(
         corrections=point.corrections,
         variances=variances,
         rejected={
-            m: rejections(point.estimates[m], variances[m], constants.z_alpha)
+            m: rejections(point.estimates[m], variances[m], scenario.config.z_alpha)
             for m in METHODS
         },
     )
@@ -324,9 +314,8 @@ def run_replicate(
     :class:`BootstrapError`.
     """
     _check_index(scenario, replicate_index)
-    constants = scenario_constants(scenario.config)
     chunk, row = divmod(replicate_index, CHUNK)
-    arrays = _run_chunk(scenario, master_seed, chunk, constants, only=replicate_index)
+    arrays = _run_chunk(scenario, master_seed, chunk, only=replicate_index)
     return _combine([arrays], lambda values: values[0][row : row + 1])
 
 
@@ -341,8 +330,7 @@ def collect_replicates(
     failed replicate; any other error raises :class:`ReplicateError`.
     """
     n_chunks = -(-scenario.replicates // CHUNK)
-    constants = scenario_constants(scenario.config)
-    args = (repeat(scenario), repeat(master_seed), range(n_chunks), repeat(constants))
+    args = (repeat(scenario), repeat(master_seed), range(n_chunks))
     if workers <= 1 or n_chunks == 1:
         parts = list(map(_run_chunk, *args))
     else:

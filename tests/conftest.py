@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nccsim import CELLS, DesignConfig, TrialDataset
-from nccsim.adjusted import point_estimates, scenario_constants
+from nccsim.adjusted import point_estimates
 
 
 def make_dataset(cells: dict[tuple[int, int], list[float]]) -> TrialDataset:
@@ -37,7 +37,7 @@ def cell_counts(data: TrialDataset) -> tuple[int, ...]:
 
 def analyse(data: TrialDataset, config: DesignConfig):
     """The engine's analysis of one trial: the core on ``data``'s cell means."""
-    return point_estimates(config, scenario_constants(config), cell_means(data)[None, :])
+    return point_estimates(config, cell_means(data)[None, :])
 
 
 def default_config(**overrides) -> DesignConfig:

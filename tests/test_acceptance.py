@@ -33,7 +33,7 @@ from nccsim import (
     simulate_trial,
     summarize,
 )
-from nccsim.adjusted import point_estimates, scenario_constants
+from nccsim.adjusted import point_estimates
 from nccsim.cli import main as cli_main
 from nccsim.theta1 import plug_ins
 from conftest import cell_counts, cell_means, default_config, make_dataset
@@ -165,13 +165,12 @@ def test_criterion_04_edge_bounds_are_marginally_unbiased():
 def _theta1_chunk(theta1: float, start: int, stop: int):
     config = default_config(theta1=theta1)
     scenario = _scenario(f"acc:theta1-{theta1:g}", 100_000, theta1=theta1)
-    constants = scenario_constants(config)
     means = np.array([
         cell_means(simulate_trial(config, replicate_stream(MASTER_SEED, scenario, rep, 0)))
         for rep in range(start, stop)
     ])
-    continued = point_estimates(config, constants, means).continued
-    theta1_hats = plug_ins(*means[continued, :4].T, config, constants.info, constants.c1)
+    continued = point_estimates(config, means).continued
+    theta1_hats = plug_ins(*means[continued, :4].T, config)
     out = np.full((stop - start, 5), np.nan)
     out[continued, 0] = 1.0
     out[continued, 1] = theta1_hats[Theta1Method.POOLED]
@@ -316,11 +315,10 @@ def test_criterion_09_trend_invariance():
 def _bootstrap_sd_chunk(start: int, stop: int):
     config = default_config()
     scenario = _scenario("acc:boot-sd", 10_000)
-    constants = scenario_constants(config)
     out = np.full((stop - start, 2), np.nan)
     for offset, rep in enumerate(range(start, stop)):
         data = simulate_trial(config, replicate_stream(MASTER_SEED, scenario, rep, 0))
-        point = point_estimates(config, constants, cell_means(data)[None, :])
+        point = point_estimates(config, cell_means(data)[None, :])
         if not point.continued[0]:
             continue
         out[offset, 0] = point.estimates["mae_cumvue"][0]

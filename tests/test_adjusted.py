@@ -8,7 +8,6 @@ from scipy.stats import norm
 from nccsim import (
     BootstrapError,
     BootstrapSettings,
-    InformationLevels,
     CELLS,
     Theta1Method,
     bootstrap_variances,
@@ -25,7 +24,6 @@ from nccsim.adjusted import (
     bootstrap_resamples,
     point_estimates,
     rejections,
-    scenario_constants,
     t_statistic,
     wald_variances,
 )
@@ -34,29 +32,21 @@ from conftest import analyse, default_config, make_dataset
 ALL_METHODS = tuple(Theta1Method)
 
 
-def conditional_bias_estimate(theta1_hat, config):
-    """The bias correction at ``config``'s constants."""
-    constants = scenario_constants(config)
-    return bias_correction(theta1_hat, constants.c1, constants.rho, constants.se1)
-
-
 def resample_estimates(data, config, settings):
     """Every method's estimate on each accepted resample of one trial."""
-    constants = scenario_constants(config)
     cells = tuple(data.cell(*cell) for cell in CELLS)
-    resamples = bootstrap_resamples(cells, config, constants, settings)
-    return point_estimates(config, constants, resamples).estimates
+    resamples = bootstrap_resamples(cells, config, settings)
+    return point_estimates(config, resamples).estimates
 
 
 def wald_tests(data, config, bootstrap=None):
     """Estimate, correction, variance, t statistic and rejection flag of
     every method for one trial; ``bootstrap`` maps an adjusted method to its
     bootstrap variance."""
-    constants = scenario_constants(config)
     point = analyse(data, config)
     bootstrap = bootstrap or {}
     boot = {method_label(m): np.array([bootstrap.get(m, np.nan)]) for m in ALL_METHODS}
-    variances = wald_variances(point, constants, boot)
+    variances = wald_variances(point, config, boot)
     out = {}
     for label, estimate in point.estimates.items():
         variance = variances[label]
@@ -66,7 +56,7 @@ def wald_tests(data, config, bootstrap=None):
             bias_correction=float(point.corrections[label][0]),
             variance=float(variance[0]),
             t=float(t_statistic(estimate, variance)[0]),
-            rejected=int(rejections(estimate, variance, constants.z_alpha)[0]),
+            rejected=int(rejections(estimate, variance, config.z_alpha)[0]),
         )
     return out
 
@@ -84,12 +74,12 @@ def constant_cells(n=5, z11_positive=True):
 
 class TestConditionalBiasEstimate:
     def test_null_plug_in_default_design(self):
-        assert conditional_bias_estimate(0.0, default_config()) == pytest.approx(
+        assert bias_correction(0.0, default_config()) == pytest.approx(
             0.023032943298089032, abs=1e-12
         )
 
     def test_large_plug_in_kills_the_correction(self):
-        assert conditional_bias_estimate(50.0, default_config()) == pytest.approx(
+        assert bias_correction(50.0, default_config()) == pytest.approx(
             0.0, abs=1e-300
         )
 
@@ -97,26 +87,24 @@ class TestConditionalBiasEstimate:
         # The correction has no cap: at gamma ~ 17.3 it is the plain hazard,
         # above the 10 * rho * se1 that the removed cap used to return.
         config = default_config()
-        constants = scenario_constants(config)
-        gamma = constants.c1 + 2.0 / constants.se1
+        gamma = config.c1 + 2.0 / config.period1_se
         hazard = math.exp(norm.logpdf(gamma) - norm.logsf(gamma))
-        correction = conditional_bias_estimate(-2.0, config)
-        assert correction == pytest.approx(constants.rho * constants.se1 * hazard, rel=1e-12)
-        assert correction > 10.0 * constants.rho * constants.se1
+        correction = bias_correction(-2.0, config)
+        assert correction == pytest.approx(config.rho * config.period1_se * hazard, rel=1e-12)
+        assert correction > 10.0 * config.rho * config.period1_se
 
     def test_cap_threshold_location(self):
         # Either side of gamma ~ 7.03, where the removed cap used to switch
         # in, the correction is the plain hazard: no jump to 10 * rho * se1.
         config = default_config()
-        constants = scenario_constants(config)
-        se1 = constants.se1
+        se1 = config.period1_se
         for theta1_hat in (-6.9 * se1, -7.2 * se1):
-            gamma = constants.c1 - theta1_hat / se1
+            gamma = config.c1 - theta1_hat / se1
             hazard = math.exp(norm.logpdf(gamma) - norm.logsf(gamma))
-            assert conditional_bias_estimate(theta1_hat, config) == pytest.approx(
-                constants.rho * se1 * hazard, rel=1e-12
+            assert bias_correction(theta1_hat, config) == pytest.approx(
+                config.rho * se1 * hazard, rel=1e-12
             )
-        assert conditional_bias_estimate(-7.2 * se1, config) < 7.5 * constants.rho * se1
+        assert bias_correction(-7.2 * se1, config) < 7.5 * config.rho * se1
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -128,17 +116,16 @@ class TestConditionalBiasEstimate:
     def test_correction_is_the_plain_hazard(self, sizes, sigma, alpha1, theta1_hats):
         n01, n11, n02, n12 = sizes
         config = default_config(n01=n01, n11=n11, n02=n02, n12=n12, sigma=sigma, alpha1=alpha1)
-        constants = scenario_constants(config)
         theta1_hat = np.sort(theta1_hats)
-        correction = conditional_bias_estimate(theta1_hat, config)
+        correction = bias_correction(theta1_hat, config)
         assert np.all(np.isfinite(correction))
         assert np.all(correction >= 0.0)
         # non-increasing; neighbouring arguments may round either way
         assert np.all(correction[1:] <= correction[:-1] * (1.0 + 1e-12))
-        gamma = constants.c1 - theta1_hat / constants.se1
+        gamma = config.c1 - theta1_hat / config.period1_se
         hazard = np.exp(norm.logpdf(gamma) - norm.logsf(gamma))
         small = gamma <= 40.0
-        expected = constants.rho * constants.se1 * hazard[small]
+        expected = config.rho * config.period1_se * hazard[small]
         # below gamma ~ -37.7 the hazard is subnormal, which has no relative precision
         tiny = np.finfo(float).tiny
         np.testing.assert_allclose(correction[small], expected, rtol=1e-12, atol=tiny)
@@ -152,24 +139,21 @@ class TestConditionalBiasEstimate:
     def test_cumvue_and_correction_stay_finite(self, sizes, alpha1, pooled):
         n01, n11, n02, n12 = sizes
         config = default_config(n01=n01, n11=n11, n02=n02, n12=n12, alpha1=alpha1)
-        constants = scenario_constants(config)
         pooled = np.array(pooled)
-        cumvue = cumvue_from_means(pooled, constants.info, constants.c1)
+        cumvue = cumvue_from_means(pooled, config.i1, config.i2, config.c1)
         assert np.all(np.isfinite(cumvue))
         for theta1_hat in (pooled, cumvue):
-            correction = bias_correction(
-                theta1_hat, constants.c1, constants.rho, constants.se1
-            )
+            correction = bias_correction(theta1_hat, config)
             assert np.all(np.isfinite(correction))
             assert np.all(correction >= 0.0)
 
     def test_broadcasts(self):
-        values = conditional_bias_estimate(np.array([0.0, 50.0]), default_config())
+        values = bias_correction(np.array([0.0, 50.0]), default_config())
         assert values.shape == (2,)
         assert values[0] == pytest.approx(0.023032943298089032)
 
     def test_never_stop_rule_gives_zero_correction(self):
-        assert conditional_bias_estimate(0.0, default_config(alpha1=1.0)) == 0.0
+        assert bias_correction(0.0, default_config(alpha1=1.0)) == 0.0
 
 
 class TestMae:
@@ -186,7 +170,7 @@ class TestMae:
     def test_hand_value_with_null_plug_in(self):
         # one observation per cell, correction evaluated at theta1_hat = 0
         config = default_config(n01=1, n11=1, n02=1, n12=1, n22=1, alpha1=0.5)
-        correction = conditional_bias_estimate(0.0, config)
+        correction = bias_correction(0.0, config)
         assert correction == pytest.approx(0.2820947917738781, abs=1e-12)
         assert 3.0 - correction == pytest.approx(2.717905208226122, abs=1e-12)
 
@@ -199,16 +183,15 @@ class TestMae:
         # 2 - (3/4 * 0.5 + 1/4 * (0 + 1.5 - 1)) = 1.5; pooled, period-1 and
         # period-2 plug-ins are all 1
         assert point.estimates["unadjusted"][0] == pytest.approx(1.5, rel=1e-12)
-        info = InformationLevels(i1=2.5, i2=5.0)
         theta1_hats = {
             Theta1Method.POOLED: 1.0,
             Theta1Method.PERIOD1: 1.0,
             Theta1Method.PERIOD2: 1.0,
-            Theta1Method.CUMVUE: cumvue_from_means(1.0, info, 0.0),
+            Theta1Method.CUMVUE: cumvue_from_means(1.0, 2.5, 5.0, 0.0),
         }
         for method, theta1_hat in theta1_hats.items():
             label = method_label(method)
-            correction = conditional_bias_estimate(theta1_hat, config)
+            correction = bias_correction(theta1_hat, config)
             assert point.corrections[label][0] == pytest.approx(correction, rel=1e-12)
             assert point.estimates[label][0] == pytest.approx(1.5 - correction, rel=1e-12)
 
@@ -318,7 +301,7 @@ class TestBootstrap:
             return stream[start : start + draws]  # arm-1 mean; c1 = 0
 
         monkeypatch.setattr(adjusted, "_bootstrap_cell_means", fake)
-        args = (cells, config, scenario_constants(config), BootstrapSettings(b=2, seed=0))
+        args = (cells, config, BootstrapSettings(b=2, seed=0))
         if raises:
             with pytest.raises(BootstrapError):
                 bootstrap_resamples(*args)
@@ -340,8 +323,7 @@ class TestBootstrap:
         for cell in cells[:2]:
             cell -= cell.mean()
             cell /= cell.std()
-        constants = scenario_constants(config)
-        cells[1] += z11 * constants.se1
+        cells[1] += z11 * config.period1_se
         batches = []
         cell_means = adjusted._bootstrap_cell_means
 
@@ -352,7 +334,7 @@ class TestBootstrap:
 
         monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
         try:
-            bootstrap_resamples(tuple(cells), config, constants, BootstrapSettings(b=b, seed=1))
+            bootstrap_resamples(tuple(cells), config, BootstrapSettings(b=b, seed=1))
         except BootstrapError:
             assert z11 < 0
         assert max(batches) < 100 * b
@@ -404,7 +386,7 @@ class TestBootstrap:
     def test_non_integer_count_is_rejected(self, b):
         with pytest.raises(ValueError, match="resample count b must be an integer"):
             BootstrapSettings(b=b)
-        assert BootstrapSettings(b=np.int64(3)).b == 3
+        assert type(BootstrapSettings(b=np.int64(3)).b) is int
 
     def test_one_resample_is_rejected(self):
         with pytest.raises(ValueError, match="must be >= 2, got 1"):

@@ -6,17 +6,20 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nccsim import (
-    METHODS, STATISTICS, BootstrapError, Scenario, harness, run_replicate, run_scenario,
+    METHODS, STATISTICS, BootstrapError, DesignConfig, Scenario, TimeTrendSpec, TrendPattern,
+    harness, run_replicate, run_scenario,
 )
 from nccsim.cli import (
     _PLAN_DEFAULTS,
     ConfigError,
     RESULTS_CSV_COLUMNS,
     analytic_rows,
+    emit_results,
     main,
     parse_config,
     resolve_workers,
@@ -246,6 +249,19 @@ class TestSimulateCommand:
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
 
+    def test_numpy_float_design_writes_the_same_csv(self, tmp_path):
+        outputs = []
+        for number in (float, np.float64):
+            config = DesignConfig(
+                n01=20, n11=20, n02=20, n12=20, n22=20, alpha1=number(0.5),
+                trend=TimeTrendSpec(TrendPattern.STEPWISE, number(0.1)),
+            )
+            out = tmp_path / number.__name__
+            emit_results([run_scenario(Scenario("demo", config, "null", 20), 3)], out, 3)
+            outputs.append((out / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"np.float64" not in outputs[1]
+
     def test_error_exit_code(self, tmp_path, capsys):
         plan = write_plan(tmp_path, "bogus: 1\n")
         code = main(["simulate", "--config", str(plan), "--seed", "1", "--out", str(tmp_path / "o")])
@@ -357,6 +373,18 @@ class TestSingleCommand:
             assert main(argv + ["--bootstrap-b", "-5"]) == 2, argv[0]
             captured = capsys.readouterr()
             assert "bootstrap_b must be >= 0 (0 disables the bootstrap)" in captured.err
+            assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_exits_2_in_both_commands(self, tmp_path, capsys):
+        plan = write_plan(tmp_path, CUSTOM_PLAN)
+        for argv in (
+            ["single", "--bootstrap-b", "0"],
+            ["simulate", "--config", str(plan), "--out", str(tmp_path / "o")],
+        ):
+            assert main(argv + ["--seed", "-1"]) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert "--seed must be >= 0, got -1" in captured.err
             assert captured.out == ""
         assert not (tmp_path / "o").exists()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from nccsim import (
     TrendPattern,
     futility_cutoff,
     ncc_weight,
+    normal,
 )
-from nccsim.adjusted import point_estimates, scenario_constants
+from nccsim.adjusted import point_estimates
 from conftest import default_config
 
 
@@ -54,9 +56,14 @@ class TestValidate:
 
     def test_analysis_cells_require_patients(self):
         for name in ("n01", "n11", "n02", "n12", "n22"):
-            for size in (0, -1):
+            for size in (0, -1, True):
                 with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
                     default_config(**{name: size})
+
+    def test_numpy_integer_size_is_stored_as_an_int(self):
+        config = default_config(n01=np.int64(150))
+        assert config == default_config()
+        assert type(config.n01) is int
 
     def test_alpha_strictly_inside_unit_interval(self):
         for alpha in (0.0, 1.0):
@@ -116,7 +123,7 @@ class TestNccWeight:
         config = default_config(alpha1=0.0)
         route = np.array([[0.0, 0.0, 0.0], [1.5, -2.0, 4.0], [-3.0, 0.5, -1.0]])
         means = np.column_stack([route[:, :2], np.full(3, 0.3), route[:, 2], np.full(3, 0.8)])
-        point = point_estimates(config, scenario_constants(config), means)
+        point = point_estimates(config, means)
         assert not point.continued.any()
         for label, estimate in point.estimates.items():
             np.testing.assert_array_equal(estimate, np.full(3, 0.8 - 0.3))
@@ -158,11 +165,29 @@ class TestDerivedQuantities:
 
     def test_rho_property_matches_function(self):
         assert default_config().rho == pytest.approx(0.25)
-        with pytest.raises(ValueError, match="n12"):
-            default_config(n12=0).rho
 
     def test_total_planned(self):
         assert default_config().total_planned == 750
+
+    def test_cells_in_cell_order(self):
+        config = default_config(n01=1, n11=2, n02=3, n12=4, n22=5)
+        assert config.cells == (1, 2, 3, 4, 5)
+        assert config.total_planned == 15
+
+    def test_cached_constants_follow_replace(self):
+        config = default_config()
+        assert config.c1 == futility_cutoff(0.5)
+        assert config.z_alpha == normal.quantile(1.0 - 0.025)
+        assert dataclasses.replace(config, alpha1=0.9).c1 == futility_cutoff(0.9)
+        assert dataclasses.replace(config, alpha=0.05).z_alpha == normal.quantile(0.95)
+
+    def test_cached_constants_survive_pickling(self):
+        # the process pool pickles each chunk's scenario, config included
+        config = default_config(alpha1=0.3, alpha=0.05)
+        c1, z_alpha = config.c1, config.z_alpha
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config
+        assert (copy.c1, copy.z_alpha) == (c1, z_alpha)
 
     def test_trend_spec_default(self):
         assert default_config().trend == TimeTrendSpec(TrendPattern.NONE, 0.0)

@@ -34,7 +34,8 @@ from nccsim import (
     run_scenario,
     simulate_trial,
 )
-from nccsim.adjusted import point_estimates, scenario_constants
+from nccsim.adjusted import point_estimates
+from nccsim.cli import emit_results
 from nccsim.datagen import draw_trials, expand_trial
 from conftest import analyse, default_config
 
@@ -115,8 +116,7 @@ class TestBatchedCoreMatchesScalarPath:
     def test_every_row_matches_the_scalar_analysis_of_its_expansion(self, config, seed):
         rng = np.random.default_rng(seed)
         draws = draw_trials(config, rng, 4, (rng, rng))
-        constants = scenario_constants(config)
-        point = point_estimates(config, constants, draws.means)
+        point = point_estimates(config, draws.means)
         for row in range(4):
             data = expand_trial(config, draws, row, rng)
             for i, cell in enumerate(CELLS):
@@ -124,8 +124,8 @@ class TestBatchedCoreMatchesScalarPath:
 
             continued = bool(point.continued[row])
             z11, estimates, corrections = _oracle(config, data, continued)
-            if abs(point.z11[row] - constants.c1) > 1e-9:
-                assert (z11 >= constants.c1) == continued
+            if abs(point.z11[row] - config.c1) > 1e-9:
+                assert (z11 >= config.c1) == continued
             assert abs(z11 - point.z11[row]) <= 1e-10
             for m in METHODS:
                 assert abs(estimates[m] - point.estimates[m][row]) <= 1e-10, m
@@ -284,9 +284,9 @@ class TestChunkBootstrap:
         rows = []
         real = adjusted_module.point_estimates
 
-        def spy(config, constants, means):
+        def spy(config, means):
             rows.append(means.shape[0])
-            return real(config, constants, means)
+            return real(config, means)
 
         monkeypatch.setattr(adjusted_module, "point_estimates", spy)
         scenario = _scenario(CHUNK, BootstrapSettings(b=1000), alpha1=0.95,
@@ -355,6 +355,16 @@ class TestScenarioChecks:
 
     def test_integer_replicate_counts_are_accepted(self):
         assert run_scenario(_scenario(np.int64(3)), 5).n_replicates == 3
+
+    def test_numpy_replicate_count_writes_the_same_results(self, tmp_path):
+        outputs = []
+        for replicates in (20, np.int64(20)):
+            scenario = _scenario(replicates)
+            assert type(scenario.replicates) is int
+            out = tmp_path / f"run{len(outputs)}"
+            emit_results([run_scenario(scenario, 5)], out, 5)
+            outputs.append([(out / name).read_bytes() for name in ("results.csv", "results.json")])
+        assert outputs[0] == outputs[1]
 
     def test_integer_bootstrap_seeds_are_accepted(self):
         _scenario(20, BootstrapSettings(b=20, seed=3))

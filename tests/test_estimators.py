@@ -9,7 +9,7 @@ from nccsim import (
     separate_variance,
     simulate_trial,
 )
-from nccsim.adjusted import point_estimates, scenario_constants
+from nccsim.adjusted import point_estimates
 from conftest import analyse, cell_counts, cell_means, default_config, make_dataset
 
 HAND_CELLS = {(0, 1): [0.0], (1, 1): [1.0], (0, 2): [2.0], (1, 2): [3.0], (2, 2): [5.0]}
@@ -34,7 +34,7 @@ class TestInterim:
         config = default_config(n01=2, n11=2, alpha1=0.5)
         result = analyse(data, config)
         assert result.z11[0] == 0.0
-        assert scenario_constants(config).c1 == 0.0
+        assert config.c1 == 0.0
         assert result.continued[0]  # rule stops only when z11 < c1
 
     def test_hand_value(self):
@@ -63,7 +63,7 @@ class TestInterim:
         config = default_config(alpha1=0.3)
         reps = 20_000
         means = simulated_means(config, reps)
-        p = point_estimates(config, scenario_constants(config), means).continued.mean()
+        p = point_estimates(config, means).continued.mean()
         assert abs(p - 0.3) < 3 * np.sqrt(0.3 * 0.7 / reps)
 
 
@@ -80,7 +80,7 @@ class TestSeparate:
         config = default_config()
         reps = 20_000
         means = simulated_means(config, reps)
-        values = point_estimates(config, scenario_constants(config), means).estimates["separate"]
+        values = point_estimates(config, means).estimates["separate"]
         se = values.std(ddof=1) / np.sqrt(reps)
         assert abs(values.mean()) < 3 * se
 

@@ -5,11 +5,8 @@ import pytest
 from scipy.stats import norm
 
 from nccsim import (
-    InformationLevels,
     Theta1Method,
     cumvue_from_means,
-    futility_cutoff,
-    information_levels,
     simulate_trial,
     umvue_from_means,
 )
@@ -30,9 +27,7 @@ def theta1_hats(data, config=None):
         sizes = dict(zip(("n01", "n11", "n02", "n12", "n22"), cell_counts(data)))
         config = default_config(**sizes)
     m01, m11, m02, m12, _ = cell_means(data)
-    return plug_ins(
-        m01, m11, m02, m12, config, information_levels(config), futility_cutoff(config.alpha1)
-    )
+    return plug_ins(m01, m11, m02, m12, config)
 
 
 class TestPlainEstimators:
@@ -61,62 +56,58 @@ class TestPlainEstimators:
 
 class TestInformationLevels:
     def test_default_design_values(self):
-        info = information_levels(default_config())
-        assert info.i1 == pytest.approx(75.0, rel=1e-12)
-        assert info.i2 == pytest.approx(150.0, rel=1e-12)
+        config = default_config()
+        assert config.i1 == pytest.approx(75.0, rel=1e-12)
+        assert config.i2 == pytest.approx(150.0, rel=1e-12)
 
     def test_interim_information_matches_variance(self):
         config = default_config(n01=40, n11=90, n02=70, n12=30)
-        info = information_levels(config)
-        assert info.i1 == pytest.approx(1.0 / config.period1_se**2, rel=1e-12)
+        assert config.i1 == pytest.approx(1.0 / config.period1_se**2, rel=1e-12)
         pooled_var = config.sigma**2 * (1 / (90 + 30) + 1 / (40 + 70))
-        assert info.i2 == pytest.approx(1.0 / pooled_var, rel=1e-12)
-        assert info.i1 < info.i2
+        assert config.i2 == pytest.approx(1.0 / pooled_var, rel=1e-12)
+        assert config.i1 < config.i2
 
 
 class TestUmvue:
     def test_matches_mean_variance_parametrization(self):
         # independent transcription with an explicit normal(mean, variance)
         # density/cdf, against the standardized implementation
-        info = InformationLevels(i1=75.0, i2=150.0)
+        i1, i2 = 75.0, 150.0
         for c1 in (-1.2, 0.0, 0.8):
             for mle in (-0.4, -0.05, 0.0, 0.1, 0.5):
-                z12 = mle * math.sqrt(info.i2)
-                m = z12 * math.sqrt(info.i1 / info.i2)
-                v = (info.i2 - info.i1) / info.i2
-                ref = mle - (info.i2 - info.i1) / (info.i2 * math.sqrt(info.i1)) * (
+                z12 = mle * math.sqrt(i2)
+                m = z12 * math.sqrt(i1 / i2)
+                v = (i2 - i1) / i2
+                ref = mle - (i2 - i1) / (i2 * math.sqrt(i1)) * (
                     -norm.pdf(c1, loc=m, scale=math.sqrt(v))
                 ) / norm.sf(c1, loc=m, scale=math.sqrt(v))
-                assert umvue_from_means(mle, info, c1) == pytest.approx(ref, rel=1e-12)
+                assert umvue_from_means(mle, i1, i2, c1) == pytest.approx(ref, rel=1e-12)
 
     def test_correction_is_positive(self):
-        info = InformationLevels(i1=75.0, i2=150.0)
-        assert umvue_from_means(0.1, info, 0.0) > 0.1
+        assert umvue_from_means(0.1, 75.0, 150.0, 0.0) > 0.1
 
     def test_never_stop_rule_recovers_pooled_mle(self):
         # c1 = -inf: the truncation lift vanishes
-        info = InformationLevels(i1=75.0, i2=150.0)
-        assert umvue_from_means(0.37, info, -math.inf) == pytest.approx(0.37, abs=1e-15)
+        assert umvue_from_means(0.37, 75.0, 150.0, -math.inf) == pytest.approx(0.37, abs=1e-15)
 
     def test_seeded_dataset_value_against_oracle(self):
         config = default_config()
         data = simulate_trial(config, 20240812)
         assert analyse(data, config).continued[0]  # seed chosen to continue
         pooled = theta1_hats(data, config)[Theta1Method.POOLED]
-        info = information_levels(config)
-        c1 = futility_cutoff(config.alpha1)
-        z12 = pooled * math.sqrt(info.i2)
-        m = z12 * math.sqrt(info.i1 / info.i2)
-        v = (info.i2 - info.i1) / info.i2
-        expected = pooled + (info.i2 - info.i1) / (info.i2 * math.sqrt(info.i1)) * (
+        i1, i2, c1 = config.i1, config.i2, config.c1
+        z12 = pooled * math.sqrt(i2)
+        m = z12 * math.sqrt(i1 / i2)
+        v = (i2 - i1) / i2
+        expected = pooled + (i2 - i1) / (i2 * math.sqrt(i1)) * (
             norm.pdf(c1, loc=m, scale=math.sqrt(v))
             / norm.sf(c1, loc=m, scale=math.sqrt(v))
         )
-        assert umvue_from_means(pooled, info, c1) == pytest.approx(expected, rel=1e-12)
+        assert umvue_from_means(pooled, i1, i2, c1) == pytest.approx(expected, rel=1e-12)
 
     def test_information_ordering_enforced(self):
         with pytest.raises(ValueError):
-            umvue_from_means(0.0, InformationLevels(i1=75.0, i2=75.0), 0.0)
+            umvue_from_means(0.0, 75.0, 75.0, 0.0)
 
 
 class TestCumvue:
@@ -127,12 +118,11 @@ class TestCumvue:
         assert analyse(data, config).continued[0]
         hats = theta1_hats(data, config)
         mle = hats[Theta1Method.POOLED]
-        umvue = umvue_from_means(mle, information_levels(config), futility_cutoff(config.alpha1))
+        umvue = umvue_from_means(mle, config.i1, config.i2, config.c1)
         assert hats[Theta1Method.CUMVUE] == pytest.approx(2.0 * mle - umvue, rel=1e-12)
 
     def test_equals_mle_when_umvue_does(self):
-        info = InformationLevels(i1=75.0, i2=150.0)
-        assert cumvue_from_means(0.37, info, -math.inf) == pytest.approx(0.37, abs=1e-14)
+        assert cumvue_from_means(0.37, 75.0, 150.0, -math.inf) == pytest.approx(0.37, abs=1e-14)
 
     def test_dispatch(self):
         # each key holds its own estimator, checked on the patient rows
@@ -147,9 +137,7 @@ class TestCumvue:
             Theta1Method.POOLED: pooled,
             Theta1Method.PERIOD1: data.cell(1, 1).mean() - data.cell(0, 1).mean(),
             Theta1Method.PERIOD2: data.cell(1, 2).mean() - data.cell(0, 2).mean(),
-            Theta1Method.CUMVUE: cumvue_from_means(
-                pooled, information_levels(config), futility_cutoff(config.alpha1)
-            ),
+            Theta1Method.CUMVUE: cumvue_from_means(pooled, config.i1, config.i2, config.c1),
         }
         for method, value in expected.items():
             assert hats[method] == pytest.approx(value, rel=1e-12), method
@@ -171,13 +159,12 @@ class TestConditionalBehavior:
         m12 = rng.normal(theta1, sd, reps)
         se1 = math.sqrt(2.0 / n)
         cont = (m11 - m01) / se1 >= 0.0
-        info = InformationLevels(i1=75.0, i2=150.0)
         pooled = (m11 + m12) / 2 - (m01 + m02) / 2
         return {
             "pooled": pooled[cont],
             "period1": (m11 - m01)[cont],
             "period2": (m12 - m02)[cont],
-            "cumvue": cumvue_from_means(pooled, info, 0.0)[cont],
+            "cumvue": cumvue_from_means(pooled, 75.0, 150.0, 0.0)[cont],
         }
 
     def test_conditional_bias_signs_at_null(self):
