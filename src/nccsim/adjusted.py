@@ -162,9 +162,9 @@ def bootstrap_resamples(
     """``(b, 5)`` cell means of the accepted resamples of one trial.
 
     ``cells`` holds the trial's five cells' responses in ``CELLS`` order.
-    Replays the trial on resampled data: draw the period-1 arm-1 and control cells with
-    replacement at their original sizes, keep the resample only if its
-    interim statistic clears the futility cutoff, then draw the three
+    Replays the trial on resampled data: draw the period-1 arm-1 and control
+    cells with replacement at their original sizes, keep the resample only
+    if its interim statistic clears the futility cutoff, then draw the three
     period-2 cells. Repeats until ``settings.b`` resamples are accepted.
 
     Period-1 proposals are drawn in batches sized for the ``need`` resamples
