@@ -25,6 +25,7 @@ from .design import (
     TrendPattern,
     futility_cutoff,
     ncc_weight,
+    period1_se,
 )
 from .harness import (
     METHODS,
@@ -332,7 +333,7 @@ def analytic_rows(theta1: float = 0.0):
 
     def row(panel, alpha1, n01, n11, n02, n12):
         rho = ncc_weight(n01, n02, n11, n12)
-        se1 = _ANALYTIC_SIGMA * (1.0 / n11 + 1.0 / n01) ** 0.5
+        se1 = period1_se(n01, n11, _ANALYTIC_SIGMA)
         inputs = BiasInputs(
             rho=rho, se1=se1, c1=futility_cutoff(alpha1), theta1=theta1
         )

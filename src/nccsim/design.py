@@ -117,7 +117,7 @@ class DesignConfig:
     @property
     def period1_se(self) -> float:
         """Standard error of the period-1 arm-1 vs control mean difference."""
-        return self.sigma * math.sqrt(1.0 / self.n11 + 1.0 / self.n01)
+        return period1_se(self.n01, self.n11, self.sigma)
 
     @property
     def rho(self) -> float:
@@ -148,6 +148,12 @@ def futility_cutoff(alpha1: float) -> float:
     if alpha1 >= 1.0:
         return -math.inf
     return float(normal.quantile(1.0 - alpha1))
+
+
+def period1_se(n01, n11, sigma) -> float:
+    """Standard error of the period-1 arm-1 vs control mean difference.
+    Non-integer sizes are accepted, as for ``ncc_weight``."""
+    return sigma * math.sqrt(1.0 / n11 + 1.0 / n01)
 
 
 def ncc_weight(n01, n02, n11, n12) -> float:

@@ -386,7 +386,8 @@ class TestBootstrap:
     def test_non_integer_count_is_rejected(self, b):
         with pytest.raises(ValueError, match="resample count b must be an integer"):
             BootstrapSettings(b=b)
-        assert type(BootstrapSettings(b=np.int64(3)).b) is int
+        stored = BootstrapSettings(b=np.int64(3)).b
+        assert stored == 3 and type(stored) is int
 
     def test_one_resample_is_rejected(self):
         with pytest.raises(ValueError, match="must be >= 2, got 1"):
