@@ -6,8 +6,10 @@ from .adjusted import (
     BootstrapSettings,
     METHOD_SEPARATE,
     METHOD_UNADJUSTED,
-    bootstrap_variances,
     method_label,
+    model_based_from_means,
+    model_based_variance,
+    separate_variance,
 )
 from .bias import (
     BiasInputs,
@@ -16,20 +18,13 @@ from .bias import (
     marginal_bias,
     stop_probability,
 )
-from .datagen import CELLS, TrialDataset, simulate_trial
+from .datagen import CELLS
 from .design import (
     DesignConfig,
     TimeTrendSpec,
     TrendPattern,
     futility_cutoff,
     ncc_weight,
-)
-from .estimators import (
-    RegressionFit,
-    model_based_from_means,
-    model_based_variance,
-    ols_fit,
-    separate_variance,
 )
 from .harness import (
     CHUNK,

@@ -5,7 +5,9 @@ design's cell counts, and this module holds its one implementation.
 :func:`point_estimates` analyses a batch of trials in one numpy pass: the
 interim look, the unadjusted (model-based), separate and mean-adjusted
 estimates and the bias corrections, with the constants the design
-determines read from its :class:`DesignConfig`. A stop is a mask: a stopped
+determines read from its :class:`DesignConfig`. The model-based estimate
+is the closed form :func:`model_based_from_means`, which borrows
+trend-corrected non-concurrent controls. A stop is a mask: a stopped
 trial takes the concurrent-only estimate under every method. When arm 1
 continues, the model-based estimate is debiased by subtracting a plug-in
 estimate of its conditional bias, and its variance is estimated with a
@@ -26,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import normal
-from .datagen import CELLS, TrialDataset
-from .design import DesignConfig, as_integer
-from .estimators import model_based_from_means, model_based_variance, separate_variance
+from .datagen import CELLS
+from .design import DesignConfig, as_integer, ncc_weight
 from .theta1 import Theta1Method, plug_ins
 
 METHOD_UNADJUSTED = "unadjusted"
@@ -65,6 +66,34 @@ class BootstrapSettings:
         if b < 2:
             raise ValueError(f"bootstrap resample count must be >= 2, got {b}")
         object.__setattr__(self, "b", b)
+
+
+def model_based_from_means(m01, m11, m02, m12, m22, n01, n11, n02, n12):
+    """Closed-form model-based estimate from the five cell means.
+
+    The period-2 control response is estimated as a weighted average of the
+    concurrent control mean and the non-concurrent control mean shifted by
+    the period effect observed in arm 1. Broadcasts over arrays of means.
+    """
+    rho = ncc_weight(n01, n02, n11, n12)
+    control_p2 = (1.0 - rho) * m02 + rho * (m01 + m12 - m11)
+    return m22 - control_p2
+
+
+def separate_variance(n02: int, n22: int, sigma: float) -> float:
+    """Known-sigma variance of the separate estimate."""
+    return sigma * sigma * (1.0 / n02 + 1.0 / n22)
+
+
+def model_based_variance(n01, n11, n02, n12, n22, sigma: float) -> float:
+    """Known-sigma variance of the model-based estimate.
+
+    The weighted control estimate has variance ``(1 - rho) * sigma^2 / n02``
+    because the weight is the precision-optimal combination of the two
+    control routes.
+    """
+    rho = ncc_weight(n01, n02, n11, n12)
+    return sigma * sigma * (1.0 / n22 + (1.0 - rho) / n02)
 
 
 def bias_correction(theta1_hat, config: DesignConfig):
@@ -252,18 +281,6 @@ def resample_variances(config: DesignConfig, resamples: np.ndarray) -> dict[str,
         label: np.var(point.estimates[label].reshape(k, b), axis=-1)
         for label in ADJUSTED_METHODS
     }
-
-
-def bootstrap_variances(
-    data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
-) -> dict[str, float]:
-    """Bootstrap variance of every mean-adjusted method, keyed by its
-    :func:`method_label`, from one shared resampling pass of one trial's
-    rows (:func:`resample_variances`). The per-trial bootstrap entry."""
-    cells = tuple(data.cell(*cell) for cell in CELLS)
-    resamples = bootstrap_resamples(cells, config, settings)
-    variances = resample_variances(config, resamples[None])
-    return {label: float(v[0]) for label, v in variances.items()}
 
 
 def wald_variances(

@@ -352,14 +352,16 @@ def analytic_rows(theta1: float = 0.0):
 
 
 def emit_analytic(rows, out_dir: Path | str) -> Path:
+    """Write ``analytic_bias.csv``. Every row is computed before the file is
+    opened, so a row that raises leaves no partial file."""
+    lines = [[_fmt(v) for v in row] for row in rows]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "analytic_bias.csv"
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(ANALYTIC_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(lines)
     return path
 
 
@@ -402,14 +404,13 @@ def run_single(args, out=None) -> int:
             file=out,
         )
     if args.csv is not None:
-        data = replicate_trial(scenario, args.seed, 0)
+        arms, periods, ys = replicate_trial(scenario, args.seed, 0)
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("j", "arm", "period", "y"))
-            rows = zip(data.arm, data.period, data.y)
-            for j, (arm, period, y) in enumerate(rows, start=1):
+            for j, (arm, period, y) in enumerate(zip(arms, periods, ys), start=1):
                 writer.writerow((j, int(arm), int(period), repr(float(y))))
         print(f"patient data written to {path}", file=out)
     return 0
@@ -491,6 +492,8 @@ def main(argv=None) -> int:
             print(f"wrote {csv_path} and {json_path}")
             return 0
         if args.command == "analytic":
+            if not math.isfinite(args.theta1):
+                raise ConfigError(f"--theta1 must be finite, got {args.theta1}")
             path = emit_analytic(analytic_rows(theta1=args.theta1), args.out)
             print(f"wrote {path}")
             return 0

@@ -15,14 +15,15 @@ sigma^2 / n)``, where ``drift`` is the mean trend over the cell's
 recruitment slots. A trial's responses are drawn only where they are
 needed, from their exact conditional distribution given the cell means:
 cell by cell by :func:`trial_cells`, which is all the bootstrap resamples,
-and as patient rows in recruitment order by :func:`expand_trial`, for a
-replayed trial (``single --csv``).
+and as the ``(arm, period, y)`` arrays of its patient rows in recruitment
+order by :func:`expand_trial`, which ``single --csv`` writes. The package
+has no trial type besides its five cells; patient rows are plain arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,36 +31,6 @@ from .design import DesignConfig, TrendPattern
 
 #: The five (arm, period) cells of the full design.
 CELLS = ((0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
-
-
-@dataclass(frozen=True)
-class TrialDataset:
-    """One trial's patient rows, in recruitment order, indexed by cell.
-
-    Arrays are aligned; row ``j`` is the ``j + 1``-th patient recruited.
-    A hand-built dataset may leave a cell empty. Instances are immutable and
-    safe to share across workers.
-    """
-
-    arm: np.ndarray
-    period: np.ndarray
-    y: np.ndarray
-    _cells: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (self.arm.size == self.period.size == self.y.size):
-            raise ValueError("arm, period and y must have equal length")
-        cells = {}
-        for k, s in CELLS:
-            values = self.y[(self.arm == k) & (self.period == s)]
-            values.flags.writeable = False
-            cells[(k, s)] = values
-        for arr in (self.arm, self.period, self.y):
-            arr.flags.writeable = False
-        object.__setattr__(self, "_cells", cells)
-
-    def cell(self, arm: int, period: int) -> np.ndarray:
-        return self._cells[(arm, period)]
 
 
 #: Arm and period of each cell, in ``CELLS`` order.
@@ -185,13 +156,16 @@ def trial_cells(
 
 def expand_trial(
     config: DesignConfig, draws: TrialDraws, row: int, rng: np.random.Generator
-) -> TrialDataset:
-    """Patient rows of trial ``row`` of ``draws``: its cells from
-    :func:`trial_cells`, placed into a recruitment order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Patient rows of trial ``row`` of ``draws``: aligned ``arm``,
+    ``period`` and ``y`` arrays, row ``j`` the ``j + 1``-th patient
+    recruited. Its cells come from :func:`trial_cells`, placed into a
+    recruitment order.
 
     The order is the drawn one when ``draws`` kept it (a linear trend), else
-    it is drawn from ``rng`` after the cells. Each cell of the dataset is the
-    array :func:`trial_cells` drew from the same ``rng``.
+    it is drawn from ``rng`` after the cells. The responses of each cell, in
+    recruitment order, are the array :func:`trial_cells` drew from the same
+    ``rng``.
     """
     cells = trial_cells(config, draws, row, rng)
     if draws.arms is None:
@@ -204,21 +178,4 @@ def expand_trial(
     y = np.empty(arm.size)
     for k, values in enumerate(cells):
         y[slot_cell == k] = values
-    return TrialDataset(arm=arm, period=period, y=y)
-
-
-def simulate_trial(config: DesignConfig, seed) -> TrialDataset:
-    """Draw one full trial at patient level. Identical ``(config, seed)``
-    give identical data.
-
-    Responses are ``Normal(theta_k + f(j), sigma^2)`` with the control
-    response in period 1 fixed at 0; all estimands are differences, so the
-    baseline level is immaterial. The law is that of :func:`draw_trials`
-    followed by :func:`expand_trial`; the simulation harness uses those.
-    """
-    rng = np.random.default_rng(seed)
-    arm = _recruitment_arms(config, (rng, rng), 1)[0].astype(np.int64)
-    period, drift = _patient_layout(config)
-    effect = np.array([0.0, config.theta1, config.theta2])
-    y = effect[arm] + drift + config.sigma * rng.standard_normal(arm.size)
-    return TrialDataset(arm=arm, period=period, y=y)
+    return arm, period, y

@@ -41,7 +41,7 @@ from .adjusted import (
     resample_variances,
     wald_variances,
 )
-from .datagen import TrialDataset, TrialDraws, draw_trials, expand_trial, trial_cells
+from .datagen import TrialDraws, draw_trials, expand_trial, trial_cells
 from .design import DesignConfig, TimeTrendSpec, TrendPattern, as_integer
 
 #: Output order of the reported statistics.
@@ -197,8 +197,11 @@ def _trial_rng(scenario: Scenario, master_seed: int, index: int) -> np.random.Ge
     return np.random.default_rng(replicate_stream(master_seed, scenario, index, 0))
 
 
-def replicate_trial(scenario: Scenario, master_seed: int, index: int) -> TrialDataset:
-    """Patient rows of replicate ``index``: the trial its analysis saw, and
+def replicate_trial(
+    scenario: Scenario, master_seed: int, index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Patient rows of replicate ``index`` as the ``(arm, period, y)`` arrays
+    of :func:`~nccsim.datagen.expand_trial`: the trial its analysis saw, and
     whose cells its bootstrap resampled."""
     _check_index(scenario, index)
     draws = _draw_chunk(scenario, master_seed, index // CHUNK)

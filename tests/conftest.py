@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nccsim import CELLS, DesignConfig, TrialDataset
+from nccsim import CELLS, DesignConfig
 from nccsim.adjusted import point_estimates
+from oracle import TrialDataset
 
 
 def make_dataset(cells: dict[tuple[int, int], list[float]]) -> TrialDataset:

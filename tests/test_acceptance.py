@@ -22,21 +22,19 @@ from nccsim import (
     TimeTrendSpec,
     TrendPattern,
     bias_inputs,
-    bootstrap_variances,
     collect_replicates,
     conditional_bias,
     marginal_bias,
     model_based_from_means,
-    ols_fit,
     replicate_stream,
     run_scenario,
-    simulate_trial,
     summarize,
 )
 from nccsim.adjusted import point_estimates
 from nccsim.cli import main as cli_main
 from nccsim.theta1 import plug_ins
 from conftest import cell_counts, cell_means, default_config, make_dataset
+from oracle import bootstrap_variances, ols_fit, simulate_trial
 
 MASTER_SEED = 20250808
 WORKERS = min(2, os.cpu_count() or 1)

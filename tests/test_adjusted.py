@@ -10,12 +10,12 @@ from nccsim import (
     BootstrapSettings,
     CELLS,
     Theta1Method,
-    bootstrap_variances,
+    TimeTrendSpec,
+    TrendPattern,
     cumvue_from_means,
     method_label,
     model_based_variance,
     adjusted,
-    simulate_trial,
 )
 from nccsim.adjusted import (
     GATHER_BLOCK_VALUES,
@@ -27,7 +27,9 @@ from nccsim.adjusted import (
     t_statistic,
     wald_variances,
 )
+from nccsim.datagen import draw_trials, trial_cells
 from conftest import analyse, default_config, make_dataset
+from oracle import bootstrap_variances, simulate_trial
 
 ALL_METHODS = tuple(Theta1Method)
 
@@ -377,6 +379,28 @@ class TestBootstrap:
         config = default_config(n01=20, n11=21, n02=20, n12=20, n22=20)
         with pytest.raises(ValueError, match="cell counts"):
             bootstrap_variances(data, config, BootstrapSettings(b=10, seed=5))
+
+    @pytest.mark.parametrize("pattern", [TrendPattern.STEPWISE, TrendPattern.LINEAR],
+                             ids=lambda p: p.value)
+    def test_each_resampled_cell_follows_its_own_cell(self, pattern):
+        # With alpha1 = 1 every proposal is accepted, so each resample column
+        # is the mean of n draws with replacement from its own cell: centred
+        # on the cell's mean with variance values.var() / n. Unequal cell
+        # sizes and a period-2 shift make a resample drawn from the wrong
+        # cell miss both.
+        config = default_config(n01=1500, n11=1500, alpha1=1.0,
+                                trend=TimeTrendSpec(pattern, 0.5))
+        rng = np.random.default_rng(11)
+        draws = draw_trials(config, rng, 1, (rng, rng))
+        cells = trial_cells(config, draws, 0, rng)
+        b = 4000
+        resamples = bootstrap_resamples(cells, config, BootstrapSettings(b=b, seed=7))
+        for k, values in enumerate(cells):
+            target = values.var() / values.size
+            column = resamples[:, k]
+            z = (column.mean() - values.mean()) / math.sqrt(target / b)
+            assert abs(z) < 4, (CELLS[k], z)
+            assert column.var() / target == pytest.approx(1.0, abs=0.12), CELLS[k]
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

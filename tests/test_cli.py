@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nccsim import (
-    METHODS, STATISTICS, BootstrapError, DesignConfig, Scenario, TimeTrendSpec, TrendPattern,
+    CELLS, METHODS, STATISTICS, BootstrapError, DesignConfig, Scenario, TimeTrendSpec, TrendPattern,
     harness, run_replicate, run_scenario,
 )
 from nccsim.cli import (
@@ -24,6 +24,7 @@ from nccsim.cli import (
     parse_config,
     resolve_workers,
 )
+from conftest import default_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -334,6 +335,20 @@ class TestAnalyticCommand:
         target = [r for r in rows if r["panel"] == "A" and r["alpha1"] == "0.5"]
         assert float(target[0]["marginal_bias"]) == pytest.approx(0.011516471649044516)
 
+    @pytest.mark.parametrize("theta1", ["-0.3", "-1"])
+    def test_a_row_that_fails_leaves_no_partial_csv(self, tmp_path, capsys, theta1):
+        # a strongly negative arm-1 effect stops almost every trial of some
+        # design of the grid, so its conditional bias is undefined
+        assert main(["analytic", "--out", str(tmp_path), f"--theta1={theta1}"]) == 2
+        assert "continuation probability ~ 0" in capsys.readouterr().err
+        assert not (tmp_path / "analytic_bias.csv").exists()
+
+    @pytest.mark.parametrize("theta1", ["nan", "inf"])
+    def test_non_finite_theta1_exits_2(self, tmp_path, capsys, theta1):
+        assert main(["analytic", "--out", str(tmp_path), "--theta1", theta1]) == 2
+        assert "--theta1 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "analytic_bias.csv").exists()
+
 
 class TestSingleCommand:
     def test_trace_matches_run_replicate(self, tmp_path, capsys):
@@ -346,7 +361,6 @@ class TestSingleCommand:
         decision = lines[3].split(": ")[1]
 
         from nccsim import BootstrapSettings, Scenario
-        from conftest import default_config
 
         scenario = Scenario("single", default_config(), "null", 1, BootstrapSettings(b=40, seed=0))
         result = run_replicate(scenario, 12, 0)
@@ -427,20 +441,49 @@ class TestSingleCommand:
         period1 = [r for r in rows if r["period"] == "1"]
         assert len(period1) == 10
 
+    @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
+    def test_patient_dump_is_the_analysed_trial(self, tmp_path, capsys, pattern):
+        dump = tmp_path / "trial.csv"
+        assert main([
+            "single", "--seed", "4", "--bootstrap-b", "0", "--csv", str(dump),
+            "--trend", pattern.value, "--lambda", "0.15", "--n11", "60", "--n22", "90",
+        ]) == 0
+        z11 = float(capsys.readouterr().out.splitlines()[1].split(": ")[1])
+        config = default_config(n11=60, n22=90, trend=TimeTrendSpec(pattern, 0.15))
+        with dump.open() as handle:
+            rows = list(csv.DictReader(handle))
+        cells = {}
+        for r in rows:
+            cells.setdefault((int(r["arm"]), int(r["period"])), []).append(float(r["y"]))
+        assert sorted(cells) == sorted(CELLS)
+        assert tuple(len(cells[cell]) for cell in CELLS) == config.cells
+        m01, m11 = (np.mean(cells[cell]) for cell in ((0, 1), (1, 1)))
+        assert abs((m11 - m01) / config.period1_se - z11) <= 1e-12
+
+
+#: The modules of the runtime package; the patient-level oracle is not one.
+RUNTIME_MODULES = [
+    "nccsim", "nccsim.adjusted", "nccsim.bias", "nccsim.cli", "nccsim.datagen",
+    "nccsim.design", "nccsim.harness", "nccsim.normal", "nccsim.theta1",
+]
+
 
 class TestRuntimeImports:
     def test_commands_never_import_scipy(self, tmp_path):
         # scipy is a test-only extra: the commands' start-up time and memory
-        # are measured without it
+        # are measured without it. Nor do they load the tests' oracle.
         plan = write_plan(tmp_path, CUSTOM_PLAN.replace("replicates: 80", "replicates: 20")
                           .replace("bootstrap_b: 0", "bootstrap_b: 5"))
         out = tmp_path / "o"
         script = (
             "import sys\n"
             "from nccsim.cli import main\n"
-            "assert main(['single', '--seed', '12', '--bootstrap-b', '20']) == 0\n"
+            "assert main(['single', '--seed', '12', '--bootstrap-b', '20',"
+            f" '--csv', {str(tmp_path / 'trial.csv')!r}]) == 0\n"
             f"assert main(['simulate', '--config', {str(plan)!r}, '--seed', '1',"
             f" '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('nccsim')))\n"
+            "print('oracle' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -448,4 +491,7 @@ class TestRuntimeImports:
             [sys.executable, "-c", script], cwd=tmp_path, env=env,
             capture_output=True, text=True, check=True,
         )
-        assert result.stdout.splitlines()[-1] == "[]"
+        modules, oracle, scipy = result.stdout.splitlines()[-3:]
+        assert modules == str(RUNTIME_MODULES)
+        assert oracle == "False"
+        assert scipy == "[]"

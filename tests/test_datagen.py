@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,12 +8,19 @@ from nccsim import (
     CELLS,
     TimeTrendSpec,
     TrendPattern,
-    simulate_trial,
 )
 from conftest import default_config
+from oracle import simulate_trial
 
 LINEAR = TimeTrendSpec(TrendPattern.LINEAR, 0.15)
 STEPWISE = TimeTrendSpec(TrendPattern.STEPWISE, 0.15)
+
+#: sha256 prefix of the rows of ``simulate_trial`` at seed 20240812 per trend
+PINNED_STREAMS = {
+    TrendPattern.NONE: "338d38d54134989d",
+    TrendPattern.LINEAR: "da26ae53c80511c0",
+    TrendPattern.STEPWISE: "9cf5ba5e68dfe7a6",
+}
 
 
 def drift(trend, **sizes):
@@ -43,6 +52,14 @@ class TestTimeTrend:
 
 
 class TestSimulateTrial:
+    @pytest.mark.parametrize("pattern", list(PINNED_STREAMS), ids=lambda p: p.value)
+    def test_stream_is_pinned(self, pattern):
+        # acceptance criteria 1, 5 and 10 are seeded on this stream: a change
+        # to it would silently re-seed them
+        data = simulate_trial(default_config(trend=TimeTrendSpec(pattern, 0.15)), 20240812)
+        rows = data.arm.tobytes() + data.period.tobytes() + data.y.tobytes()
+        assert hashlib.sha256(rows).hexdigest()[:16] == PINNED_STREAMS[pattern]
+
     def test_deterministic_given_seed(self):
         config = default_config(theta1=0.2, trend=LINEAR)
         a = simulate_trial(config, 123)

@@ -23,21 +23,18 @@ from nccsim import (
     Theta1Method,
     TimeTrendSpec,
     TrendPattern,
-    TrialDataset,
-    bootstrap_variances,
     collect_replicates,
     method_label,
-    ols_fit,
     replicate_stream,
     replicate_trial,
     run_replicate,
     run_scenario,
-    simulate_trial,
 )
 from nccsim.adjusted import point_estimates
 from nccsim.cli import emit_results
 from nccsim.datagen import draw_trials, expand_trial
 from conftest import analyse, default_config
+from oracle import TrialDataset, bootstrap_variances, ols_fit, simulate_trial
 
 CELL_SIZE = st.integers(1, 12)
 
@@ -118,7 +115,7 @@ class TestBatchedCoreMatchesScalarPath:
         draws = draw_trials(config, rng, 4, (rng, rng))
         point = point_estimates(config, draws.means)
         for row in range(4):
-            data = expand_trial(config, draws, row, rng)
+            data = TrialDataset(*expand_trial(config, draws, row, rng))
             for i, cell in enumerate(CELLS):
                 assert abs(data.cell(*cell).mean() - draws.means[row, i]) <= 1e-12
 
@@ -205,7 +202,7 @@ class TestChunks:
         scenario = _scenario(10)
         for index in range(10):
             result = run_replicate(scenario, 3, index)
-            data = replicate_trial(scenario, 3, index)
+            data = TrialDataset(*replicate_trial(scenario, 3, index))
             point = analyse(data, scenario.config)
             assert point.continued[0] == result.continued[0]
             assert point.estimates["separate"][0] == pytest.approx(
@@ -238,7 +235,7 @@ class TestChunkBootstrap:
             index = int(index)
             seed = replicate_stream(17, scenario, index, 1, 3)
             expected = bootstrap_variances(
-                replicate_trial(scenario, 17, index), scenario.config,
+                TrialDataset(*replicate_trial(scenario, 17, index)), scenario.config,
                 BootstrapSettings(b=40, seed=seed),
             )
             replayed = run_replicate(scenario, 17, index)
@@ -263,16 +260,16 @@ class TestChunkBootstrap:
         for index in (3, CHUNK + 11):
             resampled.clear()
             run_replicate(scenario, 19, index)
-            data = replicate_trial(scenario, 19, index)
+            data = TrialDataset(*replicate_trial(scenario, 19, index))
             assert len(resampled) == 1
             for values, cell in zip(resampled[0], CELLS, strict=True):
                 assert data.cell(*cell).tobytes() == values.tobytes(), cell
 
     def test_a_bootstrap_run_builds_no_patient_rows(self, monkeypatch):
-        def forbidden(self):
-            raise AssertionError("a TrialDataset was built")
+        def forbidden(*args):
+            raise AssertionError("patient rows were built")
 
-        monkeypatch.setattr(TrialDataset, "__post_init__", forbidden)
+        monkeypatch.setattr(harness_module, "expand_trial", forbidden)
         for pattern in TrendPattern:
             scenario = _scenario(40, BootstrapSettings(b=5), alpha1=0.9,
                                  trend=TimeTrendSpec(pattern, 0.15))

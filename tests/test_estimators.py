@@ -5,12 +5,11 @@ from nccsim import (
     model_based_from_means,
     model_based_variance,
     ncc_weight,
-    ols_fit,
     separate_variance,
-    simulate_trial,
 )
 from nccsim.adjusted import point_estimates
 from conftest import analyse, cell_counts, cell_means, default_config, make_dataset
+from oracle import ols_fit, simulate_trial
 
 HAND_CELLS = {(0, 1): [0.0], (1, 1): [1.0], (0, 2): [2.0], (1, 2): [3.0], (2, 2): [5.0]}
 

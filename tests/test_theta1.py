@@ -7,11 +7,11 @@ from scipy.stats import norm
 from nccsim import (
     Theta1Method,
     cumvue_from_means,
-    simulate_trial,
     umvue_from_means,
 )
 from nccsim.theta1 import plug_ins
 from conftest import analyse, cell_counts, cell_means, default_config, make_dataset
+from oracle import simulate_trial
 
 
 def equal_period_dataset():
