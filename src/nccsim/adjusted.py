@@ -53,11 +53,13 @@ class BootstrapError(RuntimeError):
 
 @dataclass(frozen=True)
 class BootstrapSettings:
-    """``b`` accepted resamples; ``seed`` keys the resampling stream. One
-    resample has zero variance, so ``b`` must be an integer of at least 2."""
+    """``b`` accepted resamples per bootstrap and the user's bootstrap
+    ``seed``. One resample has zero variance, so ``b`` must be an integer of
+    at least 2; ``seed`` is a non-negative integer. Numpy integers are stored
+    as ``int``."""
 
     b: int
-    seed: object = 0
+    seed: int = 0
 
     def __post_init__(self):
         b = as_integer(self.b)
@@ -65,7 +67,11 @@ class BootstrapSettings:
             raise ValueError(f"bootstrap resample count b must be an integer, got {self.b!r}")
         if b < 2:
             raise ValueError(f"bootstrap resample count must be >= 2, got {b}")
+        seed = as_integer(self.seed)
+        if seed is None or seed < 0:
+            raise ValueError(f"bootstrap seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "seed", seed)
 
 
 def model_based_from_means(m01, m11, m02, m12, m22, n01, n11, n02, n12):
@@ -186,7 +192,7 @@ def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
 
 
 def bootstrap_resamples(
-    cells: tuple[np.ndarray, ...], config: DesignConfig, settings: BootstrapSettings
+    cells: tuple[np.ndarray, ...], config: DesignConfig, b: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``(b, 5)`` cell means of the accepted resamples of one trial.
 
@@ -194,7 +200,8 @@ def bootstrap_resamples(
     Replays the trial on resampled data: draw the period-1 arm-1 and control
     cells with replacement at their original sizes, keep the resample only
     if its interim statistic clears the futility cutoff, then draw the three
-    period-2 cells. Repeats until ``settings.b`` resamples are accepted.
+    period-2 cells. Repeats until ``b`` resamples are accepted, drawing every
+    index from ``rng``.
 
     Period-1 proposals are drawn in batches sized for the ``need`` resamples
     still missing: ``ceil(1.25 * need / rate)`` proposals, at least 64 and at
@@ -204,7 +211,7 @@ def bootstrap_resamples(
     proposals, 250 at ``b = 200``. Only the period-2 cells of the first
     ``need`` hits are drawn. The accepted resamples are the first ``b``
     accepted proposals of an i.i.d. proposal stream, so the batching changes
-    which resamples are drawn, not their law; for a given ``settings.seed``
+    which resamples are drawn, not their law; for a given state of ``rng``
     they are deterministic. Each cell's resample means come from
     :func:`_bootstrap_cell_means`.
 
@@ -221,8 +228,6 @@ def bootstrap_resamples(
     y01, y11, y02, y12, y22 = cells
     c1, se1 = config.c1, config.period1_se
 
-    rng = np.random.default_rng(settings.seed)
-    b = settings.b
     rejection_limit = 100 * b
     need = b
     streak = 0

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adjusted import BootstrapSettings, t_statistic
@@ -142,19 +143,13 @@ def _build_scenario(
             theta1=values["theta1"], theta2=values["theta2"],
             trend=TimeTrendSpec(TrendPattern(values["trend"]), values["lambda"]),
         )
-        inferred = "null" if config.theta2 == 0.0 else "alternative"
-        hypothesis = block.get("hypothesis", inferred)
-        if hypothesis != inferred:
+        scenario = Scenario(block.get("id", f"scenario-{index}"), config, replicates, bootstrap)
+        hypothesis = block.get("hypothesis", scenario.hypothesis)
+        if hypothesis != scenario.hypothesis:
             raise ConfigError(
                 f"hypothesis '{hypothesis}' contradicts theta2={config.theta2!r}"
             )
-        return Scenario(
-            scenario_id=block.get("id", f"scenario-{index}"),
-            config=config,
-            hypothesis=hypothesis,
-            replicates=replicates,
-            bootstrap=bootstrap,
-        )
+        return scenario
     except ValueError as exc:
         raise ConfigError(f"scenario {where}: {exc}") from exc
 
@@ -255,6 +250,13 @@ def _result_rows(result: OperatingCharacteristics):
             )
 
 
+def _design_record(config: DesignConfig) -> dict[str, object]:
+    """The design of a ``results.json`` entry: every ``DesignConfig`` field,
+    with the trend as ``trend_pattern`` and ``lambda``."""
+    record = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "trend"}
+    return {**record, "trend_pattern": config.trend.pattern.value, "lambda": config.trend.lam}
+
+
 def emit_results(
     results: list[OperatingCharacteristics], out_dir: Path | str, master_seed: int
 ) -> tuple[Path, Path]:
@@ -274,20 +276,7 @@ def emit_results(
             {
                 "scenario_id": r.scenario.scenario_id,
                 "hypothesis": r.scenario.hypothesis,
-                "design": {
-                    "alpha1": r.scenario.config.alpha1,
-                    "alpha": r.scenario.config.alpha,
-                    "sigma": r.scenario.config.sigma,
-                    "theta1": r.scenario.config.theta1,
-                    "theta2": r.scenario.config.theta2,
-                    "trend_pattern": r.scenario.config.trend.pattern.value,
-                    "lambda": r.scenario.config.trend.lam,
-                    "n01": r.scenario.config.n01,
-                    "n11": r.scenario.config.n11,
-                    "n02": r.scenario.config.n02,
-                    "n12": r.scenario.config.n12,
-                    "n22": r.scenario.config.n22,
-                },
+                "design": _design_record(r.scenario.config),
                 "n_replicates": r.n_replicates,
                 "n_continuing": r.n_continuing,
                 "n_failed": r.n_failed,

@@ -74,31 +74,26 @@ HYPOTHESES = ("null", "alternative")
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation scenario: a design, a hypothesis tag, and run sizes.
-    A numpy integer ``replicates`` is stored as an ``int``."""
+    """One simulation scenario: a design and run sizes. A numpy integer
+    ``replicates`` is stored as an ``int``."""
 
     scenario_id: str
     config: DesignConfig
-    hypothesis: str
     replicates: int
     bootstrap: BootstrapSettings | None = None
 
     def __post_init__(self):
-        if self.hypothesis not in HYPOTHESES:
-            raise ValueError(f"hypothesis must be one of {HYPOTHESES}")
         replicates = as_integer(self.replicates)
         if replicates is None:
             raise ValueError(f"replicates must be an integer, got {self.replicates!r}")
         if replicates < 1:
             raise ValueError("replicates must be >= 1")
         object.__setattr__(self, "replicates", replicates)
-        if self.bootstrap is not None:
-            seed = as_integer(self.bootstrap.seed)
-            if seed is None or seed < 0:
-                raise ValueError(
-                    "bootstrap seed must be a non-negative integer, "
-                    f"got {self.bootstrap.seed!r}"
-                )
+
+    @property
+    def hypothesis(self) -> str:
+        """``"null"`` when ``config.theta2`` is zero, else ``"alternative"``."""
+        return "null" if self.config.theta2 == 0.0 else "alternative"
 
 
 @dataclass(frozen=True)
@@ -141,11 +136,17 @@ def _combine(parts: list[ReplicateArrays], fn) -> ReplicateArrays:
 @dataclass
 class OperatingCharacteristics:
     scenario: Scenario
-    n_replicates: int
     n_continuing: int
     n_failed: int
-    valid: bool
     stats: dict[str, dict[str, Statistic]]  # method -> statistic -> value
+
+    @property
+    def n_replicates(self) -> int:
+        return self.scenario.replicates
+
+    @property
+    def valid(self) -> bool:
+        return self.n_failed <= MAX_FAILURE_FRACTION * self.n_replicates
 
 
 class ReplicateError(RuntimeError):
@@ -183,18 +184,19 @@ def _chunk_rows(scenario: Scenario, chunk: int) -> range:
     return range(start, min(start + CHUNK, scenario.replicates))
 
 
-def _draw_chunk(scenario: Scenario, master_seed: int, chunk: int) -> TrialDraws:
-    def rng(*stream):
-        return np.random.default_rng(replicate_stream(master_seed, scenario, chunk, *stream))
+def _rng(
+    scenario: Scenario, master_seed: int, index: int, *stream: int
+) -> np.random.Generator:
+    """The generator of the key ``(master seed, scenario id, index, *stream)``."""
+    return np.random.default_rng(replicate_stream(master_seed, scenario, index, *stream))
 
+
+def _draw_chunk(scenario: Scenario, master_seed: int, chunk: int) -> TrialDraws:
+    key = (scenario, master_seed, chunk)
     orders = None
     if scenario.config.trend.pattern is TrendPattern.LINEAR:
-        orders = (rng(2, 1), rng(2, 2))
-    return draw_trials(scenario.config, rng(), len(_chunk_rows(scenario, chunk)), orders)
-
-
-def _trial_rng(scenario: Scenario, master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(replicate_stream(master_seed, scenario, index, 0))
+        orders = (_rng(*key, 2, 1), _rng(*key, 2, 2))
+    return draw_trials(scenario.config, _rng(*key), len(_chunk_rows(scenario, chunk)), orders)
 
 
 def replicate_trial(
@@ -205,7 +207,7 @@ def replicate_trial(
     whose cells its bootstrap resampled."""
     _check_index(scenario, index)
     draws = _draw_chunk(scenario, master_seed, index // CHUNK)
-    rng = _trial_rng(scenario, master_seed, index)
+    rng = _rng(scenario, master_seed, index, 0)
     return expand_trial(scenario.config, draws, index % CHUNK, rng)
 
 
@@ -214,11 +216,10 @@ def _bootstrap_replicate(
 ) -> np.ndarray:
     """``(b, 5)`` accepted resample cell means of one continuing replicate;
     the resamples are shared by all adjusted methods."""
-    rng = _trial_rng(scenario, master_seed, index)
-    cells = trial_cells(scenario.config, draws, index % CHUNK, rng)
-    seed = replicate_stream(master_seed, scenario, index, 1, int(scenario.bootstrap.seed))
-    settings = BootstrapSettings(b=scenario.bootstrap.b, seed=seed)
-    return bootstrap_resamples(cells, scenario.config, settings)
+    key = (scenario, master_seed, index)
+    cells = trial_cells(scenario.config, draws, index % CHUNK, _rng(*key, 0))
+    bootstrap = scenario.bootstrap
+    return bootstrap_resamples(cells, scenario.config, bootstrap.b, _rng(*key, 1, bootstrap.seed))
 
 
 def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
@@ -402,12 +403,7 @@ def summarize(scenario: Scenario, arrays: ReplicateArrays) -> OperatingCharacter
             "continuation_frequency": continuation,
         }
     return OperatingCharacteristics(
-        scenario=scenario,
-        n_replicates=scenario.replicates,
-        n_continuing=n_cont,
-        n_failed=n_failed,
-        valid=n_failed <= MAX_FAILURE_FRACTION * scenario.replicates,
-        stats=stats,
+        scenario=scenario, n_continuing=n_cont, n_failed=n_failed, stats=stats
     )
 
 
@@ -454,14 +450,7 @@ def scenario_grid(
                 alpha1=DEFAULT_ALPHA1, theta2=theta2,
             )
             kwargs.update(overrides)
-            config = DesignConfig(**kwargs)
-            return Scenario(
-                scenario_id=scenario_id,
-                config=config,
-                hypothesis=hypothesis,
-                replicates=replicates,
-                bootstrap=bootstrap,
-            )
+            return Scenario(scenario_id, DesignConfig(**kwargs), replicates, bootstrap)
 
         for alpha1 in ALPHA1_GRID:
             scenarios.append(make(f"{hypothesis}:alpha1={alpha1:g}", alpha1=alpha1))

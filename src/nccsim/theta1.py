@@ -52,8 +52,6 @@ def cumvue_from_means(pooled_mle, i1: float, i2: float, c1: float):
     Inverts the information decomposition of the pooled difference so the
     period-1 contribution is replaced by its conditional expectation.
     """
-    if not i2 > i1:
-        raise ValueError("final information must exceed interim information")
     u = umvue_from_means(pooled_mle, i1, i2, c1)
     return (i2 * pooled_mle - i1 * u) / (i2 - i1)
 

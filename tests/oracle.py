@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nccsim import CELLS, BootstrapSettings, DesignConfig
+from nccsim import CELLS, DesignConfig
 from nccsim.adjusted import bootstrap_resamples, resample_variances
 from nccsim.datagen import _patient_layout, _recruitment_arms
 
@@ -104,12 +104,13 @@ def ols_fit(data: TrialDataset) -> RegressionFit:
 
 
 def bootstrap_variances(
-    data: TrialDataset, config: DesignConfig, settings: BootstrapSettings
+    data: TrialDataset, config: DesignConfig, b: int, seed
 ) -> dict[str, float]:
     """Bootstrap variance of every mean-adjusted method, keyed by its
-    ``method_label``, from one shared resampling pass of one trial's
-    rows (``resample_variances``)."""
+    ``method_label``, from one shared resampling pass of ``b`` resamples of
+    one trial's rows (``resample_variances``), drawn from
+    ``default_rng(seed)``: ``seed`` may be anything numpy accepts."""
     cells = tuple(data.cell(*cell) for cell in CELLS)
-    resamples = bootstrap_resamples(cells, config, settings)
+    resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(seed))
     variances = resample_variances(config, resamples[None])
     return {label: float(v[0]) for label, v in variances.items()}

@@ -55,7 +55,6 @@ def _scenario(scenario_id, replicates, bootstrap=None, **overrides) -> Scenario:
     return Scenario(
         scenario_id=scenario_id,
         config=config,
-        hypothesis="alternative" if config.theta2 else "null",
         replicates=replicates,
         bootstrap=bootstrap,
     )
@@ -321,7 +320,7 @@ def _bootstrap_sd_chunk(start: int, stop: int):
             continue
         out[offset, 0] = point.estimates["mae_cumvue"][0]
         seed = np.random.SeedSequence(entropy=MASTER_SEED, spawn_key=(7, rep))
-        variance = bootstrap_variances(data, config, BootstrapSettings(b=1000, seed=seed))["mae_cumvue"]
+        variance = bootstrap_variances(data, config, 1000, seed)["mae_cumvue"]
         out[offset, 1] = math.sqrt(variance)
     return out
 

@@ -34,10 +34,10 @@ from oracle import bootstrap_variances, simulate_trial
 ALL_METHODS = tuple(Theta1Method)
 
 
-def resample_estimates(data, config, settings):
+def resample_estimates(data, config, b, seed):
     """Every method's estimate on each accepted resample of one trial."""
     cells = tuple(data.cell(*cell) for cell in CELLS)
-    resamples = bootstrap_resamples(cells, config, settings)
+    resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(seed))
     return point_estimates(config, resamples).estimates
 
 
@@ -230,8 +230,8 @@ class TestBootstrap:
     def test_degenerate_cells_give_zero_variance(self):
         config = default_config(n01=5, n11=5, n02=5, n12=5, n22=5)
         data = make_dataset(constant_cells())
-        estimates = resample_estimates(data, config, BootstrapSettings(b=50, seed=3))
-        variances = bootstrap_variances(data, config, BootstrapSettings(b=50, seed=3))
+        estimates = resample_estimates(data, config, 50, 3)
+        variances = bootstrap_variances(data, config, 50, 3)
         assert set(variances) == {method_label(m) for m in ALL_METHODS}
         for method, variance in variances.items():
             # every resample yields the identical estimate; the variance is
@@ -245,15 +245,15 @@ class TestBootstrap:
         config = default_config(n01=4, n11=4, n02=4, n12=4, n22=4, alpha1=0.2)
         data = make_dataset(constant_cells(n=4, z11_positive=False))
         with pytest.raises(BootstrapError):
-            bootstrap_variances(data, config, BootstrapSettings(b=2, seed=1))
+            bootstrap_variances(data, config, 2, 1)
 
     def test_deterministic_in_seed(self):
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
         data = simulate_trial(config, 2)
         assert analyse(data, config).continued[0]
-        a = bootstrap_variances(data, config, BootstrapSettings(b=100, seed=5))["mae_cumvue"]
-        b = bootstrap_variances(data, config, BootstrapSettings(b=100, seed=5))["mae_cumvue"]
-        c = bootstrap_variances(data, config, BootstrapSettings(b=100, seed=6))["mae_cumvue"]
+        a = bootstrap_variances(data, config, 100, 5)["mae_cumvue"]
+        b = bootstrap_variances(data, config, 100, 5)["mae_cumvue"]
+        c = bootstrap_variances(data, config, 100, 6)["mae_cumvue"]
         assert a == b
         assert a != c
 
@@ -261,7 +261,7 @@ class TestBootstrap:
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
         data = simulate_trial(config, 3)
         assert analyse(data, config).continued[0]
-        estimates = resample_estimates(data, config, BootstrapSettings(b=37, seed=0))
+        estimates = resample_estimates(data, config, 37, 0)
         for method in ALL_METHODS:
             assert estimates[method_label(method)].shape == (37,)
 
@@ -279,7 +279,7 @@ class TestBootstrap:
             return cell_means(rng, values, count)
 
         monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
-        estimates = resample_estimates(data, config, BootstrapSettings(b=200, seed=4))
+        estimates = resample_estimates(data, config, 200, 4)
         assert draws[:2] == [250, 250]  # arm 1 and control of period 1
         for method in ALL_METHODS:
             assert estimates[method_label(method)].shape == (200,)
@@ -303,7 +303,7 @@ class TestBootstrap:
             return stream[start : start + draws]  # arm-1 mean; c1 = 0
 
         monkeypatch.setattr(adjusted, "_bootstrap_cell_means", fake)
-        args = (cells, config, BootstrapSettings(b=2, seed=0))
+        args = (cells, config, 2, np.random.default_rng(0))
         if raises:
             with pytest.raises(BootstrapError):
                 bootstrap_resamples(*args)
@@ -336,7 +336,7 @@ class TestBootstrap:
 
         monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
         try:
-            bootstrap_resamples(tuple(cells), config, BootstrapSettings(b=b, seed=1))
+            bootstrap_resamples(tuple(cells), config, b, np.random.default_rng(1))
         except BootstrapError:
             assert z11 < 0
         assert max(batches) < 100 * b
@@ -351,7 +351,7 @@ class TestBootstrap:
         # rescale before comparing the two resample counts
         def cumvue_variances(b, seeds):
             return np.array([
-                bootstrap_variances(data, config, BootstrapSettings(b=b, seed=s))["mae_cumvue"]
+                bootstrap_variances(data, config, b, s)["mae_cumvue"]
                 for s in seeds
             ])
 
@@ -367,18 +367,17 @@ class TestBootstrap:
         config = default_config(n01=10, n11=10, n02=10, n12=10, n22=10)
         data = simulate_trial(config, 85)
         assert analyse(data, config).continued[0]
-        settings = BootstrapSettings(b=25, seed=9)
-        estimates = resample_estimates(data, config, settings)
-        variance = bootstrap_variances(data, config, settings)["mae_cumvue"]
+        estimates = resample_estimates(data, config, 25, 9)
+        variance = bootstrap_variances(data, config, 25, 9)["mae_cumvue"]
         e = estimates["mae_cumvue"]
-        assert variance == pytest.approx(((e - e.mean()) ** 2).sum() / settings.b, rel=1e-12)
+        assert variance == pytest.approx(((e - e.mean()) ** 2).sum() / 25, rel=1e-12)
 
     def test_cell_counts_must_be_the_designs(self):
         # the look and the correction both use the design's constants
         data = simulate_trial(default_config(n01=20, n11=20, n02=20, n12=20, n22=20), 2)
         config = default_config(n01=20, n11=21, n02=20, n12=20, n22=20)
         with pytest.raises(ValueError, match="cell counts"):
-            bootstrap_variances(data, config, BootstrapSettings(b=10, seed=5))
+            bootstrap_variances(data, config, 10, 5)
 
     @pytest.mark.parametrize("pattern", [TrendPattern.STEPWISE, TrendPattern.LINEAR],
                              ids=lambda p: p.value)
@@ -394,7 +393,7 @@ class TestBootstrap:
         draws = draw_trials(config, rng, 1, (rng, rng))
         cells = trial_cells(config, draws, 0, rng)
         b = 4000
-        resamples = bootstrap_resamples(cells, config, BootstrapSettings(b=b, seed=7))
+        resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(7))
         for k, values in enumerate(cells):
             target = values.var() / values.size
             column = resamples[:, k]
@@ -456,8 +455,7 @@ class TestWaldTest:
         config = default_config(n01=25, n11=25, n02=25, n12=25, n22=25)
         data = simulate_trial(config, 3)
         assert analyse(data, config).continued[0]
-        settings = BootstrapSettings(b=60, seed=4)
-        expected_var = bootstrap_variances(data, config, settings)["mae_period2"]
+        expected_var = bootstrap_variances(data, config, 60, 4)["mae_period2"]
         tests = wald_tests(data, config, {Theta1Method.PERIOD2: expected_var})
         assert method_label(Theta1Method.PERIOD2) == "mae_period2"
         record = tests["mae_period2"]

@@ -258,7 +258,7 @@ class TestSimulateCommand:
                 trend=TimeTrendSpec(TrendPattern.STEPWISE, number(0.1)),
             )
             out = tmp_path / number.__name__
-            emit_results([run_scenario(Scenario("demo", config, "null", 20), 3)], out, 3)
+            emit_results([run_scenario(Scenario("demo", config, 20), 3)], out, 3)
             outputs.append((out / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
         assert b"np.float64" not in outputs[1]
@@ -362,7 +362,7 @@ class TestSingleCommand:
 
         from nccsim import BootstrapSettings, Scenario
 
-        scenario = Scenario("single", default_config(), "null", 1, BootstrapSettings(b=40, seed=0))
+        scenario = Scenario("single", default_config(), 1, BootstrapSettings(b=40, seed=0))
         result = run_replicate(scenario, 12, 0)
         assert z11 == result.z11[0]
         assert decision == ("continue" if result.continued[0] else "stop")

@@ -160,8 +160,7 @@ class TestCellMeansDraw:
 
 def _scenario(replicates, bootstrap=None, scenario_id="engine", **overrides):
     config = default_config(**overrides)
-    return Scenario(scenario_id, config, "alternative" if config.theta2 else "null",
-                    replicates, bootstrap)
+    return Scenario(scenario_id, config, replicates, bootstrap)
 
 
 def _assert_same_arrays(a, b, rows=slice(None)):
@@ -235,8 +234,7 @@ class TestChunkBootstrap:
             index = int(index)
             seed = replicate_stream(17, scenario, index, 1, 3)
             expected = bootstrap_variances(
-                TrialDataset(*replicate_trial(scenario, 17, index)), scenario.config,
-                BootstrapSettings(b=40, seed=seed),
+                TrialDataset(*replicate_trial(scenario, 17, index)), scenario.config, 40, seed
             )
             replayed = run_replicate(scenario, 17, index)
             for label, value in expected.items():
@@ -371,8 +369,8 @@ class TestScenarioChecks:
         config = default_config(n01=10, n11=10, n02=10, n12=10, n22=10, alpha1=1.0)
         data = simulate_trial(config, 1)
         assert analyse(data, config).continued[0]
-        settings_ = BootstrapSettings(b=20, seed=np.random.SeedSequence(3))
-        assert bootstrap_variances(data, config, settings_)["mae_cumvue"] > 0
+        seed = np.random.SeedSequence(3)
+        assert bootstrap_variances(data, config, 20, seed)["mae_cumvue"] > 0
 
     def test_arm1_needs_period2_patients(self):
         with pytest.raises(ValueError, match="n12"):

@@ -21,7 +21,6 @@ def small_scenario(replicates=200, bootstrap=None, **config_overrides) -> Scenar
     return Scenario(
         scenario_id="test:small",
         config=config,
-        hypothesis="alternative" if config.theta2 else "null",
         replicates=replicates,
         bootstrap=bootstrap,
     )
@@ -186,8 +185,13 @@ class TestRunScenario:
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
-            Scenario("x", default_config(), "weird", 10, None)
-        with pytest.raises(ValueError):
-            Scenario("x", default_config(), "null", 0, None)
+            Scenario("x", default_config(), 0, None)
         with pytest.raises(ValueError, match="sigma"):
-            Scenario("x", default_config(sigma=-1.0), "null", 10, None)
+            Scenario("x", default_config(sigma=-1.0), 10, None)
+
+    @pytest.mark.parametrize("theta2, hypothesis", [
+        (0.0, "null"), (-0.0, "null"), (0.32, "alternative"), (-1e-300, "alternative"),
+    ])
+    def test_hypothesis_follows_theta2(self, theta2, hypothesis):
+        assert small_scenario(theta2=theta2).hypothesis == hypothesis
+
