@@ -1,0 +1,204 @@
+"""Mutant catalogue: named one-line defects that the fast tests must catch.
+
+Each mutant replaces one piece of text in one file of ``src/nccsim`` and
+names the behaviour it breaks. For every mutant, the runner copies ``src``,
+``tests`` and ``pyproject.toml`` to a temporary directory, applies the
+mutant there, and runs the tier-1 tests without the byte pins
+(``tests/test_golden.py`` and the ``single`` golden-output test) and
+without the acceptance criteria. A byte pin fails for any change, right or
+wrong, so it cannot say which behaviour broke; here only the semantic
+tests count. A mutant is killed when the run fails and survives when it
+passes. A mutant that no test can catch because it does not change
+behaviour is marked equivalent, with the reason.
+
+Usage, from the repository root::
+
+    python3 mutants/run.py
+
+The unmutated copy runs first and must pass. Then every mutant runs, one
+at a time, and the survivors are listed. The exit code is 0 when every
+mutant that is not marked equivalent is killed, 1 when one survives, and 2
+when the unmutated tests fail or a mutant's text is not found exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The tier-1 tests without the acceptance criteria and the byte pins.
+PYTEST_ARGS = (
+    "-q", "-x", "-p", "no:cacheprovider", "tests",
+    "--ignore=tests/test_acceptance.py",
+    "--ignore=tests/test_golden.py",
+    "--deselect=tests/test_cli.py::TestSingleCommand::test_trace_matches_the_golden_output",
+)
+
+#: A run that takes longer than this is stopped and counts as killed.
+TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    breaks: str
+    equivalent: str | None = None  # why no test can catch it, when none can
+
+
+CATALOGUE = (
+    Mutant(
+        "rmse_se_without_delta_factor",
+        "src/nccsim/harness.py",
+        "se = float(sq.std(ddof=1) / math.sqrt(n) / (2.0 * rmse))",
+        "se = float(sq.std(ddof=1) / math.sqrt(n) / rmse)",
+        "the rMSE's MC SE drops the delta method's factor 1/2",
+    ),
+    Mutant(
+        "mean_se_with_ddof_0",
+        "src/nccsim/harness.py",
+        "se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else None",
+        "se = float(values.std(ddof=0) / math.sqrt(n)) if n > 1 else None",
+        "a bias's MC SE uses the population SD instead of the sample SD",
+    ),
+    Mutant(
+        "valid_strictly_below_budget",
+        "src/nccsim/harness.py",
+        "return self.n_failed <= MAX_FAILURE_FRACTION * self.n_replicates",
+        "return self.n_failed < MAX_FAILURE_FRACTION * self.n_replicates",
+        "a run with exactly 1 % failed replicates is marked invalid",
+    ),
+    Mutant(
+        "continuation_counts_failed",
+        "src/nccsim/harness.py",
+        "continuation = _rate_statistic(arrays.continued[ok].astype(np.int8))",
+        "continuation = _rate_statistic(arrays.continued.astype(np.int8))",
+        "the continuation frequency counts failed replicates",
+    ),
+    Mutant(
+        "bootstrap_stream_key_0",
+        "src/nccsim/harness.py",
+        "_rng(*key, 1, bootstrap.seed)",
+        "_rng(*key, 0, bootstrap.seed)",
+        "the bootstrap resamples from the replicate's cell stream key, not its own",
+    ),
+    Mutant(
+        "unadjusted_wald_uses_separate_variance",
+        "src/nccsim/adjusted.py",
+        "cont, model_based_variance(*config.cells, config.sigma), separate",
+        "cont, separate, separate",
+        "a continuing trial's unadjusted test uses the separate estimate's variance",
+    ),
+    Mutant(
+        "rate_se_with_n_minus_1",
+        "src/nccsim/harness.py",
+        "return Statistic(p, math.sqrt(p * (1.0 - p) / n))",
+        "return Statistic(p, math.sqrt(p * (1.0 - p) / (n - 1)))",
+        "a rate's MC SE divides by n - 1",
+    ),
+    Mutant(
+        "conditional_mask_counts_failed",
+        "src/nccsim/harness.py",
+        "cont = arrays.continued & ok",
+        "cont = arrays.continued",
+        "conditional statistics and n_continuing include failed replicates",
+    ),
+    Mutant(
+        "resample_variance_with_ddof_1",
+        "src/nccsim/adjusted.py",
+        "label: np.var(point.estimates[label].reshape(k, b), axis=-1)",
+        "label: np.var(point.estimates[label].reshape(k, b), axis=-1, ddof=1)",
+        "the bootstrap variance divides by b - 1 instead of the resample count b",
+    ),
+    Mutant(
+        "correction_times_1_05",
+        "src/nccsim/adjusted.py",
+        "out = config.rho * se1 * normal.hazard(gamma)",
+        "out = 1.05 * config.rho * se1 * normal.hazard(gamma)",
+        "the bias correction is 5 % too large",
+    ),
+    Mutant(
+        "period2_control_resampled_from_y01",
+        "src/nccsim/adjusted.py",
+        "rows[:, 2] = _bootstrap_cell_means(rng, y02, take.size)",
+        "rows[:, 2] = _bootstrap_cell_means(rng, y01, take.size)",
+        "the period-2 control cell is resampled from the period-1 control cell",
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _apply(mutant: Mutant, dest: Path) -> None:
+    path = dest / mutant.path
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs {count} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _tests_pass(mutant: Mutant | None) -> tuple[bool, float]:
+    """Whether the tests pass on a copy with ``mutant`` applied (none for
+    the unmutated copy), and how long they took."""
+    with tempfile.TemporaryDirectory(prefix="nccsim-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        if mutant is not None:
+            _apply(mutant, dest)
+        env = {**os.environ, "PYTHONPATH": str(dest / "src")}
+        start = time.monotonic()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", *PYTEST_ARGS], cwd=dest, env=env,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return False, time.monotonic() - start
+        return proc.returncode == 0, time.monotonic() - start
+
+
+def main() -> int:
+    passed, seconds = _tests_pass(None)
+    print(f"unmutated: {'pass' if passed else 'FAIL'} ({seconds:.0f} s)", flush=True)
+    if not passed:
+        return 2
+    survivors = []
+    for mutant in CATALOGUE:
+        try:
+            passed, seconds = _tests_pass(mutant)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if not passed:
+            verdict = "killed"
+        elif mutant.equivalent:
+            verdict = f"survived, equivalent: {mutant.equivalent}"
+        else:
+            verdict = "SURVIVED"
+            survivors.append(mutant)
+        print(f"{mutant.name}: {verdict} ({seconds:.0f} s) - {mutant.breaks}", flush=True)
+    killed = len(CATALOGUE) - len(survivors)
+    print(f"{killed} of {len(CATALOGUE)} mutants killed or equivalent")
+    for mutant in survivors:
+        print(f"survivor: {mutant.name} ({mutant.path}): {mutant.breaks}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

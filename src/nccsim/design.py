@@ -100,7 +100,7 @@ class DesignConfig:
     @cached_property
     def z_alpha(self) -> float:
         """Critical value of the final one-sided test."""
-        return normal.quantile(1.0 - self.alpha)
+        return float(normal.quantile(1.0 - self.alpha))
 
     @property
     def i1(self) -> float:

@@ -335,12 +335,40 @@ class TestAnalyticCommand:
         target = [r for r in rows if r["panel"] == "A" and r["alpha1"] == "0.5"]
         assert float(target[0]["marginal_bias"]) == pytest.approx(0.011516471649044516)
 
+    @pytest.mark.parametrize("theta1, undefined", [("-0.3", 1), ("-1", 115)])
+    def test_undefined_conditional_bias_is_an_empty_field(self, tmp_path, theta1, undefined):
+        # a negative arm-1 effect stops almost every trial of some designs of
+        # the grid (at -0.3 only panel B's r = 10), so their conditional bias
+        # is undefined; the marginal bias always is
+        assert main(["analytic", "--out", str(tmp_path), f"--theta1={theta1}"]) == 0
+        with (tmp_path / "analytic_bias.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 133
+        assert sum(r["conditional_bias"] == "" for r in rows) == undefined
+        assert all(r["marginal_bias"] != "" for r in rows)
+        if theta1 == "-0.3":
+            assert [(r["panel"], r["r"]) for r in rows if not r["conditional_bias"]] == [
+                ("B", "10.0")
+            ]
+
     @pytest.mark.parametrize("theta1", ["-0.3", "-1"])
-    def test_a_row_that_fails_leaves_no_partial_csv(self, tmp_path, capsys, theta1):
-        # a strongly negative arm-1 effect stops almost every trial of some
-        # design of the grid, so its conditional bias is undefined
+    def test_a_row_that_fails_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, theta1):
+        # the last of the 133 rows raises, after every row with an empty
+        # conditional bias
+        import nccsim.cli as cli_module
+
+        real = cli_module.marginal_bias
+        calls = []
+
+        def failing_late(inputs):
+            calls.append(inputs)
+            if len(calls) == 133:
+                raise ValueError("injected")
+            return real(inputs)
+
+        monkeypatch.setattr(cli_module, "marginal_bias", failing_late)
         assert main(["analytic", "--out", str(tmp_path), f"--theta1={theta1}"]) == 2
-        assert "continuation probability ~ 0" in capsys.readouterr().err
+        assert "injected" in capsys.readouterr().err
         assert not (tmp_path / "analytic_bias.csv").exists()
 
     @pytest.mark.parametrize("theta1", ["nan", "inf"])

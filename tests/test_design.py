@@ -181,6 +181,11 @@ class TestDerivedQuantities:
         assert dataclasses.replace(config, alpha1=0.9).c1 == futility_cutoff(0.9)
         assert dataclasses.replace(config, alpha=0.05).z_alpha == normal.quantile(0.95)
 
+    def test_derived_constants_are_python_floats(self):
+        config = default_config()
+        for name in ("c1", "z_alpha", "period1_se", "rho", "i1", "i2"):
+            assert type(getattr(config, name)) is float, name
+
     def test_cached_constants_survive_pickling(self):
         # the process pool pickles each chunk's scenario, config included
         config = default_config(alpha1=0.3, alpha=0.05)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from nccsim import (
     BootstrapSettings,
     METHODS,
     STATISTICS,
+    ReplicateArrays,
     Scenario,
     TrendPattern,
     collect_replicates,
     run_replicate,
     run_scenario,
     scenario_grid,
+    summarize,
 )
 from conftest import default_config
 
@@ -195,3 +199,60 @@ class TestRunScenario:
     def test_hypothesis_follows_theta2(self, theta2, hypothesis):
         assert small_scenario(theta2=theta2).hypothesis == hypothesis
 
+
+class TestSummarize:
+    """``summarize`` against statistics worked out by hand on a record of
+    R = 100 replicates at theta2 = 0. The first ``n_failed`` replicates
+    continued and then failed, with an estimate of 100 that would show in
+    any statistic that counted them. Of the rest, 40 continue: 20 estimate
+    0.3 and are rejected, 20 estimate -0.1 and are not. The others stop,
+    estimate 0.1, and the first 13 of them are rejected."""
+
+    @staticmethod
+    def _record(n_failed):
+        est = np.array([100.0] * n_failed + [0.3] * 20 + [-0.1] * 20 + [0.1] * (60 - n_failed))
+        rejected = np.array(
+            [1] * n_failed + [1] * 20 + [0] * 20 + [1] * 13 + [0] * (47 - n_failed), dtype=np.int8
+        )
+        continued = np.arange(100) < n_failed + 40
+
+        def per_method(values):
+            return {m: values for m in METHODS}
+
+        return ReplicateArrays(
+            z11=np.zeros(100), continued=continued, failed=np.arange(100) < n_failed,
+            estimates=per_method(est), corrections=per_method(np.zeros(100)),
+            variances=per_method(np.ones(100)), rejected=per_method(rejected),
+        )
+
+    def test_one_failure_in_a_hundred(self):
+        oc = summarize(small_scenario(replicates=100), self._record(1))
+        assert (oc.n_replicates, oc.n_continuing, oc.n_failed, oc.valid) == (100, 40, 1, True)
+        # 99 replicates count; their estimates have mean 0.1 and squared
+        # deviations 0.04 on the 40 continuing ones, 0 on the 59 stopped ones
+        sq_sd = math.sqrt(20 * 79 * 0.08**2 / (99 * 98))  # sd of 20 x 0.09, 79 x 0.01
+        cond_sq_sd = math.sqrt(20 * 20 * 0.08**2 / (40 * 39))  # 20 x 0.09, 20 x 0.01
+        expected = {
+            "marginal_bias": (0.1, math.sqrt(40 * 0.04 / 98 / 99)),
+            "conditional_bias": (0.1, math.sqrt(40 * 0.04 / 39 / 40)),
+            "marginal_rmse": (
+                math.sqrt(2.59 / 99), sq_sd / math.sqrt(99) / (2 * math.sqrt(2.59 / 99))
+            ),
+            "conditional_rmse": (
+                math.sqrt(0.05), cond_sq_sd / math.sqrt(40) / (2 * math.sqrt(0.05))
+            ),
+            "marginal_rejection_rate": (1 / 3, math.sqrt(1 / 3 * 2 / 3 / 99)),
+            "conditional_rejection_rate": (0.5, math.sqrt(0.25 / 40)),
+            "continuation_frequency": (40 / 99, math.sqrt(40 / 99 * 59 / 99 / 99)),
+        }
+        for name, (value, mc_se) in expected.items():
+            stat = oc.stats["unadjusted"][name]
+            assert stat.value == pytest.approx(value, rel=1e-12), name
+            assert stat.mc_se == pytest.approx(mc_se, rel=1e-12), name
+
+    def test_two_failures_in_a_hundred_invalidate_the_run(self):
+        oc = summarize(small_scenario(replicates=100), self._record(2))
+        assert (oc.n_replicates, oc.n_continuing, oc.n_failed, oc.valid) == (100, 40, 2, False)
+        frequency = oc.stats["unadjusted"]["continuation_frequency"]
+        assert frequency.value == pytest.approx(40 / 98, rel=1e-12)
+        assert frequency.mc_se == pytest.approx(math.sqrt(40 / 98 * 58 / 98 / 98), rel=1e-12)
