@@ -2,10 +2,10 @@
 
 Each mutant replaces one piece of text in one file of ``src/nccsim`` and
 names the behaviour it breaks. For every mutant, the runner copies ``src``,
-``tests`` and ``pyproject.toml`` to a temporary directory, applies the
-mutant there, and runs the tier-1 tests without the byte pins
-(``tests/test_golden.py`` and the ``single`` golden-output test) and
-without the acceptance criteria. A byte pin fails for any change, right or
+``tests``, ``pyproject.toml`` and ``README.md`` (whose plans a test parses)
+to a temporary directory, applies the mutant there, and runs the tier-1
+tests without the byte pins (``tests/test_golden.py`` and the ``single``
+golden-output test) and without the acceptance criteria. A byte pin fails for any change, right or
 wrong, so it cannot say which behaviour broke; here only the semantic
 tests count. A mutant is killed when the run fails and survives when it
 passes. A mutant that no test can catch because it does not change
@@ -134,6 +134,90 @@ CATALOGUE = (
         "rows[:, 2] = _bootstrap_cell_means(rng, y01, take.size)",
         "the period-2 control cell is resampled from the period-1 control cell",
     ),
+    Mutant(
+        "look_against_period2_control",
+        "src/nccsim/adjusted.py",
+        "z11 = (m11 - m01) / config.period1_se",
+        "z11 = (m11 - m02) / config.period1_se",
+        "the interim look compares arm 1 with the period-2 control",
+    ),
+    Mutant(
+        "continue_strictly_above_cutoff",
+        "src/nccsim/adjusted.py",
+        "continued = z11 >= config.c1",
+        "continued = z11 > config.c1",
+        "a trial whose interim statistic equals the cutoff stops",
+    ),
+    Mutant(
+        "rho_with_n01_on_top",
+        "src/nccsim/design.py",
+        "return (1.0 / n02) / inv_total",
+        "return (1.0 / n01) / inv_total",
+        "the NCC weight puts the period-1 control's precision on top",
+    ),
+    Mutant(
+        "period1_se_with_n02",
+        "src/nccsim/design.py",
+        "return period1_se(self.n01, self.n11, self.sigma)",
+        "return period1_se(self.n02, self.n11, self.sigma)",
+        "the interim SE uses the period-2 control count",
+    ),
+    Mutant(
+        "i1_with_n02",
+        "src/nccsim/design.py",
+        "n01, n11, sigma = self.n01, self.n11, self.sigma",
+        "n01, n11, sigma = self.n02, self.n11, self.sigma",
+        "the interim information uses the period-2 control count",
+    ),
+    Mutant(
+        "i2_control_with_n12",
+        "src/nccsim/design.py",
+        "1.0 / (n01 + n02)))",
+        "1.0 / (n01 + n12)))",
+        "the final information counts arm 1's period-2 cell as control",
+    ),
+    Mutant(
+        "pooled_control_weights_n01_twice",
+        "src/nccsim/theta1.py",
+        "control = (n01 * m01 + n02 * m02) / (n01 + n02)",
+        "control = (n01 * m01 + n01 * m02) / (n01 + n02)",
+        "the pooled plug-in weights the period-2 control mean by n01",
+    ),
+    Mutant(
+        "period1_plug_in_with_m02",
+        "src/nccsim/theta1.py",
+        "Theta1Method.PERIOD1: m11 - m01,",
+        "Theta1Method.PERIOD1: m11 - m02,",
+        "the period-1 plug-in subtracts the period-2 control mean",
+    ),
+    Mutant(
+        "period2_plug_in_with_m01",
+        "src/nccsim/theta1.py",
+        "Theta1Method.PERIOD2: m12 - m02,",
+        "Theta1Method.PERIOD2: m12 - m01,",
+        "the period-2 plug-in subtracts the period-1 control mean",
+    ),
+    Mutant(
+        "bootstrap_accepts_every_proposal",
+        "src/nccsim/adjusted.py",
+        "hits = np.flatnonzero(z_star >= c1)",
+        "hits = np.flatnonzero(z_star >= -np.inf)",
+        "the bootstrap no longer replays the futility rule",
+    ),
+    Mutant(
+        "bootstrap_reads_the_next_row",
+        "src/nccsim/harness.py",
+        "trial_cells(scenario.config, draws, index % CHUNK, _rng(*key, 0))",
+        "trial_cells(scenario.config, draws, (index + 1) % CHUNK, _rng(*key, 0))",
+        "a replicate's bootstrap resamples the next replicate's cells",
+    ),
+    Mutant(
+        "group_variances_to_its_first_rows",
+        "src/nccsim/harness.py",
+        "done = block[~failed[block]]",
+        "done = block[: len(resamples)]",
+        "after a failure in a slice, its variances land on the wrong replicates",
+    ),
 )
 
 
@@ -141,7 +225,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
 
 
 def _apply(mutant: Mutant, dest: Path) -> None:

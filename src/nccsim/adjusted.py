@@ -139,23 +139,16 @@ def point_estimates(config: DesignConfig, means: np.ndarray) -> PointEstimates:
     c01, c11, c02, c12, c22 = means[cont].T
     model_based = model_based_from_means(c01, c11, c02, c12, c22, *config.cells[:4])
     theta1_hats = plug_ins(c01, c11, c02, c12, config)
+    correction = bias_correction(np.stack([theta1_hats[m] for m in Theta1Method]), config)
 
-    def on_continued(values, stopped):
-        out = np.array(stopped, dtype=float)
-        out[cont] = values
-        return out
-
-    zero = np.zeros(separate.size)
-    estimates = {
-        METHOD_UNADJUSTED: on_continued(model_based, separate),
-        METHOD_SEPARATE: separate,
-    }
-    corrections = {METHOD_UNADJUSTED: zero, METHOD_SEPARATE: zero}
-    for method, theta1_hat in theta1_hats.items():
-        correction = bias_correction(theta1_hat, config)
-        label = method_label(method)
-        estimates[label] = on_continued(model_based - correction, separate)
-        corrections[label] = on_continued(correction, zero)
+    # rows in METHODS order (unadjusted, separate, the adjusted methods); a
+    # stopped trial keeps the separate estimate and a zero correction
+    estimates = np.tile(separate, (len(METHODS), 1))
+    corrections = np.zeros_like(estimates)
+    estimates[0, cont] = model_based
+    estimates[2:, cont] = model_based - correction
+    corrections[2:, cont] = correction
+    estimates, corrections = dict(zip(METHODS, estimates)), dict(zip(METHODS, corrections))
     return PointEstimates(z11, continued, estimates, corrections)
 
 

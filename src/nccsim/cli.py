@@ -385,6 +385,8 @@ def run_single(args, out=None) -> int:
     print(f"z11: {_fmt(float(record.z11[0]))}", file=out)
     print(f"c1: {_fmt(scenario.config.c1)}", file=out)
     print(f"decision: {decision}", file=out)
+    if record.failed[0]:
+        print("bootstrap: failed", file=out)
     header = f"{'method':<14} {'estimate':>22} {'bias_correction':>22} {'variance':>22} {'t':>22} {'rejected':>8}"
     print(header, file=out)
     for method in METHODS:

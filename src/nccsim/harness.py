@@ -14,8 +14,8 @@ seed, scenario id, i)``, and resampled from a stream keyed by the same
 triple and the bootstrap seed. The chunk analyses the accepted resamples of
 its continuing replicates together, in groups of at most
 :data:`ANALYSIS_ROWS` rows. Results are therefore bit-identical for any
-worker count and execution order, and :func:`run_replicate` replays any
-single replicate exactly. Each chunk returns its rows of the one
+worker count and execution order, and :func:`run_replicate` replays a
+replicate exactly as its row of its chunk. Each chunk returns its rows of the one
 per-replicate record, :class:`ReplicateArrays`; aggregation reduces it in
 index order.
 """
@@ -229,18 +229,15 @@ def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exceptio
     )
 
 
-def _run_chunk(
-    scenario: Scenario, master_seed: int, chunk: int, only: int | None = None
-) -> ReplicateArrays:
-    """Draw and analyse one chunk into its rows of the record. The bootstrap
-    runs for every continuing replicate, or for replicate ``only`` alone; the
-    accepted resamples are analysed in groups of at most
-    :data:`ANALYSIS_ROWS` rows (one replicate when ``b`` is larger).
+def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArrays:
+    """Draw and analyse one chunk into its rows of the record. Every
+    continuing replicate is bootstrapped, in slices of ``max(1,
+    ANALYSIS_ROWS // b)`` continuing rows, and the accepted resamples of a
+    slice are analysed with one :func:`resample_variances` call.
 
-    A :class:`BootstrapError` marks a replicate failed, except for ``only``,
-    where it propagates. Any other error raises :class:`ReplicateError`,
-    naming the replicate when it comes from its resampling and the chunk's
-    range otherwise.
+    A :class:`BootstrapError` marks a replicate failed. Any other error
+    raises :class:`ReplicateError`, naming the replicate when it comes from
+    its resampling and the chunk's range otherwise.
     """
     rows = _chunk_rows(scenario, chunk)
     chunk_key = f"replicates {rows.start}..{rows.stop - 1}"
@@ -252,39 +249,28 @@ def _run_chunk(
     failed = np.zeros(len(rows), dtype=bool)
     bootstrap = {label: np.full(len(rows), np.nan) for label in ADJUSTED_METHODS}
     if scenario.bootstrap is not None:
+        continuing = np.flatnonzero(point.continued)
         group = max(1, ANALYSIS_ROWS // scenario.bootstrap.b)
-        pending_rows: list[int] = []
-        pending: list[np.ndarray] = []
-
-        def analyse_pending():
+        for start in range(0, continuing.size, group):
+            block = continuing[start : start + group]
+            resamples = []
+            for row in block:
+                index = rows[row]
+                try:
+                    resamples.append(_bootstrap_replicate(scenario, master_seed, index, draws))
+                except BootstrapError:
+                    failed[row] = True
+                except Exception as exc:
+                    raise _keyed_error(scenario, master_seed, f"replicate {index}", exc) from exc
+            done = block[~failed[block]]
+            if done.size == 0:
+                continue
             try:
-                variances = resample_variances(scenario.config, np.stack(pending))
+                variances = resample_variances(scenario.config, np.stack(resamples))
             except Exception as exc:
                 raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
             for label, values in variances.items():
-                bootstrap[label][pending_rows] = values
-            pending_rows.clear()
-            pending.clear()
-
-        for row in np.flatnonzero(point.continued):
-            index = rows[row]
-            if only is not None and index != only:
-                continue
-            try:
-                resamples = _bootstrap_replicate(scenario, master_seed, index, draws)
-            except BootstrapError:
-                if only is not None:
-                    raise
-                failed[row] = True
-                continue
-            except Exception as exc:
-                raise _keyed_error(scenario, master_seed, f"replicate {index}", exc) from exc
-            pending_rows.append(row)
-            pending.append(resamples)
-            if len(pending) == group:
-                analyse_pending()
-        if pending:
-            analyse_pending()
+                bootstrap[label][done] = values
     variances = wald_variances(point, scenario.config, bootstrap)
     return ReplicateArrays(
         z11=point.z11,
@@ -310,16 +296,15 @@ def _check_index(scenario: Scenario, index: int) -> None:
 def run_replicate(
     scenario: Scenario, master_seed: int, replicate_index: int
 ) -> ReplicateArrays:
-    """Replay one replicate: draw and analyse its chunk, bootstrap it alone
-    (when configured and it continues) and return its one-row record.
+    """Replay one replicate: its one-row record, the row of its chunk's.
 
-    The numbers are bit-identical to the replicate's entries in
-    :func:`collect_replicates`. A bootstrap failure raises
-    :class:`BootstrapError`.
+    The replay draws, analyses and bootstraps the whole chunk, so its
+    numbers, a failed bootstrap included, are those of
+    :func:`collect_replicates`, and it costs the chunk's bootstrap.
     """
     _check_index(scenario, replicate_index)
     chunk, row = divmod(replicate_index, CHUNK)
-    arrays = _run_chunk(scenario, master_seed, chunk, only=replicate_index)
+    arrays = _run_chunk(scenario, master_seed, chunk)
     return _combine([arrays], lambda values: values[0][row : row + 1])
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -170,6 +171,15 @@ def test_parse_config_returns_scenarios_or_raises_config_error(lines):
         except ConfigError:
             return
     assert scenarios and all(isinstance(s, Scenario) for s in scenarios)
+
+
+def test_every_plan_in_the_readme_parses(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    plans = [text for language, text in blocks if not language]
+    assert len(plans) == 2
+    for text in plans:
+        assert parse_config(write_plan(tmp_path, text))
 
 
 class TestSimulateCommand:
@@ -405,6 +415,18 @@ class TestSingleCommand:
         assert main(["single", "--seed", "12", "--bootstrap-b", b]) == 0
         expected = (DATA / f"single_seed12_b{b}.txt").read_text()
         assert capsys.readouterr().out == expected
+
+    def test_failed_bootstrap_is_reported(self, capsys, monkeypatch):
+        def fail(*args):
+            raise BootstrapError("bootstrap cannot satisfy continuation condition")
+
+        monkeypatch.setattr(harness, "bootstrap_resamples", fail)
+        assert main(["single", "--seed", "12", "--bootstrap-b", "40", "--alpha1", "1.0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:5] == ["decision: continue", "bootstrap: failed"]
+        for line in lines[-4:]:
+            # an adjusted method keeps its estimate and correction, and has no test
+            assert line.startswith("mae_") and len(line.split()) == 3, line
 
     def test_negative_bootstrap_b_exits_2_in_both_commands(self, tmp_path, capsys):
         plan = write_plan(tmp_path, CUSTOM_PLAN)

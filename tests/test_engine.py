@@ -30,7 +30,7 @@ from nccsim import (
     run_replicate,
     run_scenario,
 )
-from nccsim.adjusted import point_estimates
+from nccsim.adjusted import ADJUSTED_METHODS, point_estimates
 from nccsim.cli import emit_results
 from nccsim.datagen import draw_trials, expand_trial
 from conftest import analyse, default_config
@@ -255,12 +255,14 @@ class TestChunkBootstrap:
             CHUNK + 20, BootstrapSettings(b=5), alpha1=1.0,
             n01=12, n11=9, n02=10, n12=7, n22=11, trend=TimeTrendSpec(pattern, 0.15),
         )
-        for index in (3, CHUNK + 11):
+        for index, chunk_size in ((3, CHUNK), (CHUNK + 11, 20)):
             resampled.clear()
             run_replicate(scenario, 19, index)
             data = TrialDataset(*replicate_trial(scenario, 19, index))
-            assert len(resampled) == 1
-            for values, cell in zip(resampled[0], CELLS, strict=True):
+            # a replay bootstraps its whole chunk; every row continues at
+            # alpha1 = 1, so call k resamples row k
+            assert len(resampled) == chunk_size
+            for values, cell in zip(resampled[index % CHUNK], CELLS, strict=True):
                 assert data.cell(*cell).tobytes() == values.tobytes(), cell
 
     def test_a_bootstrap_run_builds_no_patient_rows(self, monkeypatch):
@@ -294,6 +296,33 @@ class TestChunkBootstrap:
         # the groups are as large as the cap allows
         assert len(rows) == -(-n_continuing // (harness_module.ANALYSIS_ROWS // 1000))
 
+    @pytest.mark.parametrize("b", [5, 1000])
+    def test_a_failure_inside_a_group_leaves_the_others_unchanged(self, b, monkeypatch):
+        # b = 5 analyses the chunk in one group, b = 1000 in groups of 8 rows
+        scenario = _scenario(CHUNK, BootstrapSettings(b=b), alpha1=0.5,
+                             n01=10, n11=10, n02=10, n12=10, n22=10)
+        clean = collect_replicates(scenario, 31)
+        real = harness_module.bootstrap_resamples
+        calls = iter(range(CHUNK))
+
+        def every_third_fails(*args):
+            if next(calls) % 3 == 0:
+                raise BootstrapError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(harness_module, "bootstrap_resamples", every_third_fails)
+        arrays = collect_replicates(scenario, 31)
+        continuing = np.flatnonzero(clean.continued)
+        assert continuing.size > 200 and not clean.failed.any()
+        injected = continuing[::3]
+        assert np.array_equal(np.flatnonzero(arrays.failed), injected)
+        others = np.setdiff1d(np.arange(CHUNK), injected)
+        for label in ADJUSTED_METHODS:
+            assert np.all(np.isnan(arrays.variances[label][injected])), label
+            assert arrays.variances[label][others].tobytes() == (
+                clean.variances[label][others].tobytes()
+            ), label
+
 
 class TestFailures:
     def test_unexpected_error_propagates_with_its_key(self, monkeypatch):
@@ -315,14 +344,18 @@ class TestFailures:
         with pytest.raises(ReplicateError, match=r"replicates 0\.\.19, master seed 13"):
             run_scenario(_scenario(20), 13)
 
-    def test_replay_of_a_failed_replicate_raises_bootstrap_error(self, monkeypatch):
+    def test_replay_of_a_failed_replicate_marks_it_failed(self, monkeypatch):
         def failing(*args, **kwargs):
             raise BootstrapError("injected")
 
         monkeypatch.setattr(harness_module, "bootstrap_resamples", failing)
         scenario = _scenario(50, BootstrapSettings(b=5), alpha1=1.0)
-        with pytest.raises(BootstrapError):
-            run_replicate(scenario, 13, 7)
+        replayed = run_replicate(scenario, 13, 7)
+        assert replayed.failed[0]
+        for label in ADJUSTED_METHODS:
+            assert np.isnan(replayed.variances[label][0]), label
+            assert replayed.rejected[label][0] == -1, label
+        _assert_same_arrays(replayed, collect_replicates(scenario, 13), slice(7, 8))
 
     def test_error_in_the_resample_analysis_names_the_chunk(self, monkeypatch):
         def broken(*args, **kwargs):
