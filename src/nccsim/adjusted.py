@@ -118,14 +118,16 @@ def bias_correction(theta1_hat, config: DesignConfig):
 
 @dataclass(frozen=True)
 class PointEstimates:
-    """Interim look and point estimates of a batch of trials, one entry per
-    trial. A stop is a mask: stopped trials take the separate estimate and
-    a zero correction under every method."""
+    """Interim look and point estimates of ``n`` trials: ``z11`` and
+    ``continued`` per trial, ``estimates`` and ``corrections`` as ``(6, n)``
+    rows in ``METHODS`` order (unadjusted, separate, ``ADJUSTED_METHODS``).
+    A stop is a mask: stopped trials take the separate estimate and a zero
+    correction under every method."""
 
     z11: np.ndarray
     continued: np.ndarray
-    estimates: dict[str, np.ndarray]
-    corrections: dict[str, np.ndarray]
+    estimates: np.ndarray
+    corrections: np.ndarray
 
 
 def point_estimates(config: DesignConfig, means: np.ndarray) -> PointEstimates:
@@ -148,7 +150,6 @@ def point_estimates(config: DesignConfig, means: np.ndarray) -> PointEstimates:
     estimates[0, cont] = model_based
     estimates[2:, cont] = model_based - correction
     corrections[2:, cont] = correction
-    estimates, corrections = dict(zip(METHODS, estimates)), dict(zip(METHODS, corrections))
     return PointEstimates(z11, continued, estimates, corrections)
 
 
@@ -262,8 +263,8 @@ def bootstrap_resamples(
     return out
 
 
-def resample_variances(config: DesignConfig, resamples: np.ndarray) -> dict[str, np.ndarray]:
-    """Bootstrap variance of every mean-adjusted method for ``k`` trials.
+def resample_variances(config: DesignConfig, resamples: np.ndarray) -> np.ndarray:
+    """``(4, k)`` bootstrap variances of ``ADJUSTED_METHODS`` for ``k`` trials.
 
     ``resamples`` is ``(k, b, 5)``: each trial's accepted resample cell means
     from :func:`bootstrap_resamples`. All ``k * b`` rows are analysed with
@@ -275,32 +276,24 @@ def resample_variances(config: DesignConfig, resamples: np.ndarray) -> dict[str,
     """
     k, b, _ = resamples.shape
     point = point_estimates(config, resamples.reshape(k * b, len(CELLS)))
-    return {
-        label: np.var(point.estimates[label].reshape(k, b), axis=-1)
-        for label in ADJUSTED_METHODS
-    }
+    return np.var(point.estimates[2:].reshape(-1, k, b), axis=-1)
 
 
 def wald_variances(
-    point: PointEstimates, config: DesignConfig, bootstrap: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Per-trial variance behind each method's test; NaN where it has none.
+    continued: np.ndarray, config: DesignConfig, bootstrap: np.ndarray
+) -> np.ndarray:
+    """``(6, n)`` variances behind each method's test, rows in ``METHODS``
+    order; NaN where a method has none.
 
     Stopped trials use the known-sigma separate variance under every method.
-    Continuing ones use the model-based variance (unadjusted) or the
-    bootstrap variance (adjusted methods, NaN when not bootstrapped).
+    Continuing ones use the model-based variance (unadjusted), the separate
+    one (separate) or their row of the ``(4, n)`` ``bootstrap`` variances
+    (adjusted methods, NaN when not bootstrapped).
     """
-    cont = point.continued
-    separate = np.full(cont.size, separate_variance(config.n02, config.n22, config.sigma))
-    out = {
-        METHOD_UNADJUSTED: np.where(
-            cont, model_based_variance(*config.cells, config.sigma), separate
-        ),
-        METHOD_SEPARATE: separate,
-    }
-    for label in ADJUSTED_METHODS:
-        out[label] = np.where(cont, bootstrap[label], separate)
-    return out
+    separate = separate_variance(config.n02, config.n22, config.sigma)
+    model_based = model_based_variance(*config.cells, config.sigma)
+    known = np.broadcast_to([[model_based], [separate]], (2, continued.size))
+    return np.where(continued, np.vstack([known, bootstrap]), separate)
 
 
 def t_statistic(estimate: np.ndarray, variance: np.ndarray) -> np.ndarray:

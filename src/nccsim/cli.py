@@ -389,14 +389,14 @@ def run_single(args, out=None) -> int:
         print("bootstrap: failed", file=out)
     header = f"{'method':<14} {'estimate':>22} {'bias_correction':>22} {'variance':>22} {'t':>22} {'rejected':>8}"
     print(header, file=out)
-    for method in METHODS:
-        estimate, variance = record.estimates[method], record.variances[method]
-        flag = int(record.rejected[method][0])
+    rows = zip(
+        METHODS, record.estimates[:, 0], record.corrections[:, 0], record.variances[:, 0],
+        t_statistic(record.estimates, record.variances)[:, 0], record.rejected[:, 0],
+    )
+    for method, estimate, correction, variance, t, flag in rows:
         print(
-            f"{method:<14} {_fmt(_number(estimate[0])):>22} "
-            f"{_fmt(_number(record.corrections[method][0])):>22} "
-            f"{_fmt(_number(variance[0])):>22} "
-            f"{_fmt(_number(t_statistic(estimate, variance)[0])):>22} "
+            f"{method:<14} {_fmt(_number(estimate)):>22} {_fmt(_number(correction)):>22} "
+            f"{_fmt(_number(variance)):>22} {_fmt(_number(t)):>22} "
             f"{_fmt(None if flag < 0 else bool(flag)):>8}",
             file=out,
         )
@@ -484,6 +484,7 @@ def main(argv=None) -> int:
                 replicates_override=args.replicates,
                 bootstrap_b_override=args.bootstrap_b,
             )
+            args.out.mkdir(parents=True, exist_ok=True)  # fail before any scenario runs
             results = [run_scenario(s, args.seed, workers=workers) for s in scenarios]
             csv_path, json_path = emit_results(results, args.out, args.seed)
             print(f"wrote {csv_path} and {json_path}")

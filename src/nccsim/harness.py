@@ -108,29 +108,17 @@ class Statistic:
 
 @dataclass
 class ReplicateArrays:
-    """Per-replicate outputs of a run, a chunk or one replicate, one entry
-    per replicate in index order; the dicts are keyed by method."""
+    """Per-replicate outputs of a run, a chunk or one replicate, replicates
+    in index order on the last axis; the four per-method arrays are
+    ``(6, n)``, rows in ``METHODS`` order."""
 
     z11: np.ndarray
     continued: np.ndarray
     failed: np.ndarray
-    estimates: dict[str, np.ndarray]
-    corrections: dict[str, np.ndarray]
-    variances: dict[str, np.ndarray]  # NaN where the method has no test
-    rejected: dict[str, np.ndarray]  # 1 / 0 / -1 (test unavailable)
-
-
-def _combine(parts: list[ReplicateArrays], fn) -> ReplicateArrays:
-    """A record whose every array is ``fn`` of the list of that array across
-    ``parts``."""
-    out = {}
-    for f in fields(ReplicateArrays):
-        values = [getattr(part, f.name) for part in parts]
-        if isinstance(values[0], dict):
-            out[f.name] = {m: fn([v[m] for v in values]) for m in values[0]}
-        else:
-            out[f.name] = fn(values)
-    return ReplicateArrays(**out)
+    estimates: np.ndarray
+    corrections: np.ndarray
+    variances: np.ndarray  # NaN where the method has no test
+    rejected: np.ndarray  # 1 / 0 / -1 (test unavailable)
 
 
 @dataclass
@@ -247,7 +235,7 @@ def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArr
     except Exception as exc:
         raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
     failed = np.zeros(len(rows), dtype=bool)
-    bootstrap = {label: np.full(len(rows), np.nan) for label in ADJUSTED_METHODS}
+    bootstrap = np.full((len(ADJUSTED_METHODS), len(rows)), np.nan)
     if scenario.bootstrap is not None:
         continuing = np.flatnonzero(point.continued)
         group = max(1, ANALYSIS_ROWS // scenario.bootstrap.b)
@@ -266,12 +254,10 @@ def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArr
             if done.size == 0:
                 continue
             try:
-                variances = resample_variances(scenario.config, np.stack(resamples))
+                bootstrap[:, done] = resample_variances(scenario.config, np.stack(resamples))
             except Exception as exc:
                 raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
-            for label, values in variances.items():
-                bootstrap[label][done] = values
-    variances = wald_variances(point, scenario.config, bootstrap)
+    variances = wald_variances(point.continued, scenario.config, bootstrap)
     return ReplicateArrays(
         z11=point.z11,
         continued=point.continued,
@@ -279,10 +265,7 @@ def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArr
         estimates=point.estimates,
         corrections=point.corrections,
         variances=variances,
-        rejected={
-            m: rejections(point.estimates[m], variances[m], scenario.config.z_alpha)
-            for m in METHODS
-        },
+        rejected=rejections(point.estimates, variances, scenario.config.z_alpha),
     )
 
 
@@ -305,7 +288,9 @@ def run_replicate(
     _check_index(scenario, replicate_index)
     chunk, row = divmod(replicate_index, CHUNK)
     arrays = _run_chunk(scenario, master_seed, chunk)
-    return _combine([arrays], lambda values: values[0][row : row + 1])
+    return ReplicateArrays(
+        **{f.name: getattr(arrays, f.name)[..., row : row + 1] for f in fields(arrays)}
+    )
 
 
 def collect_replicates(
@@ -325,7 +310,10 @@ def collect_replicates(
     else:
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             parts = list(pool.map(_run_chunk, *args))
-    return _combine(parts, np.concatenate)
+    return ReplicateArrays(**{
+        f.name: np.concatenate([getattr(part, f.name) for part in parts], axis=-1)
+        for f in fields(ReplicateArrays)
+    })
 
 
 def _mean_statistic(values: np.ndarray) -> Statistic:
@@ -375,9 +363,7 @@ def summarize(scenario: Scenario, arrays: ReplicateArrays) -> OperatingCharacter
 
     continuation = _rate_statistic(arrays.continued[ok].astype(np.int8))
     stats: dict[str, dict[str, Statistic]] = {}
-    for m in METHODS:
-        est = arrays.estimates[m]
-        rej = arrays.rejected[m]
+    for m, est, rej in zip(METHODS, arrays.estimates, arrays.rejected):
         stats[m] = {
             "marginal_bias": _mean_statistic(est[ok] - theta2),
             "conditional_bias": _mean_statistic(est[cont] - theta2),

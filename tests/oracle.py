@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nccsim import CELLS, DesignConfig
-from nccsim.adjusted import bootstrap_resamples, resample_variances
+from nccsim.adjusted import ADJUSTED_METHODS, bootstrap_resamples, resample_variances
 from nccsim.datagen import _patient_layout, _recruitment_arms
 
 
@@ -113,4 +113,4 @@ def bootstrap_variances(
     cells = tuple(data.cell(*cell) for cell in CELLS)
     resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(seed))
     variances = resample_variances(config, resamples[None])
-    return {label: float(v[0]) for label, v in variances.items()}
+    return {label: float(v[0]) for label, v in zip(ADJUSTED_METHODS, variances)}

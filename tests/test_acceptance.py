@@ -30,7 +30,7 @@ from nccsim import (
     run_scenario,
     summarize,
 )
-from nccsim.adjusted import point_estimates
+from nccsim.adjusted import METHODS, point_estimates
 from nccsim.cli import main as cli_main
 from nccsim.theta1 import plug_ins
 from conftest import cell_counts, cell_means, default_config, make_dataset
@@ -239,8 +239,8 @@ def test_criterion_07_power(alt_boot_run):
     assert abs(separate - SEPARATE_POWER_DEFAULT) <= 0.02
 
     cont = arrays.continued & ~arrays.failed
-    rej_mae = arrays.rejected["mae_cumvue"][cont].astype(float)
-    rej_sep = arrays.rejected["separate"][cont].astype(float)
+    rej_mae = arrays.rejected[METHODS.index("mae_cumvue"), cont].astype(float)
+    rej_sep = arrays.rejected[METHODS.index("separate"), cont].astype(float)
     assert np.all(rej_mae >= 0) and np.all(rej_sep >= 0)
     paired = rej_mae - rej_sep
     se = paired.std(ddof=1) / math.sqrt(paired.size)
@@ -262,9 +262,9 @@ def test_criterion_08_rmse_ordering(null_boot_run, alt_boot_run):
     ):
         theta2 = scenario.config.theta2
         cont = arrays.continued & ~arrays.failed
-        sep_sq = (arrays.estimates["separate"][cont] - theta2) ** 2
+        sep_sq = (arrays.estimates[METHODS.index("separate"), cont] - theta2) ** 2
         for method in ("mae_pooled", "mae_period1", "mae_period2", "mae_cumvue"):
-            mae_sq = (arrays.estimates[method][cont] - theta2) ** 2
+            mae_sq = (arrays.estimates[METHODS.index(method), cont] - theta2) ** 2
             gap = sep_sq - mae_sq
             se = gap.std(ddof=1) / math.sqrt(gap.size)
             assert gap.mean() > 3 * se, (label, method)
@@ -318,7 +318,7 @@ def _bootstrap_sd_chunk(start: int, stop: int):
         point = point_estimates(config, cell_means(data)[None, :])
         if not point.continued[0]:
             continue
-        out[offset, 0] = point.estimates["mae_cumvue"][0]
+        out[offset, 0] = point.estimates[METHODS.index("mae_cumvue"), 0]
         seed = np.random.SeedSequence(entropy=MASTER_SEED, spawn_key=(7, rep))
         variance = bootstrap_variances(data, config, 1000, seed)["mae_cumvue"]
         out[offset, 1] = math.sqrt(variance)

@@ -19,6 +19,7 @@ from nccsim import (
 )
 from nccsim.adjusted import (
     GATHER_BLOCK_VALUES,
+    METHODS,
     _bootstrap_cell_means,
     bias_correction,
     bootstrap_resamples,
@@ -35,10 +36,11 @@ ALL_METHODS = tuple(Theta1Method)
 
 
 def resample_estimates(data, config, b, seed):
-    """Every method's estimate on each accepted resample of one trial."""
+    """Every method's estimate on each accepted resample of one trial, keyed
+    by label."""
     cells = tuple(data.cell(*cell) for cell in CELLS)
     resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(seed))
-    return point_estimates(config, resamples).estimates
+    return dict(zip(METHODS, point_estimates(config, resamples).estimates))
 
 
 def wald_tests(data, config, bootstrap=None):
@@ -47,15 +49,15 @@ def wald_tests(data, config, bootstrap=None):
     bootstrap variance."""
     point = analyse(data, config)
     bootstrap = bootstrap or {}
-    boot = {method_label(m): np.array([bootstrap.get(m, np.nan)]) for m in ALL_METHODS}
-    variances = wald_variances(point, config, boot)
+    boot = np.array([[bootstrap.get(m, np.nan)] for m in ALL_METHODS])
+    variances = wald_variances(point.continued, config, boot)
+    rows = zip(METHODS, point.estimates, point.corrections, variances)
     out = {}
-    for label, estimate in point.estimates.items():
-        variance = variances[label]
+    for label, estimate, correction, variance in rows:
         out[label] = dict(
             continued=bool(point.continued[0]),
             estimate=float(estimate[0]),
-            bias_correction=float(point.corrections[label][0]),
+            bias_correction=float(correction[0]),
             variance=float(variance[0]),
             t=float(t_statistic(estimate, variance)[0]),
             rejected=int(rejections(estimate, variance, config.z_alpha)[0]),
@@ -165,9 +167,10 @@ class TestMae:
         config = default_config(n01=5, n11=5, n02=5, n12=5, n22=5, alpha1=0.0)
         point = analyse(data, config)
         assert not point.continued[0]
+        estimates = dict(zip(METHODS, point.estimates[:, 0]))
         for method in ALL_METHODS:
-            value = point.estimates[method_label(method)][0]
-            assert value == point.estimates["separate"][0] == 2.0 - 0.5
+            value = estimates[method_label(method)]
+            assert value == estimates["separate"] == 2.0 - 0.5
 
     def test_hand_value_with_null_plug_in(self):
         # one observation per cell, correction evaluated at theta1_hat = 0
@@ -184,7 +187,9 @@ class TestMae:
         # by hand: rho = 1/4, so the model-based estimate is
         # 2 - (3/4 * 0.5 + 1/4 * (0 + 1.5 - 1)) = 1.5; pooled, period-1 and
         # period-2 plug-ins are all 1
-        assert point.estimates["unadjusted"][0] == pytest.approx(1.5, rel=1e-12)
+        estimates = dict(zip(METHODS, point.estimates[:, 0]))
+        corrections = dict(zip(METHODS, point.corrections[:, 0]))
+        assert estimates["unadjusted"] == pytest.approx(1.5, rel=1e-12)
         theta1_hats = {
             Theta1Method.POOLED: 1.0,
             Theta1Method.PERIOD1: 1.0,
@@ -194,8 +199,8 @@ class TestMae:
         for method, theta1_hat in theta1_hats.items():
             label = method_label(method)
             correction = bias_correction(theta1_hat, config)
-            assert point.corrections[label][0] == pytest.approx(correction, rel=1e-12)
-            assert point.estimates[label][0] == pytest.approx(1.5 - correction, rel=1e-12)
+            assert corrections[label] == pytest.approx(correction, rel=1e-12)
+            assert estimates[label] == pytest.approx(1.5 - correction, rel=1e-12)
 
 
 class TestResampler:

@@ -279,6 +279,22 @@ class TestSimulateCommand:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_unusable_out_exits_2_before_any_scenario_runs(self, tmp_path, capsys, monkeypatch):
+        import nccsim.cli as cli_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scenario ran before --out was checked")
+
+        monkeypatch.setattr(cli_module, "run_scenario", forbidden)
+        plan = write_plan(tmp_path, CUSTOM_PLAN)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([
+            "simulate", "--config", str(plan), "--seed", "1", "--out", str(blocker / "o"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_are_rejected(self, tmp_path, capsys, workers):
         plan = write_plan(tmp_path, CUSTOM_PLAN)
@@ -406,7 +422,7 @@ class TestSingleCommand:
         assert decision == ("continue" if result.continued[0] else "stop")
         row = next(l for l in lines if l.startswith("mae_cumvue"))
         estimate = float(row.split()[1])
-        assert estimate == result.estimates["mae_cumvue"][0]
+        assert estimate == result.estimates[METHODS.index("mae_cumvue"), 0]
 
     @pytest.mark.parametrize("b", ["200", "0"])
     def test_trace_matches_the_golden_output(self, capsys, b):

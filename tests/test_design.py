@@ -13,7 +13,7 @@ from nccsim import (
     ncc_weight,
     normal,
 )
-from nccsim.adjusted import point_estimates
+from nccsim.adjusted import METHODS, point_estimates
 from conftest import default_config
 
 
@@ -125,9 +125,8 @@ class TestNccWeight:
         means = np.column_stack([route[:, :2], np.full(3, 0.3), route[:, 2], np.full(3, 0.8)])
         point = point_estimates(config, means)
         assert not point.continued.any()
-        for label, estimate in point.estimates.items():
-            np.testing.assert_array_equal(estimate, np.full(3, 0.8 - 0.3))
-            np.testing.assert_array_equal(point.corrections[label], np.zeros(3))
+        np.testing.assert_array_equal(point.estimates, np.full((len(METHODS), 3), 0.8 - 0.3))
+        np.testing.assert_array_equal(point.corrections, np.zeros((len(METHODS), 3)))
 
     def test_monotonicity_over_grid(self):
         sizes = (3, 10, 40, 150, 600)

@@ -3,6 +3,7 @@ the vectorised analysis against independent oracles on the patient rows,
 chunk seeding and errors."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -124,9 +125,11 @@ class TestBatchedCoreMatchesScalarPath:
             if abs(point.z11[row] - config.c1) > 1e-9:
                 assert (z11 >= config.c1) == continued
             assert abs(z11 - point.z11[row]) <= 1e-10
-            for m in METHODS:
-                assert abs(estimates[m] - point.estimates[m][row]) <= 1e-10, m
-                assert abs(corrections[m] - point.corrections[m][row]) <= 1e-10, m
+            for m, estimate, correction in zip(
+                METHODS, point.estimates[:, row], point.corrections[:, row], strict=True
+            ):
+                assert abs(estimates[m] - estimate) <= 1e-10, m
+                assert abs(corrections[m] - correction) <= 1e-10, m
 
 
 class TestCellMeansDraw:
@@ -164,13 +167,10 @@ def _scenario(replicates, bootstrap=None, scenario_id="engine", **overrides):
 
 
 def _assert_same_arrays(a, b, rows=slice(None)):
-    """``a`` equals rows ``rows`` of ``b`` in every array, NaN included."""
-    for name in ("z11", "continued", "failed"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)[rows]), name
-    for name in ("estimates", "corrections", "variances", "rejected"):
-        for m in METHODS:
-            x, y = getattr(a, name)[m], getattr(b, name)[m][rows]
-            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), (name, m)
+    """``a`` equals replicates ``rows`` of ``b`` in every array, NaN included."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)[..., rows]
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), f.name
 
 
 class TestChunks:
@@ -204,9 +204,8 @@ class TestChunks:
             data = TrialDataset(*replicate_trial(scenario, 3, index))
             point = analyse(data, scenario.config)
             assert point.continued[0] == result.continued[0]
-            assert point.estimates["separate"][0] == pytest.approx(
-                result.estimates["separate"][0], abs=1e-12
-            )
+            row = METHODS.index("separate")
+            assert point.estimates[row, 0] == pytest.approx(result.estimates[row, 0], abs=1e-12)
 
     @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
     def test_a_replicate_does_not_depend_on_the_count(self, pattern):
@@ -238,8 +237,9 @@ class TestChunkBootstrap:
             )
             replayed = run_replicate(scenario, 17, index)
             for label, value in expected.items():
-                assert replayed.variances[label][0] == value, label
-                assert arrays.variances[label][index] == value, label
+                row = METHODS.index(label)
+                assert replayed.variances[row, 0] == value, label
+                assert arrays.variances[row, index] == value, label
 
     @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
     def test_replicate_trial_holds_the_resampled_cells(self, pattern, monkeypatch):
@@ -275,7 +275,7 @@ class TestChunkBootstrap:
                                  trend=TimeTrendSpec(pattern, 0.15))
             arrays = collect_replicates(scenario, 23)
             assert arrays.continued.any() and not arrays.failed.any()
-            assert np.all(np.isfinite(arrays.variances["mae_cumvue"]))
+            assert np.all(np.isfinite(arrays.variances[METHODS.index("mae_cumvue")]))
 
     def test_no_analysis_call_exceeds_the_row_cap(self, monkeypatch):
         rows = []
@@ -318,9 +318,10 @@ class TestChunkBootstrap:
         assert np.array_equal(np.flatnonzero(arrays.failed), injected)
         others = np.setdiff1d(np.arange(CHUNK), injected)
         for label in ADJUSTED_METHODS:
-            assert np.all(np.isnan(arrays.variances[label][injected])), label
-            assert arrays.variances[label][others].tobytes() == (
-                clean.variances[label][others].tobytes()
+            row = METHODS.index(label)
+            assert np.all(np.isnan(arrays.variances[row, injected])), label
+            assert arrays.variances[row, others].tobytes() == (
+                clean.variances[row, others].tobytes()
             ), label
 
 
@@ -353,8 +354,9 @@ class TestFailures:
         replayed = run_replicate(scenario, 13, 7)
         assert replayed.failed[0]
         for label in ADJUSTED_METHODS:
-            assert np.isnan(replayed.variances[label][0]), label
-            assert replayed.rejected[label][0] == -1, label
+            row = METHODS.index(label)
+            assert np.isnan(replayed.variances[row, 0]), label
+            assert replayed.rejected[row, 0] == -1, label
         _assert_same_arrays(replayed, collect_replicates(scenario, 13), slice(7, 8))
 
     def test_error_in_the_resample_analysis_names_the_chunk(self, monkeypatch):

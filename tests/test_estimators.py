@@ -7,7 +7,7 @@ from nccsim import (
     ncc_weight,
     separate_variance,
 )
-from nccsim.adjusted import point_estimates
+from nccsim.adjusted import METHODS, point_estimates
 from conftest import analyse, cell_counts, cell_means, default_config, make_dataset
 from oracle import ols_fit, simulate_trial
 
@@ -20,7 +20,8 @@ def model_based(data):
 
 
 def separate(data):
-    return float(analyse(data, default_config()).estimates["separate"][0])
+    estimates = analyse(data, default_config()).estimates
+    return float(estimates[METHODS.index("separate"), 0])
 
 
 def simulated_means(config, reps):
@@ -79,7 +80,7 @@ class TestSeparate:
         config = default_config()
         reps = 20_000
         means = simulated_means(config, reps)
-        values = point_estimates(config, means).estimates["separate"]
+        values = point_estimates(config, means).estimates[METHODS.index("separate")]
         se = values.std(ddof=1) / np.sqrt(reps)
         assert abs(values.mean()) < 3 * se
 

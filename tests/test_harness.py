@@ -84,9 +84,8 @@ class TestRunReplicate:
         a = run_replicate(scenario, 11, 3)
         b = run_replicate(scenario, 11, 3)
         assert a.z11 == b.z11
-        for m in METHODS:
-            assert a.estimates[m] == b.estimates[m]
-            assert np.array_equal(a.variances[m], b.variances[m], equal_nan=True)
+        assert np.array_equal(a.estimates, b.estimates)
+        assert np.array_equal(a.variances, b.variances, equal_nan=True)
 
     def test_stopped_replicate_collapses_to_separate(self):
         scenario = small_scenario()
@@ -94,10 +93,10 @@ class TestRunReplicate:
             result = run_replicate(scenario, 17, rep)
             if result.continued[0]:
                 continue
-            reference = result.estimates["separate"][0]
-            for m in METHODS:
-                assert result.estimates[m][0] == reference
-                assert result.corrections[m][0] == 0.0
+            reference = result.estimates[METHODS.index("separate"), 0]
+            for estimate, correction in zip(result.estimates[:, 0], result.corrections[:, 0]):
+                assert estimate == reference
+                assert correction == 0.0
             break
         else:
             pytest.fail("no stopped replicate found")
@@ -107,7 +106,8 @@ class TestRunReplicate:
         for rep in range(40):
             result = run_replicate(scenario, 23, rep)
             if result.continued[0]:
-                variances = {m: result.variances[f"mae_{m}"][0] for m in
+                by_label = dict(zip(METHODS, result.variances[:, 0]))
+                variances = {m: by_label[f"mae_{m}"] for m in
                              ("pooled", "period1", "period2", "cumvue")}
                 assert all(v > 0 for v in variances.values())
                 assert len({round(v, 15) for v in variances.values()}) > 1
@@ -164,7 +164,8 @@ class TestRunScenario:
         arrays = collect_replicates(scenario, 53, workers=2)
         for rep in (0, 41, 89):
             result = run_replicate(scenario, 53, rep)
-            assert arrays.estimates["unadjusted"][rep] == result.estimates["unadjusted"][0]
+            row = METHODS.index("unadjusted")
+            assert arrays.estimates[row, rep] == result.estimates[row, 0]
             assert arrays.continued[rep] == result.continued[0]
 
     def test_failed_replicates_are_counted_and_bounded(self, monkeypatch):
@@ -217,7 +218,7 @@ class TestSummarize:
         continued = np.arange(100) < n_failed + 40
 
         def per_method(values):
-            return {m: values for m in METHODS}
+            return np.tile(values, (len(METHODS), 1))
 
         return ReplicateArrays(
             z11=np.zeros(100), continued=continued, failed=np.arange(100) < n_failed,
