@@ -64,15 +64,15 @@ CATALOGUE = (
     Mutant(
         "rmse_se_without_delta_factor",
         "src/nccsim/harness.py",
-        "se = float(sq.std(ddof=1) / math.sqrt(n) / (2.0 * rmse))",
-        "se = float(sq.std(ddof=1) / math.sqrt(n) / rmse)",
+        "Statistic(rmse, se / (2.0 * rmse) if rmse > 0.0 else None)",
+        "Statistic(rmse, se / rmse if rmse > 0.0 else None)",
         "the rMSE's MC SE drops the delta method's factor 1/2",
     ),
     Mutant(
         "mean_se_with_ddof_0",
         "src/nccsim/harness.py",
-        "se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else None",
-        "se = float(values.std(ddof=0) / math.sqrt(n)) if n > 1 else None",
+        "ses = (values.std(axis=1, ddof=1) / math.sqrt(n)).tolist()",
+        "ses = (values.std(axis=1, ddof=0) / math.sqrt(n)).tolist()",
         "a bias's MC SE uses the population SD instead of the sample SD",
     ),
     Mutant(
@@ -85,8 +85,8 @@ CATALOGUE = (
     Mutant(
         "continuation_counts_failed",
         "src/nccsim/harness.py",
-        "continuation = _rate_statistic(arrays.continued[ok].astype(np.int8))",
-        "continuation = _rate_statistic(arrays.continued.astype(np.int8))",
+        "continuation = _rate_statistics(continued[np.newaxis])[0]",
+        "continuation = _rate_statistics(arrays.continued[np.newaxis])[0]",
         "the continuation frequency counts failed replicates",
     ),
     Mutant(
@@ -106,16 +106,31 @@ CATALOGUE = (
     Mutant(
         "rate_se_with_n_minus_1",
         "src/nccsim/harness.py",
-        "return Statistic(p, math.sqrt(p * (1.0 - p) / n))",
-        "return Statistic(p, math.sqrt(p * (1.0 - p) / (n - 1)))",
+        "Statistic(p, math.sqrt(p * (1.0 - p) / n))",
+        "Statistic(p, math.sqrt(p * (1.0 - p) / (n - 1)))",
         "a rate's MC SE divides by n - 1",
     ),
     Mutant(
         "conditional_mask_counts_failed",
         "src/nccsim/harness.py",
-        "cont = arrays.continued & ok",
-        "cont = arrays.continued",
-        "conditional statistics and n_continuing include failed replicates",
+        "conditional = marginal.compress(continued, axis=1)",
+        "conditional = (arrays.estimates - scenario.config.theta2)"
+        ".compress(arrays.continued, axis=1)",
+        "the conditional bias, the conditional rMSE and n_continuing include failed replicates",
+    ),
+    Mutant(
+        "conditional_bias_rows_reversed",
+        "src/nccsim/harness.py",
+        "_mean_statistics(conditional),",
+        "_mean_statistics(conditional[::-1]),",
+        "each method reports another method's conditional bias (the rows in reverse)",
+    ),
+    Mutant(
+        "unavailable_test_over_the_whole_block",
+        "src/nccsim/harness.py",
+        "rates[(flags < 0).any(axis=1)] = np.nan",
+        "rates[(flags < 0).any()] = np.nan",
+        "one method without a test blanks the rejection rates of every method",
     ),
     Mutant(
         "resample_variance_with_ddof_1",

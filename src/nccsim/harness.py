@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -308,6 +307,9 @@ def collect_replicates(
     if workers <= 1 or n_chunks == 1:
         parts = list(map(_run_chunk, *args))
     else:
+        # imported here: a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             parts = list(pool.map(_run_chunk, *args))
     return ReplicateArrays(**{
@@ -316,65 +318,82 @@ def collect_replicates(
     })
 
 
-def _mean_statistic(values: np.ndarray) -> Statistic:
-    n = values.size
+def _mean_statistics(values: np.ndarray) -> list[Statistic]:
+    """Mean and MC SE of each row of an ``(m, k)`` block."""
+    m, n = values.shape
     if n == 0:
-        return Statistic(None, None)
-    value = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else None
-    return Statistic(value, se)
+        return [Statistic(None, None)] * m
+    means = values.mean(axis=1).tolist()
+    if n == 1:
+        return [Statistic(value, None) for value in means]
+    ses = (values.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
+    return [Statistic(value, se) for value, se in zip(means, ses)]
 
 
-def _rmse_statistic(errors: np.ndarray) -> Statistic:
-    n = errors.size
+def _rmse_statistics(errors: np.ndarray) -> list[Statistic]:
+    """Root mean square and MC SE of each row of an ``(m, k)`` block; no SE
+    for a row whose rMSE is 0."""
+    m, n = errors.shape
     if n == 0:
-        return Statistic(None, None)
+        return [Statistic(None, None)] * m
     sq = np.square(errors)
-    mse = float(sq.mean())
-    rmse = math.sqrt(mse)
-    if n > 1 and rmse > 0.0:
-        # delta method: se(rmse) = se(mse) / (2 * rmse)
-        se = float(sq.std(ddof=1) / math.sqrt(n) / (2.0 * rmse))
-    else:
-        se = None
-    return Statistic(rmse, se)
+    rmses = np.sqrt(sq.mean(axis=1)).tolist()
+    if n == 1:
+        return [Statistic(rmse, None) for rmse in rmses]
+    # delta method: se(rmse) = se(mse) / (2 * rmse)
+    mse_ses = (sq.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
+    return [
+        Statistic(rmse, se / (2.0 * rmse) if rmse > 0.0 else None)
+        for rmse, se in zip(rmses, mse_ses)
+    ]
 
 
-def _rate_statistic(flags: np.ndarray) -> Statistic:
-    n = flags.size
-    if n == 0 or np.any(flags < 0):
-        return Statistic(None, None)
-    p = float(flags.mean())
-    return Statistic(p, math.sqrt(p * (1.0 - p) / n))
+def _rate_statistics(flags: np.ndarray) -> list[Statistic]:
+    """Rate and binomial MC SE of each row of ``(m, k)`` 1 / 0 / -1 flags;
+    ``None`` for a row where some test was unavailable (-1)."""
+    m, n = flags.shape
+    if n == 0:
+        return [Statistic(None, None)] * m
+    rates = flags.mean(axis=1)
+    rates[(flags < 0).any(axis=1)] = np.nan
+    return [
+        Statistic(None, None) if math.isnan(p) else Statistic(p, math.sqrt(p * (1.0 - p) / n))
+        for p in rates.tolist()
+    ]
 
 
 def summarize(scenario: Scenario, arrays: ReplicateArrays) -> OperatingCharacteristics:
     """Reduce per-replicate arrays to operating characteristics.
 
     Conditional statistics use only continuing replicates; failed replicates
-    are excluded everywhere and counted. The reduction is a fixed-order
-    numpy pass, independent of how the replicates were computed.
+    are excluded everywhere and counted. Each statistic is one fixed-order
+    numpy reduction over the method axis, independent of how the replicates
+    were computed. The masked blocks come from ``compress``, whose rows are
+    contiguous, so each row is summed pairwise as a 1-D array would be
+    (``[:, mask]`` rows are strided and summed naively).
     """
     ok = ~arrays.failed
-    cont = arrays.continued & ok
-    n_cont = int(cont.sum())
-    n_failed = int(arrays.failed.sum())
-    theta2 = scenario.config.theta2
-
-    continuation = _rate_statistic(arrays.continued[ok].astype(np.int8))
-    stats: dict[str, dict[str, Statistic]] = {}
-    for m, est, rej in zip(METHODS, arrays.estimates, arrays.rejected):
-        stats[m] = {
-            "marginal_bias": _mean_statistic(est[ok] - theta2),
-            "conditional_bias": _mean_statistic(est[cont] - theta2),
-            "marginal_rmse": _rmse_statistic(est[ok] - theta2),
-            "conditional_rmse": _rmse_statistic(est[cont] - theta2),
-            "marginal_rejection_rate": _rate_statistic(rej[ok]),
-            "conditional_rejection_rate": _rate_statistic(rej[cont]),
-            "continuation_frequency": continuation,
-        }
+    continued = arrays.continued.compress(ok)
+    marginal = arrays.estimates.compress(ok, axis=1)
+    marginal -= scenario.config.theta2
+    conditional = marginal.compress(continued, axis=1)
+    rejected = arrays.rejected.compress(ok, axis=1)
+    continuation = _rate_statistics(continued[np.newaxis])[0]
+    columns = (
+        _mean_statistics(marginal),
+        _mean_statistics(conditional),
+        _rmse_statistics(marginal),
+        _rmse_statistics(conditional),
+        _rate_statistics(rejected),
+        _rate_statistics(rejected.compress(continued, axis=1)),
+        repeat(continuation),
+    )
+    stats = {m: dict(zip(STATISTICS, row)) for m, row in zip(METHODS, zip(*columns))}
     return OperatingCharacteristics(
-        scenario=scenario, n_continuing=n_cont, n_failed=n_failed, stats=stats
+        scenario=scenario,
+        n_continuing=conditional.shape[1],
+        n_failed=int(arrays.failed.sum()),
+        stats=stats,
     )
 
 

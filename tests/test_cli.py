@@ -537,7 +537,8 @@ RUNTIME_MODULES = [
 class TestRuntimeImports:
     def test_commands_never_import_scipy(self, tmp_path):
         # scipy is a test-only extra: the commands' start-up time and memory
-        # are measured without it. Nor do they load the tests' oracle.
+        # are measured without it. Nor do they load the tests' oracle, or
+        # multiprocessing when they run serially.
         plan = write_plan(tmp_path, CUSTOM_PLAN.replace("replicates: 80", "replicates: 20")
                           .replace("bootstrap_b: 0", "bootstrap_b: 5"))
         out = tmp_path / "o"
@@ -551,13 +552,15 @@ class TestRuntimeImports:
             "print(sorted(m for m in sys.modules if m.startswith('nccsim')))\n"
             "print('oracle' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print('multiprocessing' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         result = subprocess.run(
             [sys.executable, "-c", script], cwd=tmp_path, env=env,
             capture_output=True, text=True, check=True,
         )
-        modules, oracle, scipy = result.stdout.splitlines()[-3:]
+        modules, oracle, scipy, pool = result.stdout.splitlines()[-4:]
         assert modules == str(RUNTIME_MODULES)
         assert oracle == "False"
         assert scipy == "[]"
+        assert pool == "False"

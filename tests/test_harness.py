@@ -10,6 +10,7 @@ from nccsim import (
     STATISTICS,
     ReplicateArrays,
     Scenario,
+    Statistic,
     TrendPattern,
     collect_replicates,
     run_replicate,
@@ -257,3 +258,149 @@ class TestSummarize:
         frequency = oc.stats["unadjusted"]["continuation_frequency"]
         assert frequency.value == pytest.approx(40 / 98, rel=1e-12)
         assert frequency.mc_se == pytest.approx(math.sqrt(40 / 98 * 58 / 98 / 98), rel=1e-12)
+
+
+def _method_record(continued, failed, estimates, rejected) -> ReplicateArrays:
+    return ReplicateArrays(
+        z11=np.zeros(continued.size), continued=continued, failed=failed,
+        estimates=estimates, corrections=np.zeros_like(estimates),
+        variances=np.ones_like(estimates), rejected=rejected,
+    )
+
+
+# Each statistic's formula on one method's 1-D row, as (value, MC SE).
+
+
+def _mean_formula(values):
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _rmse_formula(errors):
+    sq = np.square(errors)
+    rmse = math.sqrt(float(sq.mean()))
+    return rmse, float(sq.std(ddof=1) / math.sqrt(errors.size) / (2.0 * rmse))
+
+
+def _rate_formula(flags):
+    p = float(flags.mean())
+    return p, math.sqrt(p * (1.0 - p) / flags.size)
+
+
+class TestSummarizeByMethod:
+    """``summarize`` on records whose six method rows differ, so a statistic
+    that read another method's row, or pooled the rows, would show. The
+    scenario has theta2 = 0.32."""
+
+    THETA2 = 0.32
+
+    def _summarize(self, record):
+        scenario = small_scenario(replicates=record.continued.size, theta2=self.THETA2)
+        return summarize(scenario, record)
+
+    def test_every_statistic_equals_its_formula_on_the_methods_own_row(self):
+        # Compared with ==: the block reduction must sum each row as the
+        # 1-D formula does, to the last bit. Rows taken with ``[:, mask]``
+        # are strided, and numpy sums them naively instead of pairwise.
+        rng = np.random.default_rng(20250808)
+        n = 400
+        failed = rng.random(n) < 0.05
+        continued = rng.random(n) < 0.4
+        scales = np.arange(1, len(METHODS) + 1)[:, np.newaxis]
+        estimates = self.THETA2 + scales * rng.normal(0.05, 0.3, size=(len(METHODS), n))
+        rejected = (rng.random((len(METHODS), n)) < scales / 10).astype(np.int8)
+        oc = self._summarize(_method_record(continued, failed, estimates, rejected))
+        ok = ~failed
+        cont = continued & ok
+        assert (oc.n_continuing, oc.n_failed) == (int(cont.sum()), int(failed.sum()))
+        for method, est, rej in zip(METHODS, estimates, rejected):
+            expected = {
+                "marginal_bias": _mean_formula(est[ok] - self.THETA2),
+                "conditional_bias": _mean_formula(est[cont] - self.THETA2),
+                "marginal_rmse": _rmse_formula(est[ok] - self.THETA2),
+                "conditional_rmse": _rmse_formula(est[cont] - self.THETA2),
+                "marginal_rejection_rate": _rate_formula(rej[ok]),
+                "conditional_rejection_rate": _rate_formula(rej[cont]),
+                "continuation_frequency": _rate_formula(continued[ok].astype(np.int8)),
+            }
+            got = {name: (s.value, s.mc_se) for name, s in oc.stats[method].items()}
+            assert got == expected, method
+
+    def test_without_bootstrap_only_the_adjusted_methods_lack_a_rejection_rate(self):
+        # B = 0: a continuing trial has no test under the mean-adjusted
+        # methods (-1), while unadjusted and separate always have one.
+        n = 60
+        continued = np.arange(n) % 3 == 0
+        rejected = np.zeros((len(METHODS), n), dtype=np.int8)
+        rejected[0, :10] = 1  # unadjusted: 4 of the 20 continuing rejected
+        rejected[1, :30] = 1  # separate: 10 of the 20 continuing rejected
+        rejected[2:, continued] = -1
+        estimates = self.THETA2 + np.arange(len(METHODS))[:, np.newaxis] * np.ones(n)
+        oc = self._summarize(_method_record(continued, np.zeros(n, bool), estimates, rejected))
+        rates = {
+            method: (by_name["marginal_rejection_rate"].value,
+                     by_name["conditional_rejection_rate"].value)
+            for method, by_name in oc.stats.items()
+        }
+        assert rates == {
+            "unadjusted": (10 / 60, 4 / 20),
+            "separate": (30 / 60, 10 / 20),
+            **{method: (None, None) for method in METHODS[2:]},
+        }
+        for i, method in enumerate(METHODS):
+            assert oc.stats[method]["marginal_bias"].value == pytest.approx(i), method
+
+    def test_no_continuing_replicate_leaves_every_conditional_statistic_empty(self):
+        # the only continuing replicates failed
+        n = 50
+        continued = np.arange(n) < 2
+        estimates = self.THETA2 + np.arange(len(METHODS) * n).reshape(len(METHODS), n) / n
+        rejected = np.ones((len(METHODS), n), dtype=np.int8)
+        oc = self._summarize(_method_record(continued, continued.copy(), estimates, rejected))
+        assert (oc.n_continuing, oc.n_failed) == (0, 2)
+        for method, row in zip(METHODS, estimates):
+            by_name = oc.stats[method]
+            for name in STATISTICS:
+                if name.startswith("conditional_"):
+                    assert by_name[name] == Statistic(None, None), (method, name)
+                else:
+                    assert by_name[name].mc_se is not None, (method, name)
+            assert by_name["marginal_bias"].value == _mean_formula(row[2:] - self.THETA2)[0]
+        assert oc.stats["separate"]["continuation_frequency"] == Statistic(0.0, 0.0)
+
+    def test_one_continuing_replicate_gives_values_without_a_standard_error(self):
+        n = 40
+        continued = np.zeros(n, bool)
+        continued[[5, 17]] = True
+        failed = np.zeros(n, bool)
+        failed[5] = True  # leaves replicate 17
+        errors = np.linspace(-0.5, 0.5, len(METHODS))
+        estimates = self.THETA2 + errors[:, np.newaxis] * np.ones(n)
+        rejected = np.zeros((len(METHODS), n), dtype=np.int8)
+        rejected[::2, 17] = 1
+        oc = self._summarize(_method_record(continued, failed, estimates, rejected))
+        assert oc.n_continuing == 1
+        for i, method in enumerate(METHODS):
+            error = estimates[i, 17] - self.THETA2
+            by_name = oc.stats[method]
+            assert by_name["conditional_bias"] == Statistic(error, None), method
+            assert by_name["conditional_rmse"] == Statistic(math.sqrt(error * error), None), method
+            assert by_name["conditional_rejection_rate"] == Statistic(float(i % 2 == 0), 0.0)
+
+    def test_all_zero_errors_give_a_zero_rmse_without_a_standard_error(self):
+        # only the separate row estimates theta2 exactly
+        rng = np.random.default_rng(7)
+        n = 30
+        continued = np.arange(n) < 12
+        estimates = self.THETA2 + rng.normal(0.0, 0.2, size=(len(METHODS), n))
+        separate = METHODS.index("separate")
+        estimates[separate] = self.THETA2
+        rejected = np.zeros((len(METHODS), n), dtype=np.int8)
+        oc = self._summarize(_method_record(continued, np.zeros(n, bool), estimates, rejected))
+        for method in METHODS:
+            for name in ("marginal_rmse", "conditional_rmse"):
+                stat = oc.stats[method][name]
+                if method == "separate":
+                    assert stat == Statistic(0.0, None), name
+                else:
+                    assert stat.value > 0.0 and stat.mc_se > 0.0, (method, name)
+        assert oc.stats["separate"]["marginal_bias"] == Statistic(0.0, 0.0)
