@@ -163,8 +163,8 @@ CATALOGUE = (
     Mutant(
         "continue_strictly_above_cutoff",
         "src/nccsim/adjusted.py",
-        "continued = z11 >= config.c1",
-        "continued = z11 > config.c1",
+        "return z11, z11 >= config.c1",
+        "return z11, z11 > config.c1",
         "a trial whose interim statistic equals the cutoff stops",
     ),
     Mutant(
@@ -219,8 +219,8 @@ CATALOGUE = (
     Mutant(
         "bootstrap_accepts_every_proposal",
         "src/nccsim/adjusted.py",
-        "hits = np.flatnonzero(z_star >= c1)",
-        "hits = np.flatnonzero(z_star >= -np.inf)",
+        "hits = np.flatnonzero(interim_look(config, m01, m11)[1])",
+        "hits = np.arange(batch)",
         "the bootstrap no longer replays the futility rule",
     ),
     Mutant(

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import normal
 from .datagen import CELLS
-from .design import DesignConfig, as_integer, ncc_weight
+from .design import MAX_COUNT, DesignConfig, as_integer, ncc_weight
 from .theta1 import Theta1Method, plug_ins
 
 METHOD_UNADJUSTED = "unadjusted"
@@ -55,8 +55,8 @@ class BootstrapError(RuntimeError):
 class BootstrapSettings:
     """``b`` accepted resamples per bootstrap and the user's bootstrap
     ``seed``. One resample has zero variance, so ``b`` must be an integer of
-    at least 2; ``seed`` is a non-negative integer. Numpy integers are stored
-    as ``int``."""
+    at least 2 (and at most :data:`~nccsim.design.MAX_COUNT`); ``seed`` is a
+    non-negative integer. Numpy integers are stored as ``int``."""
 
     b: int
     seed: int = 0
@@ -67,6 +67,8 @@ class BootstrapSettings:
             raise ValueError(f"bootstrap resample count b must be an integer, got {self.b!r}")
         if b < 2:
             raise ValueError(f"bootstrap resample count must be >= 2, got {b}")
+        if b > MAX_COUNT:
+            raise ValueError(f"bootstrap resample count must be at most {MAX_COUNT}, got {b}")
         seed = as_integer(self.seed)
         if seed is None or seed < 0:
             raise ValueError(f"bootstrap seed must be a non-negative integer, got {self.seed!r}")
@@ -130,11 +132,17 @@ class PointEstimates:
     corrections: np.ndarray
 
 
+def interim_look(config: DesignConfig, m01, m11):
+    """The futility look at period-1 cell means: ``z11`` and whether arm 1
+    continues, ``z11 >= c1``; also the bootstrap's acceptance rule."""
+    z11 = (m11 - m01) / config.period1_se
+    return z11, z11 >= config.c1
+
+
 def point_estimates(config: DesignConfig, means: np.ndarray) -> PointEstimates:
     """Analyse ``(n, 5)`` cell means (``CELLS`` order) of trials of ``config``."""
     m01, m11, m02, m12, m22 = means.T
-    z11 = (m11 - m01) / config.period1_se
-    continued = z11 >= config.c1
+    z11, continued = interim_look(config, m01, m11)
     separate = m22 - m02
 
     cont = np.flatnonzero(continued)
@@ -193,7 +201,7 @@ def bootstrap_resamples(
     ``cells`` holds the trial's five cells' responses in ``CELLS`` order.
     Replays the trial on resampled data: draw the period-1 arm-1 and control
     cells with replacement at their original sizes, keep the resample only
-    if its interim statistic clears the futility cutoff, then draw the three
+    if :func:`interim_look` lets arm 1 continue, then draw the three
     period-2 cells. Repeats until ``b`` resamples are accepted, drawing every
     index from ``rng``.
 
@@ -220,7 +228,6 @@ def bootstrap_resamples(
             f"the trial's cell counts {counts} differ from the design's {config.cells}"
         )
     y01, y11, y02, y12, y22 = cells
-    c1, se1 = config.c1, config.period1_se
 
     rejection_limit = 100 * b
     need = b
@@ -235,8 +242,7 @@ def bootstrap_resamples(
         m11 = _bootstrap_cell_means(rng, y11, batch)
         m01 = _bootstrap_cell_means(rng, y01, batch)
         attempts += batch
-        z_star = (m11 - m01) / se1
-        hits = np.flatnonzero(z_star >= c1)
+        hits = np.flatnonzero(interim_look(config, m01, m11)[1])
         accepted += hits.size
 
         # The run of rejections up to this batch's first hit, or through the

@@ -62,18 +62,23 @@ RESULTS_CSV_COLUMNS = (
     "valid",
 )
 
+
+def _flat_design(config: DesignConfig, pattern_key: str = "trend") -> dict[str, object]:
+    """Every ``DesignConfig`` field of ``config``, the trend flattened to its
+    pattern's value under ``pattern_key`` and ``lambda``: the design keys of
+    a plan and ``single``, or (``trend_pattern``) of a ``results.json`` entry."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)}
+    trend = values.pop("trend")
+    return {**values, pattern_key: trend.pattern.value, "lambda": trend.lam}
+
+
 #: Every key of a plan with its default: the keys at the top of the file,
-#: then those of a ``[scenario]`` block. A value is parsed as its default's
-#: type when that is int or float and kept as text otherwise; ``None`` marks
-#: a text key without a default.
+#: then those of a ``[scenario]`` block (also ``single``'s design flags). A
+#: value is parsed as its default's type when that is int or float and kept
+#: as text otherwise; ``None`` marks a text key without a default.
 _PLAN_DEFAULTS = {
     "top": {"grid": None, "replicates": 10_000, "bootstrap_b": 1000, "bootstrap_seed": 0},
-    "scenario": {
-        "id": None, "hypothesis": None,
-        "alpha1": 0.5, "alpha": 0.025, "sigma": 1.0, "theta1": 0.0, "theta2": 0.0,
-        "trend": "none", "lambda": 0.0,
-        "n01": 150, "n11": 150, "n02": 150, "n12": 150, "n22": 150,
-    },
+    "scenario": {"id": None, **_flat_design(DesignConfig())},
 }
 
 
@@ -85,7 +90,7 @@ def _parse_plan_text(path: Path):
     """Split the plan file into top-level settings and scenario blocks, each
     value coerced to its key's type."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     top: dict[str, object] = {}
@@ -134,22 +139,12 @@ def _build_scenario(
     """The scenario of one block of coerced values; any error it raises is a
     :class:`ConfigError` naming the block by id, else by position."""
     where = f"id {block['id']!r}" if "id" in block else f"number {index}"
-    values = {**_PLAN_DEFAULTS["scenario"], **block}
+    design = {**_PLAN_DEFAULTS["scenario"], **block}
+    del design["id"]
     try:
-        config = DesignConfig(
-            n01=values["n01"], n11=values["n11"], n02=values["n02"],
-            n12=values["n12"], n22=values["n22"],
-            alpha1=values["alpha1"], alpha=values["alpha"], sigma=values["sigma"],
-            theta1=values["theta1"], theta2=values["theta2"],
-            trend=TimeTrendSpec(TrendPattern(values["trend"]), values["lambda"]),
-        )
-        scenario = Scenario(block.get("id", f"scenario-{index}"), config, replicates, bootstrap)
-        hypothesis = block.get("hypothesis", scenario.hypothesis)
-        if hypothesis != scenario.hypothesis:
-            raise ConfigError(
-                f"hypothesis '{hypothesis}' contradicts theta2={config.theta2!r}"
-            )
-        return scenario
+        trend = TimeTrendSpec(TrendPattern(design.pop("trend")), design.pop("lambda"))
+        config = DesignConfig(**design, trend=trend)
+        return Scenario(block.get("id", f"scenario-{index}"), config, replicates, bootstrap)
     except ValueError as exc:
         raise ConfigError(f"scenario {where}: {exc}") from exc
 
@@ -157,14 +152,18 @@ def _build_scenario(
 def _bootstrap_settings(b: int, seed: int) -> BootstrapSettings | None:
     """The bootstrap of a ``simulate`` plan or a ``single`` trace; ``None``
     for ``b = 0``. Raises :class:`ConfigError` for a negative ``b`` or
-    ``seed``, and for ``b = 1``, whose variance is always 0."""
+    ``seed``, for ``b = 1``, whose variance is always 0, and for any other
+    ``b`` that :class:`BootstrapSettings` rejects."""
     if b < 0:
         raise ConfigError("bootstrap_b must be >= 0 (0 disables the bootstrap)")
     if b == 1:
         raise ConfigError("bootstrap_b must be 0 (no bootstrap) or at least 2, got 1")
     if seed < 0:
         raise ConfigError(f"bootstrap_seed must be >= 0, got {seed}")
-    return BootstrapSettings(b=b, seed=seed) if b > 0 else None
+    try:
+        return BootstrapSettings(b=b, seed=seed) if b > 0 else None
+    except ValueError as exc:
+        raise ConfigError(f"bootstrap_b: {exc}") from exc
 
 
 def parse_config(
@@ -250,13 +249,6 @@ def _result_rows(result: OperatingCharacteristics):
             )
 
 
-def _design_record(config: DesignConfig) -> dict[str, object]:
-    """The design of a ``results.json`` entry: every ``DesignConfig`` field,
-    with the trend as ``trend_pattern`` and ``lambda``."""
-    record = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "trend"}
-    return {**record, "trend_pattern": config.trend.pattern.value, "lambda": config.trend.lam}
-
-
 def emit_results(
     results: list[OperatingCharacteristics], out_dir: Path | str, master_seed: int
 ) -> tuple[Path, Path]:
@@ -276,7 +268,7 @@ def emit_results(
             {
                 "scenario_id": r.scenario.scenario_id,
                 "hypothesis": r.scenario.hypothesis,
-                "design": _design_record(r.scenario.config),
+                "design": _flat_design(r.scenario.config, "trend_pattern"),
                 "n_replicates": r.n_replicates,
                 "n_continuing": r.n_continuing,
                 "n_failed": r.n_failed,
@@ -303,8 +295,6 @@ _ANALYTIC_ALPHA1 = tuple([0.001, 0.005] + [i / 100 for i in range(1, 100)] + [0.
 _ANALYTIC_RATIOS = (
     1 / 15, 0.1, 0.15, 0.2, 1 / 3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0
 )
-_ANALYTIC_SIGMA = 1.0
-_ANALYTIC_BASE_N = 150.0
 ANALYTIC_CSV_COLUMNS = (
     "panel", "alpha1", "r", "a", "theta1",
     "n01", "n11", "n02", "n12", "rho", "marginal_bias", "conditional_bias",
@@ -314,17 +304,18 @@ ANALYTIC_CSV_COLUMNS = (
 def analytic_rows(theta1: float = 0.0):
     """Closed-form bias over the three design grids.
 
-    Panel A varies the futility bound with all cells at 150; panel B
-    varies the period-size ratio with period-2 cells fixed; panel C varies
-    the arm-1 allocation ratio with control cells fixed. Cell sizes may be
-    non-integer here: the formulas are continuous in them. The conditional
-    bias is ``None`` (an empty field) where arm 1 almost never continues,
-    so it is undefined.
+    Around the default design ``DesignConfig()``, panel A varies the
+    futility bound; panel B the period-size ratio with period-2 cells fixed;
+    panel C the arm-1 allocation ratio with control cells fixed. Cell sizes
+    may be non-integer here: the formulas are continuous in them. The
+    conditional bias is ``None`` (an empty field) where arm 1 almost never
+    continues, so it is undefined.
     """
+    default = DesignConfig()
 
     def row(panel, alpha1, n01, n11, n02, n12):
         rho = ncc_weight(n01, n02, n11, n12)
-        se1 = period1_se(n01, n11, _ANALYTIC_SIGMA)
+        se1 = period1_se(n01, n11, default.sigma)
         inputs = BiasInputs(
             rho=rho, se1=se1, c1=futility_cutoff(alpha1), theta1=theta1
         )
@@ -337,13 +328,13 @@ def analytic_rows(theta1: float = 0.0):
             marginal_bias(inputs), conditional,
         )
 
-    n = _ANALYTIC_BASE_N
+    n = float(default.n01)
     for alpha1 in _ANALYTIC_ALPHA1:
         yield row("A", alpha1, n, n, n, n)
     for r in _ANALYTIC_RATIOS:
-        yield row("B", 0.5, n * r, n * r, n, n)
+        yield row("B", default.alpha1, n * r, n * r, n, n)
     for a in _ANALYTIC_RATIOS:
-        yield row("C", 0.5, n, n * a, n, n * a)
+        yield row("C", default.alpha1, n, n * a, n, n * a)
 
 
 def emit_analytic(rows, out_dir: Path | str) -> Path:

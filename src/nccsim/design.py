@@ -25,6 +25,11 @@ def as_integer(value) -> int | None:
     return int(value)
 
 
+#: The largest cell size or resample count, the longest numpy array axis:
+#: a larger integer cannot be drawn at all (below it, memory bounds what can).
+MAX_COUNT = np.iinfo(np.intp).max
+
+
 class TrendPattern(Enum):
     NONE = "none"
     LINEAR = "linear"
@@ -41,26 +46,27 @@ class TimeTrendSpec:
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """All design parameters for one trial.
+    """All design parameters for one trial. The defaults are the default
+    design, from which ``table1``, the analytic panels, plans and ``single`` start.
 
     ``alpha1`` is the futility bound on the interim one-sided p-value
     (0 = always stop, 1 = never stop), ``alpha`` the one-sided significance
     level of the final test, and ``sigma`` the known response standard
     deviation. Construction (``dataclasses.replace`` included) checks every
     field: each of the five cells holds at least one patient, since a
-    futility stop only decides whether the arm-1 period-2 cell is analysed.
-    A numpy integer size is stored as an ``int``.
+    futility stop only decides whether the arm-1 period-2 cell is analysed,
+    and at most :data:`MAX_COUNT`. A numpy integer size is stored as an int.
 
     The members below are what the design alone determines; every analysis
     reads them here. ``c1`` and ``z_alpha`` are computed once per instance.
     """
 
-    n01: int
-    n11: int
-    n02: int
-    n12: int
-    n22: int
-    alpha1: float
+    n01: int = 150
+    n11: int = 150
+    n02: int = 150
+    n12: int = 150
+    n22: int = 150
+    alpha1: float = 0.5
     alpha: float = 0.025
     sigma: float = 1.0
     theta1: float = 0.0
@@ -72,6 +78,8 @@ class DesignConfig:
             value = as_integer(getattr(self, name))
             if value is None or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+            if value > MAX_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value}")
             object.__setattr__(self, name, value)
         if not 0.0 <= self.alpha1 <= 1.0:
             raise ValueError(f"alpha1 out of range [0, 1]: {self.alpha1!r}")

@@ -409,8 +409,6 @@ def run_scenario(
 ALPHA1_GRID = (0.1, 0.15, 0.2, 0.25, 0.35, 0.5, 0.65, 0.75, 0.95)
 RATIO_GRID = ((1, 15), (1, 3), (1, 1), (2, 1), (4, 1), (7, 1), (10, 1))
 LAMBDA_GRID = (-0.15, -0.075, 0.0, 0.075, 0.15)
-BASE_CELL_SIZE = 150
-DEFAULT_ALPHA1 = 0.5
 ALTERNATIVE_THETA2 = 0.32
 
 
@@ -419,28 +417,23 @@ def _ratio_label(num: int, den: int) -> str:
 
 
 def scenario_grid(
-    replicates: int = 10_000, bootstrap: BootstrapSettings | None = None
+    replicates: int, bootstrap: BootstrapSettings | None = None
 ) -> list[Scenario]:
     """Expand the one-factor-at-a-time grid, per hypothesis.
 
-    Families: futility bound, period-size ratio ``r`` (period-2 cells fixed
-    at 150), allocation ratio ``a`` (control cells fixed at 150), and linear
-    trend strength. Non-varied parameters stay at the defaults (bound 0.5,
-    both ratios 1, no trend). 28 scenarios per hypothesis, duplicates of the
-    default point included, null block first.
+    Families around the default design ``DesignConfig()``: futility bound,
+    period-size ratio ``r`` (period-2 cells fixed), allocation ratio ``a``
+    (control cells fixed) and linear trend strength. 28 scenarios per
+    hypothesis, duplicates of the default point included, null block first.
     """
-    base = BASE_CELL_SIZE
+    base = DesignConfig().n01
     scenarios = []
     for hypothesis in HYPOTHESES:
         theta2 = 0.0 if hypothesis == "null" else ALTERNATIVE_THETA2
 
         def make(scenario_id: str, **overrides) -> Scenario:
-            kwargs = dict(
-                n01=base, n11=base, n02=base, n12=base, n22=base,
-                alpha1=DEFAULT_ALPHA1, theta2=theta2,
-            )
-            kwargs.update(overrides)
-            return Scenario(scenario_id, DesignConfig(**kwargs), replicates, bootstrap)
+            config = DesignConfig(theta2=theta2, **overrides)
+            return Scenario(scenario_id, config, replicates, bootstrap)
 
         for alpha1 in ALPHA1_GRID:
             scenarios.append(make(f"{hypothesis}:alpha1={alpha1:g}", alpha1=alpha1))

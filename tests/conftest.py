@@ -42,9 +42,7 @@ def analyse(data: TrialDataset, config: DesignConfig):
 
 
 def default_config(**overrides) -> DesignConfig:
-    kwargs = dict(n01=150, n11=150, n02=150, n12=150, n22=150, alpha1=0.5)
-    kwargs.update(overrides)
-    return DesignConfig(**kwargs)
+    return DesignConfig(**overrides)
 
 
 @pytest.fixture

@@ -29,6 +29,7 @@ from nccsim.adjusted import (
     wald_variances,
 )
 from nccsim.datagen import draw_trials, trial_cells
+from nccsim.design import MAX_COUNT
 from conftest import analyse, default_config, make_dataset
 from oracle import bootstrap_variances, simulate_trial
 
@@ -416,6 +417,12 @@ class TestBootstrap:
             BootstrapSettings(b=b)
         stored = BootstrapSettings(b=np.int64(3)).b
         assert stored == 3 and type(stored) is int
+
+    def test_oversized_count_is_rejected(self):
+        assert BootstrapSettings(b=MAX_COUNT).b == MAX_COUNT
+        with pytest.raises(ValueError, match=f"must be at most {MAX_COUNT}, got {MAX_COUNT + 1}"):
+            BootstrapSettings(b=MAX_COUNT + 1)
+        assert BootstrapSettings(b=2, seed=99999999999999999999).seed == 99999999999999999999
 
     def test_one_resample_is_rejected(self):
         with pytest.raises(ValueError, match="must be >= 2, got 1"):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from nccsim import (
     CELLS, METHODS, STATISTICS, BootstrapError, DesignConfig, Scenario, TimeTrendSpec, TrendPattern,
-    harness, run_replicate, run_scenario,
+    harness, run_replicate, run_scenario, scenario_grid,
 )
 from nccsim.cli import (
     _PLAN_DEFAULTS,
     ConfigError,
     RESULTS_CSV_COLUMNS,
+    _single_scenario,
     analytic_rows,
+    build_parser,
     emit_results,
     main,
     parse_config,
@@ -115,8 +118,9 @@ class TestParseConfig:
             parse_config(path)
 
     def test_hypothesis_consistency(self, tmp_path):
+        # theta2 alone decides the hypothesis, so the plan cannot state it
         path = write_plan(tmp_path, "[scenario]\nid: x\nhypothesis: null\ntheta2: 0.32\n")
-        with pytest.raises(ConfigError, match="contradicts"):
+        with pytest.raises(ConfigError, match=r":3: unknown scenario key 'hypothesis'"):
             parse_config(path)
 
     def test_bad_trend_value(self, tmp_path):
@@ -135,7 +139,11 @@ class TestParseConfig:
         ("bootstrap_seed: -1\ngrid: table1\n", "bootstrap_seed must be >= 0"),
         ("[scenario]\nid: x\n[scenario]\nn01: 0\n", "scenario number 2: n01 must be"),
         ("[scenario]\nid: small\nn12: 0\n", "scenario id 'small': n12 must be an integer >= 1"),
-    ], ids=["replicates", "bootstrap_b", "bootstrap_seed", "negative_seed", "by_index", "by_id"])
+        ("[scenario]\nn22: 99999999999999999999\n", "n22 must be at most 9223372036854775807"),
+        ("bootstrap_b: 99999999999999999999\n[scenario]\n",
+         "bootstrap_b: bootstrap resample count must be at most 9223372036854775807"),
+    ], ids=["replicates", "bootstrap_b", "bootstrap_seed", "negative_seed", "by_index", "by_id",
+            "oversized_cell_size", "oversized_bootstrap_b"])
     def test_every_error_is_a_config_error(self, tmp_path, capsys, text, message):
         path = write_plan(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
@@ -173,13 +181,62 @@ def test_parse_config_returns_scenarios_or_raises_config_error(lines):
     assert scenarios and all(isinstance(s, Scenario) for s in scenarios)
 
 
-def test_every_plan_in_the_readme_parses(tmp_path):
+def readme_plans() -> list[str]:
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
-    plans = [text for language, text in blocks if not language]
+    return [text for language, text in blocks if not language]
+
+
+def test_every_plan_in_the_readme_parses(tmp_path):
+    plans = readme_plans()
     assert len(plans) == 2
     for text in plans:
         assert parse_config(write_plan(tmp_path, text))
+
+
+def test_a_plan_with_a_byte_order_mark_parses_the_same(tmp_path):
+    for text in readme_plans():
+        plain = parse_config(write_plan(tmp_path, text))
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parse_config(path) == plain
+
+
+class TestDefaultDesign:
+    """The default design is written once, as ``DesignConfig``'s defaults,
+    and every command starts from it."""
+
+    def flat_default(self) -> dict:
+        default = DesignConfig()
+        flat = {f.name: getattr(default, f.name) for f in fields(default) if f.name != "trend"}
+        return {**flat, "trend": default.trend.pattern.value, "lambda": default.trend.lam}
+
+    def test_every_field_is_a_plan_key_and_a_single_flag_with_its_default(self):
+        flat = self.flat_default()
+        assert _PLAN_DEFAULTS["scenario"] == {"id": None, **flat}
+        args = build_parser().parse_args(["single", "--seed", "1"])
+        assert {key: getattr(args, key) for key in flat} == flat
+
+    def test_a_plan_and_single_start_from_the_default_design(self, tmp_path):
+        (scenario,) = parse_config(write_plan(tmp_path, "[scenario]\nid: x\n"))
+        assert scenario.config == DesignConfig()
+        args = build_parser().parse_args(["single", "--seed", "1"])
+        assert _single_scenario(args).config == DesignConfig()
+
+    def test_table1_default_points_are_the_default_design(self):
+        grid = {s.scenario_id: s.config for s in scenario_grid(replicates=1)}
+        for label in ("alpha1=0.5", "r=1", "a=1"):
+            assert grid[f"null:{label}"] == DesignConfig(theta2=0.0)
+            assert grid[f"alternative:{label}"] == DesignConfig(
+                theta2=harness.ALTERNATIVE_THETA2
+            )
+
+    def test_analytic_panels_start_from_the_default_design(self):
+        default = DesignConfig()
+        rows = list(analytic_rows())
+        assert rows[0][0] == "A"
+        assert rows[0][5:9] == (float(default.n01),) * 4
+        assert {r[1] for r in rows if r[0] in "BC"} == {default.alpha1}
 
 
 class TestSimulateCommand:
@@ -492,6 +549,16 @@ class TestSingleCommand:
     def test_empty_arm1_period2_cell_exits_2(self, capsys):
         assert main(["single", "--seed", "1", "--n12", "0"]) == 2
         assert "n12 must be an integer >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--n22", "n22 must be at most 9223372036854775807"),
+        ("--bootstrap-b", "bootstrap resample count must be at most 9223372036854775807"),
+    ])
+    def test_oversized_integer_exits_2(self, capsys, flag, message):
+        assert main(["single", "--seed", "1", flag, "99999999999999999999"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_patient_dump(self, tmp_path, capsys):
         dump = tmp_path / "trial.csv"

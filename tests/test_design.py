@@ -14,6 +14,7 @@ from nccsim import (
     normal,
 )
 from nccsim.adjusted import METHODS, point_estimates
+from nccsim.design import MAX_COUNT
 from conftest import default_config
 
 
@@ -59,6 +60,12 @@ class TestValidate:
             for size in (0, -1, True):
                 with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
                     default_config(**{name: size})
+
+    def test_sizes_are_bounded_by_the_largest_array_length(self):
+        assert default_config(n22=MAX_COUNT).n22 == MAX_COUNT
+        for size in (MAX_COUNT + 1, 99999999999999999999):
+            with pytest.raises(ValueError, match=f"n22 must be at most {MAX_COUNT}, got {size}"):
+                default_config(n22=size)
 
     def test_numpy_integer_size_is_stored_as_an_int(self):
         config = default_config(n01=np.int64(150))

@@ -8,8 +8,9 @@ from nccsim import (
     separate_variance,
 )
 from nccsim.adjusted import METHODS, point_estimates
+from nccsim.datagen import draw_trials
 from conftest import analyse, cell_counts, cell_means, default_config, make_dataset
-from oracle import ols_fit, simulate_trial
+from oracle import ols_fit
 
 HAND_CELLS = {(0, 1): [0.0], (1, 1): [1.0], (0, 2): [2.0], (1, 2): [3.0], (2, 2): [5.0]}
 
@@ -25,7 +26,8 @@ def separate(data):
 
 
 def simulated_means(config, reps):
-    return np.array([cell_means(simulate_trial(config, i)) for i in range(reps)])
+    """``(reps, 5)`` cell means of ``reps`` trials of ``config`` (no linear trend)."""
+    return draw_trials(config, np.random.default_rng(2024), reps).means
 
 
 class TestInterim:
