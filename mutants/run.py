@@ -141,10 +141,21 @@ CATALOGUE = (
     ),
     Mutant(
         "correction_times_1_05",
-        "src/nccsim/adjusted.py",
-        "out = config.rho * se1 * normal.hazard(gamma)",
-        "out = 1.05 * config.rho * se1 * normal.hazard(gamma)",
-        "the bias correction is 5 % too large",
+        "src/nccsim/bias.py",
+        "out = inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)",
+        "out = 1.05 * inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)",
+        "the conditional bias, and so the bias correction, is 5 % too large",
+    ),
+    Mutant(
+        "conditional_bias_as_marginal_over_continuation",
+        "src/nccsim/bias.py",
+        "out = inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)",
+        "continuation = normal.cdf(np.negative(inputs.gamma))\n"
+        "    if np.any(continuation < 1e-12):\n"
+        "        raise ValueError('continuation probability ~ 0; conditional bias undefined')\n"
+        "    out = inputs.rho * inputs.se1 * normal.pdf(inputs.gamma) / continuation",
+        "the conditional bias is the marginal bias over the continuation probability:"
+        " it loses its last bits and is undefined deep in the tail",
     ),
     Mutant(
         "period2_control_resampled_from_y01",

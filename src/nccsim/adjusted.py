@@ -9,9 +9,10 @@ determines read from its :class:`DesignConfig`. The model-based estimate
 is the closed form :func:`model_based_from_means`, which borrows
 trend-corrected non-concurrent controls. A stop is a mask: a stopped
 trial takes the concurrent-only estimate under every method. When arm 1
-continues, the model-based estimate is debiased by subtracting a plug-in
-estimate of its conditional bias, and its variance is estimated with a
-stratified bootstrap that replays the trial including the futility rule.
+continues, the model-based estimate is debiased by subtracting its
+conditional bias, :func:`~nccsim.bias.conditional_bias`, at each arm-1
+plug-in, and its variance is estimated with a stratified bootstrap that
+replays the trial including the futility rule.
 The bootstrap has two steps: :func:`bootstrap_resamples` resamples one
 trial's five cells into the cell means of its accepted resamples, and
 :func:`resample_variances` analyses the resamples of many trials with one
@@ -23,11 +24,11 @@ bootstrap for the adjusted ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import normal
+from .bias import bias_inputs, conditional_bias
 from .datagen import CELLS
 from .design import MAX_COUNT, DesignConfig, as_integer, ncc_weight
 from .theta1 import Theta1Method, plug_ins
@@ -55,7 +56,8 @@ class BootstrapError(RuntimeError):
 class BootstrapSettings:
     """``b`` accepted resamples per bootstrap and the user's bootstrap
     ``seed``. One resample has zero variance, so ``b`` must be an integer of
-    at least 2 (and at most :data:`~nccsim.design.MAX_COUNT`); ``seed`` is a
+    at least 2, and at most ``MAX_COUNT // 48`` so that the bootstrap's
+    largest array, ``(6, b)`` float64, has a valid size; ``seed`` is a
     non-negative integer. Numpy integers are stored as ``int``."""
 
     b: int
@@ -67,8 +69,9 @@ class BootstrapSettings:
             raise ValueError(f"bootstrap resample count b must be an integer, got {self.b!r}")
         if b < 2:
             raise ValueError(f"bootstrap resample count must be >= 2, got {b}")
-        if b > MAX_COUNT:
-            raise ValueError(f"bootstrap resample count must be at most {MAX_COUNT}, got {b}")
+        # point_estimates' (6, b) float64 block is the largest array a bootstrap builds
+        if 48 * b > MAX_COUNT:
+            raise ValueError(f"bootstrap resample count must be at most {MAX_COUNT // 48}, got {b}")
         seed = as_integer(self.seed)
         if seed is None or seed < 0:
             raise ValueError(f"bootstrap seed must be a non-negative integer, got {self.seed!r}")
@@ -104,20 +107,6 @@ def model_based_variance(n01, n11, n02, n12, n22, sigma: float) -> float:
     return sigma * sigma * (1.0 / n22 + (1.0 - rho) / n02)
 
 
-def bias_correction(theta1_hat, config: DesignConfig):
-    """``rho * se1 * hazard(c1 - theta1_hat / se1)`` at ``config``'s ``rho``,
-    period-1 SE ``se1`` and interim cutoff ``c1``.
-
-    The normal hazard is finite for every finite argument, so the correction
-    is finite, continuous and non-increasing in ``theta1_hat``. Broadcasts
-    over arrays of ``theta1_hat``.
-    """
-    se1 = config.period1_se
-    gamma = config.c1 - np.asarray(theta1_hat, dtype=float) / se1
-    out = config.rho * se1 * normal.hazard(gamma)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class PointEstimates:
     """Interim look and point estimates of ``n`` trials: ``z11`` and
@@ -149,7 +138,8 @@ def point_estimates(config: DesignConfig, means: np.ndarray) -> PointEstimates:
     c01, c11, c02, c12, c22 = means[cont].T
     model_based = model_based_from_means(c01, c11, c02, c12, c22, *config.cells[:4])
     theta1_hats = plug_ins(c01, c11, c02, c12, config)
-    correction = bias_correction(np.stack([theta1_hats[m] for m in Theta1Method]), config)
+    stacked = np.stack([theta1_hats[m] for m in Theta1Method])
+    correction = conditional_bias(replace(bias_inputs(config), theta1=stacked))
 
     # rows in METHODS order (unadjusted, separate, the adjusted methods); a
     # stopped trial keeps the separate estimate and a zero correction

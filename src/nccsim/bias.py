@@ -5,13 +5,17 @@ result: continuing selects trials whose period-1 arm-1 mean is high, which
 inflates the trend correction and hence the arm-2 estimate. The resulting
 marginal bias is ``rho * se1 * pdf(gamma)``; conditional on stopping the
 estimator is unbiased, so the conditional-on-continuing bias is the marginal
-bias divided by the continuation probability. None of this depends on the
-time trend strength or on the arm-2 effect.
+bias divided by the continuation probability, ``rho * se1 * hazard(gamma)``.
+None of this depends on the time trend strength or on the arm-2 effect. The
+adjusted estimator subtracts :func:`conditional_bias` evaluated at a plug-in
+estimate of ``theta1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import normal
 from .design import DesignConfig
@@ -19,15 +23,16 @@ from .design import DesignConfig
 
 @dataclass(frozen=True)
 class BiasInputs:
-    """Ingredients of the bias formulas for one design point."""
+    """Ingredients of the bias formulas for one design point. ``theta1``
+    may be an array of arm-1 effects (or plug-in estimates of it)."""
 
     rho: float
     se1: float
     c1: float
-    theta1: float
+    theta1: float | np.ndarray
 
     @property
-    def gamma(self) -> float:
+    def gamma(self):
         """Standardized stopping threshold ``c1 - theta1 / se1``."""
         return self.c1 - self.theta1 / self.se1
 
@@ -52,10 +57,10 @@ def marginal_bias(inputs: BiasInputs) -> float:
     return inputs.rho * inputs.se1 * float(normal.pdf(inputs.gamma))
 
 
-def conditional_bias(inputs: BiasInputs) -> float:
-    """Bias conditional on arm 1 continuing past the interim."""
-    continue_prob = float(normal.sf(inputs.gamma))
-    if continue_prob < 1e-12:
-        raise ValueError("continuation probability ~ 0; conditional bias undefined")
-    return marginal_bias(inputs) / continue_prob
-
+def conditional_bias(inputs: BiasInputs):
+    """Bias conditional on arm 1 continuing past the interim,
+    ``rho * se1 * hazard(gamma)``: finite and non-increasing in ``theta1``,
+    also where arm 1 almost never continues. A Python float for a scalar
+    ``theta1``; broadcasts over an array."""
+    out = inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)
+    return float(out) if np.ndim(out) == 0 else out

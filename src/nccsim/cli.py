@@ -307,9 +307,7 @@ def analytic_rows(theta1: float = 0.0):
     Around the default design ``DesignConfig()``, panel A varies the
     futility bound; panel B the period-size ratio with period-2 cells fixed;
     panel C the arm-1 allocation ratio with control cells fixed. Cell sizes
-    may be non-integer here: the formulas are continuous in them. The
-    conditional bias is ``None`` (an empty field) where arm 1 almost never
-    continues, so it is undefined.
+    may be non-integer here: the formulas are continuous in them.
     """
     default = DesignConfig()
 
@@ -319,13 +317,9 @@ def analytic_rows(theta1: float = 0.0):
         inputs = BiasInputs(
             rho=rho, se1=se1, c1=futility_cutoff(alpha1), theta1=theta1
         )
-        try:
-            conditional = conditional_bias(inputs)
-        except ValueError:  # continuation probability ~ 0
-            conditional = None
         return (
             panel, alpha1, n01 / n02, n11 / n01, theta1, n01, n11, n02, n12, rho,
-            marginal_bias(inputs), conditional,
+            marginal_bias(inputs), conditional_bias(inputs),
         )
 
     n = float(default.n01)

@@ -25,8 +25,8 @@ def as_integer(value) -> int | None:
     return int(value)
 
 
-#: The largest cell size or resample count, the longest numpy array axis:
-#: a larger integer cannot be drawn at all (below it, memory bounds what can).
+#: The largest cell size, the longest numpy array axis: a larger integer
+#: cannot be drawn at all (below it, memory bounds what can).
 MAX_COUNT = np.iinfo(np.intp).max
 
 
@@ -53,9 +53,11 @@ class DesignConfig:
     (0 = always stop, 1 = never stop), ``alpha`` the one-sided significance
     level of the final test, and ``sigma`` the known response standard
     deviation. Construction (``dataclasses.replace`` included) checks every
-    field: each of the five cells holds at least one patient, since a
-    futility stop only decides whether the arm-1 period-2 cell is analysed,
-    and at most :data:`MAX_COUNT`. A numpy integer size is stored as an int.
+    field: a positive ``alpha1`` or ``alpha`` must leave ``1 - value`` below
+    1 (be above about 2**-54); each of the five cells holds at least one
+    patient, since a futility stop only decides whether the arm-1 period-2
+    cell is analysed, and at most :data:`MAX_COUNT`. A numpy integer size is
+    stored as an int.
 
     The members below are what the design alone determines; every analysis
     reads them here. ``c1`` and ``z_alpha`` are computed once per instance.
@@ -85,6 +87,11 @@ class DesignConfig:
             raise ValueError(f"alpha1 out of range [0, 1]: {self.alpha1!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha!r}")
+        # the cutoffs are quantiles at 1 - alpha1 and 1 - alpha, which must be below 1
+        for name in ("alpha1", "alpha"):
+            value = getattr(self, name)
+            if value > 0.0 and 1.0 - value == 1.0:
+                raise ValueError(f"{name} is too small: 1 - {name} rounds to 1, got {value!r}")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         for name in ("theta1", "theta2"):

@@ -54,18 +54,14 @@ _inv_cdf = NormalDist().inv_cdf
 
 
 def pdf(x):
-    """Density of the standard normal at ``x``."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
+    """Density of the standard normal at ``x``; 0 where ``x * x`` overflows."""
+    with np.errstate(over="ignore"):
+        return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
 def cdf(x):
     """Lower-tail probability of the standard normal at ``x``."""
     return 0.5 * _float_map(math.erfc, np.negative(x) / _SQRT2)
-
-
-def sf(x):
-    """Upper-tail probability; keeps relative accuracy deep in the tail."""
-    return cdf(np.negative(x))
 
 
 def quantile(p):
@@ -77,9 +73,11 @@ def quantile(p):
 
 
 def hazard(x):
-    """Normal hazard (Mills ratio inverse) ``pdf(x) / sf(x)``.
+    """Normal hazard (Mills ratio inverse) ``pdf(x) / cdf(-x)``.
 
     Computed via the scaled complementary error function, so it neither
-    underflows nor loses accuracy for large ``x``; ``hazard(-inf) == 0``.
+    underflows nor loses accuracy for large ``x``. Its limits are
+    ``hazard(-inf) == 0`` and ``hazard(inf) == inf``.
     """
-    return _SQRT_2_OVER_PI / _erfcx(np.asarray(x, dtype=float) / _SQRT2)
+    with np.errstate(divide="ignore"):  # erfcx(inf) == 0
+        return _SQRT_2_OVER_PI / _erfcx(np.asarray(x, dtype=float) / _SQRT2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,19 +22,26 @@ from nccsim.adjusted import (
     GATHER_BLOCK_VALUES,
     METHODS,
     _bootstrap_cell_means,
-    bias_correction,
     bootstrap_resamples,
     point_estimates,
     rejections,
     t_statistic,
     wald_variances,
 )
+from nccsim.bias import bias_inputs, conditional_bias
 from nccsim.datagen import draw_trials, trial_cells
 from nccsim.design import MAX_COUNT
+from nccsim.theta1 import plug_ins
 from conftest import analyse, default_config, make_dataset
 from oracle import bootstrap_variances, simulate_trial
 
 ALL_METHODS = tuple(Theta1Method)
+
+
+def bias_correction(theta1_hat, config):
+    """The adjusted methods' correction at a plug-in ``theta1_hat``: the
+    conditional bias of ``config`` at arm-1 effect ``theta1_hat``."""
+    return conditional_bias(replace(bias_inputs(config), theta1=theta1_hat))
 
 
 def resample_estimates(data, config, b, seed):
@@ -159,6 +167,27 @@ class TestConditionalBiasEstimate:
 
     def test_never_stop_rule_gives_zero_correction(self):
         assert bias_correction(0.0, default_config(alpha1=1.0)) == 0.0
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"alpha1": 0.95},
+        {"n01": 1500, "n11": 1500},
+        {"trend": TimeTrendSpec(TrendPattern.LINEAR, 0.15)},
+    ], ids=["default", "alpha1=0.95", "r=10", "lambda=0.15"])
+    def test_corrections_are_the_conditional_bias_at_each_plug_in(self, overrides):
+        # bit for bit: the batch's correction of a continuing trial is the
+        # scalar conditional bias at that trial's plug-in
+        config = default_config(**overrides)
+        rng = np.random.default_rng(31)
+        means = draw_trials(config, rng, 300, (rng, rng)).means
+        point = point_estimates(config, means)
+        cont = point.continued
+        assert 0 < cont.sum() < cont.size
+        theta1_hats = plug_ins(*means[cont, :4].T, config)
+        for method, row in zip(ALL_METHODS, point.corrections[2:]):
+            expected = [bias_correction(t, config) for t in theta1_hats[method].tolist()]
+            assert row[cont].tolist() == expected, method
+            assert not row[~cont].any()
 
 
 class TestMae:
@@ -419,9 +448,12 @@ class TestBootstrap:
         assert stored == 3 and type(stored) is int
 
     def test_oversized_count_is_rejected(self):
-        assert BootstrapSettings(b=MAX_COUNT).b == MAX_COUNT
-        with pytest.raises(ValueError, match=f"must be at most {MAX_COUNT}, got {MAX_COUNT + 1}"):
-            BootstrapSettings(b=MAX_COUNT + 1)
+        # the bound is what the bootstrap's (6, b) float64 block can address
+        largest = MAX_COUNT // 48
+        assert BootstrapSettings(b=largest).b == largest
+        for b in (largest + 1, 2**62, MAX_COUNT + 1):
+            with pytest.raises(ValueError, match=f"must be at most {largest}, got {b}"):
+                BootstrapSettings(b=b)
         assert BootstrapSettings(b=2, seed=99999999999999999999).seed == 99999999999999999999
 
     def test_one_resample_is_rejected(self):

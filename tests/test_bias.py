@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from nccsim import (
@@ -7,6 +10,8 @@ from nccsim import (
     marginal_bias,
     stop_probability,
 )
+from nccsim.adjusted import interim_look, model_based_from_means
+from nccsim.datagen import draw_trials
 from conftest import default_config
 
 
@@ -75,9 +80,15 @@ class TestConditionalBias:
         expected = inputs.rho * inputs.se1 * normal.pdf(inputs.c1) / 0.3
         assert conditional_bias(inputs) == pytest.approx(expected, rel=1e-12)
 
-    def test_degenerate_continuation_raises(self):
-        with pytest.raises(ValueError, match="continuation probability"):
-            conditional_bias(default_inputs(theta1=-10.0))
+    def test_deep_tail_is_finite_and_tends_to_the_linear_limit(self):
+        # where arm 1 almost never continues, hazard(gamma) ~ gamma + 1 / gamma,
+        # so the bias tends to rho * se1 * gamma = rho * (c1 * se1 - theta1)
+        for theta1 in (-10.0, -1e3, -1e300):
+            inputs = default_inputs(alpha1=0.3, theta1=theta1)
+            value = conditional_bias(inputs)
+            assert math.isfinite(value)
+            limit = inputs.rho * (inputs.c1 * inputs.se1 - theta1)
+            assert abs(value / limit - 1.0) <= 1.0 / (inputs.gamma * inputs.gamma) + 1e-15
 
     def test_total_expectation_reconstruction(self):
         # stop-branch bias is 0, so P(stop)*0 + P(continue)*conditional = marginal
@@ -98,3 +109,29 @@ class TestBiasInputs:
         assert inputs.rho == pytest.approx(0.25)
         assert inputs.se1 == pytest.approx(0.11547005383792516)
         assert inputs.c1 == 0.0
+
+
+class TestAgainstSimulation:
+    """The closed forms against trials drawn as cell means, away from a null
+    arm-1 effect."""
+
+    TRIALS = 200_000
+
+    @pytest.mark.parametrize("theta1", [-0.2, 0.2])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"alpha1": 0.1}, {"n01": 1500, "n11": 1500},
+    ], ids=["default", "alpha1=0.1", "r=10"])
+    def test_continuation_and_conditional_error(self, overrides, theta1):
+        config = default_config(theta1=theta1, **overrides)
+        means = draw_trials(config, np.random.default_rng(2025), self.TRIALS).means
+        continued = interim_look(config, means[:, 0], means[:, 1])[1]
+        inputs = bias_inputs(config)
+        p = 1.0 - stop_probability(inputs)
+        assert abs(continued.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / self.TRIALS)
+        if continued.sum() < 100:
+            # r = 10 at theta1 = -0.2: arm 1 continues with probability 2e-8
+            assert p < 1e-6
+            return
+        errors = model_based_from_means(*means[continued].T, *config.cells[:4]) - config.theta2
+        se = errors.std(ddof=1) / math.sqrt(errors.size)
+        assert abs(errors.mean() - conditional_bias(inputs)) <= 4.0 * se

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -141,9 +142,14 @@ class TestParseConfig:
         ("[scenario]\nid: small\nn12: 0\n", "scenario id 'small': n12 must be an integer >= 1"),
         ("[scenario]\nn22: 99999999999999999999\n", "n22 must be at most 9223372036854775807"),
         ("bootstrap_b: 99999999999999999999\n[scenario]\n",
-         "bootstrap_b: bootstrap resample count must be at most 9223372036854775807"),
+         "bootstrap_b: bootstrap resample count must be at most 192153584101141162"),
+        ("bootstrap_b: 4611686018427387904\n[scenario]\n",
+         "at most 192153584101141162, got 4611686018427387904"),
+        ("[scenario]\nalpha1: 1e-17\n", "alpha1 is too small: 1 - alpha1 rounds to 1"),
+        ("[scenario]\nalpha: 1e-300\n", "alpha is too small: 1 - alpha rounds to 1"),
     ], ids=["replicates", "bootstrap_b", "bootstrap_seed", "negative_seed", "by_index", "by_id",
-            "oversized_cell_size", "oversized_bootstrap_b"])
+            "oversized_cell_size", "oversized_bootstrap_b", "unallocatable_bootstrap_b",
+            "tiny_alpha1", "tiny_alpha"])
     def test_every_error_is_a_config_error(self, tmp_path, capsys, text, message):
         path = write_plan(tmp_path, text)
         with pytest.raises(ConfigError, match=message):
@@ -418,26 +424,24 @@ class TestAnalyticCommand:
         target = [r for r in rows if r["panel"] == "A" and r["alpha1"] == "0.5"]
         assert float(target[0]["marginal_bias"]) == pytest.approx(0.011516471649044516)
 
-    @pytest.mark.parametrize("theta1, undefined", [("-0.3", 1), ("-1", 115)])
-    def test_undefined_conditional_bias_is_an_empty_field(self, tmp_path, theta1, undefined):
+    @pytest.mark.parametrize("theta1", ["-0.3", "-1"])
+    def test_every_row_has_a_conditional_bias(self, tmp_path, theta1):
         # a negative arm-1 effect stops almost every trial of some designs of
-        # the grid (at -0.3 only panel B's r = 10), so their conditional bias
-        # is undefined; the marginal bias always is
+        # the grid (115 of them at -1, panel B's r = 10 at -0.3), and the
+        # conditional bias is still finite there
         assert main(["analytic", "--out", str(tmp_path), f"--theta1={theta1}"]) == 0
         with (tmp_path / "analytic_bias.csv").open() as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 133
-        assert sum(r["conditional_bias"] == "" for r in rows) == undefined
-        assert all(r["marginal_bias"] != "" for r in rows)
-        if theta1 == "-0.3":
-            assert [(r["panel"], r["r"]) for r in rows if not r["conditional_bias"]] == [
-                ("B", "10.0")
-            ]
+        for row in rows:
+            assert math.isfinite(float(row["marginal_bias"]))
+            assert math.isfinite(float(row["conditional_bias"]))
+            assert float(row["conditional_bias"]) >= float(row["marginal_bias"])
 
     @pytest.mark.parametrize("theta1", ["-0.3", "-1"])
     def test_a_row_that_fails_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, theta1):
-        # the last of the 133 rows raises, after every row with an empty
-        # conditional bias
+        # the last of the 133 rows raises, after every row of a design where
+        # arm 1 almost never continues
         import nccsim.cli as cli_module
 
         real = cli_module.marginal_bias
@@ -453,6 +457,16 @@ class TestAnalyticCommand:
         assert main(["analytic", "--out", str(tmp_path), f"--theta1={theta1}"]) == 2
         assert "injected" in capsys.readouterr().err
         assert not (tmp_path / "analytic_bias.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta1", ["-1e307", "1e307"])
+    def test_extreme_theta1_writes_without_warnings(self, tmp_path, theta1):
+        assert main(["analytic", "--out", str(tmp_path), f"--theta1={theta1}"]) == 0
+        with (tmp_path / "analytic_bias.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 133
+        assert all(row["marginal_bias"] == "0.0" for row in rows)
+        assert all(row["conditional_bias"] != "" for row in rows)
 
     @pytest.mark.parametrize("theta1", ["nan", "inf"])
     def test_non_finite_theta1_exits_2(self, tmp_path, capsys, theta1):
@@ -552,10 +566,22 @@ class TestSingleCommand:
 
     @pytest.mark.parametrize("flag, message", [
         ("--n22", "n22 must be at most 9223372036854775807"),
-        ("--bootstrap-b", "bootstrap resample count must be at most 9223372036854775807"),
+        ("--bootstrap-b", "bootstrap resample count must be at most 192153584101141162"),
     ])
     def test_oversized_integer_exits_2(self, capsys, flag, message):
         assert main(["single", "--seed", "1", flag, "99999999999999999999"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha1", "1e-300", "alpha1 is too small: 1 - alpha1 rounds to 1"),
+        ("--alpha", "1e-300", "alpha is too small: 1 - alpha rounds to 1"),
+        ("--bootstrap-b", "4611686018427387904",
+         "bootstrap resample count must be at most 192153584101141162"),
+    ], ids=["alpha1", "alpha", "bootstrap_b"])
+    def test_value_the_run_cannot_use_exits_2(self, capsys, flag, value, message):
+        assert main(["single", "--seed", "12", flag, value]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""

@@ -55,6 +55,15 @@ class TestValidate:
         default_config(alpha1=0.0)
         default_config(alpha1=1.0)
 
+    @pytest.mark.parametrize("name", ["alpha1", "alpha"])
+    def test_a_level_whose_complement_rounds_to_1_is_rejected(self, name):
+        # the cutoff is the quantile at 1 - level, which must lie below 1
+        for value in (2.0**-54, 1e-17, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=f"{name} is too small: 1 - {name} rounds to 1"):
+                default_config(**{name: value})
+        config = default_config(**{name: 2.0**-53})
+        assert math.isfinite(config.c1) and math.isfinite(config.z_alpha)
+
     def test_analysis_cells_require_patients(self):
         for name in ("n01", "n11", "n02", "n12", "n22"):
             for size in (0, -1, True):

@@ -29,12 +29,13 @@ def test_cdf_matches_libm_erfc():
 
 
 def test_sf_symmetry_and_tail_accuracy():
+    # the upper tail (survival function) is cdf(-x)
     xs = np.linspace(-10.0, 10.0, 201)
-    assert np.allclose(normal.sf(xs), normal.cdf(-xs), rtol=0, atol=0)
+    assert np.allclose(normal.cdf(-xs), 1.0 - normal.cdf(xs), rtol=0, atol=1e-15)
     # relative accuracy deep in the tail, vs libm erfc
     for x in (5.0, 10.0, 20.0, 35.0):
         ref = 0.5 * math.erfc(x / math.sqrt(2.0))
-        assert normal.sf(x) == pytest.approx(ref, rel=1e-12)
+        assert normal.cdf(-x) == pytest.approx(ref, rel=1e-12)
 
 
 def test_quantile_known_values():
@@ -57,7 +58,7 @@ def test_quantile_domain():
 
 def test_hazard_matches_ratio_and_is_tail_stable():
     xs = np.linspace(-6.0, 6.0, 121)
-    direct = normal.pdf(xs) / normal.sf(xs)
+    direct = normal.pdf(xs) / normal.cdf(-xs)
     assert np.allclose(normal.hazard(xs), direct, rtol=1e-13)
     assert normal.hazard(0.0) == pytest.approx(0.7978845608028654, abs=1e-14)
     # far right tail: hazard(x) ~ x + 1/x, with no overflow
@@ -65,3 +66,17 @@ def test_hazard_matches_ratio_and_is_tail_stable():
         assert normal.hazard(x) == pytest.approx(x + 1.0 / x, rel=1e-3)
     assert normal.hazard(-np.inf) == 0.0
     assert normal.hazard(-60.0) == pytest.approx(0.0, abs=1e-300)
+
+
+@pytest.mark.filterwarnings("error")
+def test_extremes_give_the_limits_without_warnings():
+    huge = np.array([-1e307, -1e200, 1e200, 1e307, -np.inf, np.inf])
+    assert not normal.pdf(huge).any()
+    assert normal.pdf(np.inf) == 0.0
+    # hazard(x) ~ x far right; its limits are 0 at -inf and inf at inf
+    hazard = normal.hazard(huge)
+    assert hazard[[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
+    np.testing.assert_allclose(hazard[2:4], huge[2:4], rtol=1e-15)
+    assert hazard[5] == np.inf
+    assert normal.hazard(np.inf) == np.inf
+    assert normal.hazard(-np.inf) == 0.0
