@@ -92,9 +92,9 @@ CATALOGUE = (
     Mutant(
         "bootstrap_stream_key_0",
         "src/nccsim/harness.py",
-        "_rng(*key, 1, bootstrap.seed)",
-        "_rng(*key, 0, bootstrap.seed)",
-        "the bootstrap resamples from the replicate's cell stream key, not its own",
+        "_rng(scenario, master_seed, chunk, 1, group, seed)",
+        "_rng(scenario, master_seed, chunk, 0, group, seed)",
+        "a group's bootstrap resamples from another key than (chunk, 1, group, bootstrap seed)",
     ),
     Mutant(
         "unadjusted_wald_uses_separate_variance",
@@ -142,27 +142,35 @@ CATALOGUE = (
     Mutant(
         "correction_times_1_05",
         "src/nccsim/bias.py",
-        "out = inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)",
-        "out = 1.05 * inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)",
+        "out = inputs.rho * inputs.se1 * normal.hazard(gamma)",
+        "out = 1.05 * inputs.rho * inputs.se1 * normal.hazard(gamma)",
         "the conditional bias, and so the bias correction, is 5 % too large",
     ),
     Mutant(
         "conditional_bias_as_marginal_over_continuation",
         "src/nccsim/bias.py",
-        "out = inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)",
-        "continuation = normal.cdf(np.negative(inputs.gamma))\n"
+        "out = inputs.rho * inputs.se1 * normal.hazard(gamma)",
+        "continuation = normal.cdf(np.negative(gamma))\n"
         "    if np.any(continuation < 1e-12):\n"
         "        raise ValueError('continuation probability ~ 0; conditional bias undefined')\n"
-        "    out = inputs.rho * inputs.se1 * normal.pdf(inputs.gamma) / continuation",
+        "    out = inputs.rho * inputs.se1 * normal.pdf(gamma) / continuation",
         "the conditional bias is the marginal bias over the continuation probability:"
         " it loses its last bits and is undefined deep in the tail",
     ),
     Mutant(
         "period2_control_resampled_from_y01",
         "src/nccsim/adjusted.py",
-        "rows[:, 2] = _bootstrap_cell_means(rng, y02, take.size)",
-        "rows[:, 2] = _bootstrap_cell_means(rng, y01, take.size)",
+        "out[done, :, 2] = _resample_means(rng, y02[:, done], b).T",
+        "out[done, :, 2] = _resample_means(rng, y01[:, done], b).T",
         "the period-2 control cell is resampled from the period-1 control cell",
+    ),
+    Mutant(
+        "period2_resampled_from_the_neighbouring_trial",
+        "src/nccsim/adjusted.py",
+        "out[done, :, 3] = _resample_means(rng, y12[:, done], b).T",
+        "out[done, :, 3] = _resample_means(rng, y12[:, done - 1], b).T",
+        "cross-talk: a trial's accepted proposals are paired with the period-2 arm-1 cell"
+        " of its neighbour in the group",
     ),
     Mutant(
         "look_against_period2_control",
@@ -230,23 +238,23 @@ CATALOGUE = (
     Mutant(
         "bootstrap_accepts_every_proposal",
         "src/nccsim/adjusted.py",
-        "hits = np.flatnonzero(interim_look(config, m01, m11)[1])",
-        "hits = np.arange(batch)",
+        "hit = interim_look(config, m01, m11)[1]",
+        "hit = np.ones_like(m11, dtype=bool)",
         "the bootstrap no longer replays the futility rule",
     ),
     Mutant(
         "bootstrap_reads_the_next_row",
         "src/nccsim/harness.py",
-        "trial_cells(scenario.config, draws, index % CHUNK, _rng(*key, 0))",
-        "trial_cells(scenario.config, draws, (index + 1) % CHUNK, _rng(*key, 0))",
+        "trial_cells(scenario.config, draws, index % CHUNK, _rng(scenario, master_seed, index, 0))",
+        "trial_cells(scenario.config, draws, (index + 1) % CHUNK, _rng(scenario, master_seed, index, 0))",
         "a replicate's bootstrap resamples the next replicate's cells",
     ),
     Mutant(
         "group_variances_to_its_first_rows",
         "src/nccsim/harness.py",
-        "done = block[~failed[block]]",
-        "done = block[: len(resamples)]",
-        "after a failure in a slice, its variances land on the wrong replicates",
+        "bootstrap[:, block[~lost]] = ",
+        "bootstrap[:, block[: (~lost).sum()]] = ",
+        "after a failure in a group, its variances land on the wrong replicates",
     ),
     Mutant(
         "unadjusted_estimate_in_separate_row",

@@ -13,10 +13,13 @@ continues, the model-based estimate is debiased by subtracting its
 conditional bias, :func:`~nccsim.bias.conditional_bias`, at each arm-1
 plug-in, and its variance is estimated with a stratified bootstrap that
 replays the trial including the futility rule.
-The bootstrap has two steps: :func:`bootstrap_resamples` resamples one
-trial's five cells into the cell means of its accepted resamples, and
+The bootstrap has two steps: :func:`bootstrap_group` resamples the five
+cells of a group of trials into the cell means of each trial's accepted
+resamples, every resample a row of counts shared by the group, so a cell's
+resample means for the whole group are one matrix product; and
 :func:`resample_variances` analyses the resamples of many trials with one
-:func:`point_estimates` call. Each method is then tested with a Wald-type
+:func:`point_estimates` call. :func:`bootstrap_resamples` is the one-trial
+call of :func:`bootstrap_group`. Each method is then tested with a Wald-type
 statistic: known-sigma for a stopped trial and the unadjusted estimate,
 bootstrap for the adjusted ones.
 """
@@ -151,119 +154,168 @@ def point_estimates(config: DesignConfig, means: np.ndarray) -> PointEstimates:
     return PointEstimates(z11, continued, estimates, corrections)
 
 
-#: Values gathered per block by :func:`_bootstrap_cell_means`. A block's
-#: gathered rows (256 KB) stay in a core's L2 cache before they are summed;
-#: blocks of 16K–64K values timed the same, 128K lost the gain.
-GATHER_BLOCK_VALUES = 2**15
+#: Resample indices counted per block by :func:`_resample_means`. A block's
+#: offset indices, counts and float counts (under 1 MB) stay in a core's L2
+#: cache: counting 1250 resamples of n = 1500 in one pass cost about 10 ns
+#: of CPU per index, against about 4 ns in blocks.
+COUNT_BLOCK_VALUES = 2**15
+
+#: Largest ``m * n * k`` of one ``(m, n) @ (n, k)`` product in
+#: :func:`_resample_means`; wider groups are multiplied in column slices.
+#: OpenBLAS runs a larger product on several threads, which cost 2.6x the
+#: time of one thread on a 2-vCPU host with the other vCPU busy
+#: (21 x 1500 x 40: 334 us against 130 us), and far more when two such
+#: processes share the host.
+PRODUCT_VALUES = 2**18
 
 
-def _bootstrap_cell_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
-    """Means of ``draws`` resamples with replacement of ``values``.
+def _resample_means(rng, values: np.ndarray, draws: int) -> np.ndarray:
+    """``(draws, k)`` means of ``draws`` resamples with replacement of the
+    ``n`` rows of ``values``, an ``(n, k)`` array: resample ``t`` draws the
+    same rows of every column.
 
     All indices come from one ``rng.integers(0, n, size=(draws, n))`` draw,
     as ``uint16`` when ``n <= 2**16`` (cheaper to draw) and ``int64`` above.
-    The gather and the row sums run over blocks of about
-    :data:`GATHER_BLOCK_VALUES` values into one reused buffer, so no
-    ``(draws, n)`` float array is built; ``take`` skips the bounds check,
-    since the indices are in range by construction. A mean is its row sum
-    divided by ``n``, so the result equals ``values[idx].mean(axis=1)`` bit
-    for bit.
+    A resample is its vector of counts, how often it drew each row
+    (Efron & Tibshirani 1993), so the resample means are ``W @ values / n``
+    with ``W`` the ``(draws, n)`` counts. ``W`` is built with
+    ``np.bincount`` over blocks of about :data:`COUNT_BLOCK_VALUES`
+    indices, each row offset by ``n`` times its place in the block, and
+    multiplied block by block, so no ``(draws, n)`` float array is built;
+    a product spans at most :data:`PRODUCT_VALUES` multiply-adds, so that
+    BLAS keeps it on one thread.
     """
-    n = values.size
+    n, k = values.shape
     idx = rng.integers(0, n, size=(draws, n), dtype=np.uint16 if n <= 2**16 else np.int64)
-    rows = max(1, GATHER_BLOCK_VALUES // n)
-    gathered = np.empty((min(rows, draws), n))
-    out = np.empty(draws)
+    rows = min(max(1, COUNT_BLOCK_VALUES // n), draws)
+    columns = max(1, PRODUCT_VALUES // (rows * n))
+    offsets = np.arange(rows)[:, np.newaxis] * n
+    flat = np.empty((rows, n), dtype=np.intp)
+    counts = np.empty((rows, n))
+    out = np.empty((draws, k))
     for start in range(0, draws, rows):
         block = idx[start : start + rows]
-        buffer = gathered[: block.shape[0]]
-        values.take(block, out=buffer, mode="clip")
-        np.sum(buffer, axis=1, out=out[start : start + rows])
+        m = block.shape[0]
+        np.add(block, offsets[:m], out=flat[:m])
+        counts[:m] = np.bincount(flat[:m].ravel(), minlength=m * n).reshape(m, n)
+        for first in range(0, k, columns):
+            part = slice(first, first + columns)
+            np.matmul(counts[:m], values[:, part], out=out[start : start + m, part])
     out /= n
     return out
+
+
+def bootstrap_group(
+    cells: tuple[np.ndarray, ...], config: DesignConfig, b: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, b, 5)`` cell means of the accepted resamples of ``k`` trials,
+    and the ``(k,)`` mask of the trials whose bootstrap failed.
+
+    ``cells`` holds the five cells' responses in ``CELLS`` order, each an
+    ``(n, k)`` array whose column ``j`` is trial ``j``'s cell. Replays each
+    trial on resampled data: draw the period-1 arm-1 and control cells with
+    replacement at their original sizes, keep a resample only if
+    :func:`interim_look` lets arm 1 continue, then draw the three period-2
+    cells. Every resample of a cell is one row of counts shared by the
+    ``k`` trials (:func:`_resample_means`), so each trial still gets i.i.d.
+    resamples of its own data; only the trials of one call are dependent.
+
+    Period-1 proposals come in shared batches. Each trial applies the look
+    to its own column and takes its first accepted proposals, up to the
+    ``need`` it still misses. A batch is sized for the trial that needs
+    most: ``ceil(1.25 * need / rate)`` proposals, at least 64 and at most
+    8192, where ``rate`` is that trial's acceptance rate so far (floored at
+    0.02). The first batch assumes every proposal is accepted, because a
+    continuing trial's own resamples mostly are: ``ceil(1.25 * b)``
+    proposals, 250 at ``b = 200``. Only the trials still short see the
+    next batch. The period-2 cells are drawn once, ``b`` rows after the
+    last batch, for the trials that did not fail: they are independent of
+    period 1, so row ``t`` pairs with each trial's ``t``-th accepted
+    proposal. For a given state of ``rng`` all of it is deterministic.
+
+    A trial fails after ``100 * b`` consecutive rejections and sees no
+    further batch; its rows of the result are undefined. Raises
+    ``ValueError`` when the cell counts differ from the design's, since the
+    look and the correction use the design's cutoff and SE.
+    """
+    counts = tuple(values.shape[0] for values in cells)
+    if counts != config.cells:
+        raise ValueError(
+            f"the trials' cell counts {counts} differ from the design's {config.cells}"
+        )
+    y01, y11, y02, y12, y22 = cells
+    k = y01.shape[1]
+
+    rejection_limit = 100 * b
+    need = np.full(k, b)
+    streak = np.zeros(k, dtype=np.int64)
+    accepted = np.zeros(k, dtype=np.int64)
+    failed = np.zeros(k, dtype=bool)
+    attempts = 0
+    active = np.arange(k)
+    out = np.empty((k, b, len(CELLS)))
+
+    while active.size:
+        rate = np.maximum(accepted[active] / attempts if attempts else 1.0, 0.02)
+        batch = int(min(8192, max(64, math.ceil(np.max(need[active] / rate) * 1.25))))
+        m11 = _resample_means(rng, y11[:, active], batch)
+        m01 = _resample_means(rng, y01[:, active], batch)
+        attempts += batch
+        hit = interim_look(config, m01, m11)[1]
+        n_hits = hit.sum(axis=0)
+        accepted[active] += n_hits
+
+        # The run of rejections up to a trial's first hit of this batch, or
+        # through the batch. A batch holds at most max(64, ceil(62.5 * b)) <
+        # 100 * b proposals, so no run between two of its hits reaches the
+        # limit.
+        missed = n_hits == 0
+        run = streak[active] + np.where(missed, batch, hit.argmax(axis=0))
+        lost = run >= rejection_limit
+        streak[active] = np.where(missed, run, hit[::-1].argmax(axis=0))
+
+        # each trial's first `need` hits, in proposal order; the t-th of
+        # them fills the trial's next free row
+        rank = np.cumsum(hit, axis=0)
+        take = hit & (rank <= need[active]) & ~lost
+        proposal, column = np.nonzero(take)
+        trial = active[column]
+        row = b - need[trial] + rank[proposal, column] - 1
+        out[trial, row, 0] = m01[proposal, column]
+        out[trial, row, 1] = m11[proposal, column]
+        need[active] -= take.sum(axis=0)
+        failed[active[lost]] = True
+        active = active[(need[active] > 0) & ~lost]
+
+    done = np.flatnonzero(~failed)
+    if done.size:
+        # the stream draws the period-2 cells in the order y12, y02, y22
+        out[done, :, 3] = _resample_means(rng, y12[:, done], b).T
+        out[done, :, 2] = _resample_means(rng, y02[:, done], b).T
+        out[done, :, 4] = _resample_means(rng, y22[:, done], b).T
+    return out, failed
 
 
 def bootstrap_resamples(
     cells: tuple[np.ndarray, ...], config: DesignConfig, b: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``(b, 5)`` cell means of the accepted resamples of one trial.
-
-    ``cells`` holds the trial's five cells' responses in ``CELLS`` order.
-    Replays the trial on resampled data: draw the period-1 arm-1 and control
-    cells with replacement at their original sizes, keep the resample only
-    if :func:`interim_look` lets arm 1 continue, then draw the three
-    period-2 cells. Repeats until ``b`` resamples are accepted, drawing every
-    index from ``rng``.
-
-    Period-1 proposals are drawn in batches sized for the ``need`` resamples
-    still missing: ``ceil(1.25 * need / rate)`` proposals, at least 64 and at
-    most 8192, where ``rate`` is the acceptance rate seen so far (floored at
-    0.02). The first batch assumes every proposal is accepted, because a
-    continuing trial's own resamples mostly are: ``ceil(1.25 * b)``
-    proposals, 250 at ``b = 200``. Only the period-2 cells of the first
-    ``need`` hits are drawn. The accepted resamples are the first ``b``
-    accepted proposals of an i.i.d. proposal stream, so the batching changes
-    which resamples are drawn, not their law; for a given state of ``rng``
-    they are deterministic. Each cell's resample means come from
-    :func:`_bootstrap_cell_means`.
-
-    The look and the correction use the design's cutoff and SE, so the cell
-    sizes must be the design's. Raises :class:`BootstrapError` after
-    ``100 * b`` consecutive rejections, and ``ValueError`` when the cell
-    sizes differ from the design's.
-    """
-    counts = tuple(values.size for values in cells)
-    if counts != config.cells:
-        raise ValueError(
-            f"the trial's cell counts {counts} differ from the design's {config.cells}"
-        )
-    y01, y11, y02, y12, y22 = cells
-
-    rejection_limit = 100 * b
-    need = b
-    streak = 0
-    attempts = 0
-    accepted = 0
-    out = np.empty((b, len(CELLS)))
-
-    while need > 0:
-        rate = max(accepted / attempts if attempts else 1.0, 0.02)
-        batch = int(min(8192, max(64, math.ceil(need / rate * 1.25))))
-        m11 = _bootstrap_cell_means(rng, y11, batch)
-        m01 = _bootstrap_cell_means(rng, y01, batch)
-        attempts += batch
-        hits = np.flatnonzero(interim_look(config, m01, m11)[1])
-        accepted += hits.size
-
-        # The run of rejections up to this batch's first hit, or through the
-        # batch. A batch holds at most max(64, ceil(62.5 * b)) < 100 * b
-        # proposals, so no run between two of its hits reaches the limit.
-        run = streak + (int(hits[0]) if hits.size else batch)
-        if run >= rejection_limit:
-            raise BootstrapError("bootstrap cannot satisfy continuation condition")
-        if hits.size == 0:
-            streak = run
-            continue
-        streak = batch - 1 - int(hits[-1])
-
-        take = hits[:need]
-        rows = out[b - need : b - need + take.size]
-        rows[:, 0] = m01[take]
-        rows[:, 1] = m11[take]
-        # the stream draws the period-2 cells in the order y12, y02, y22
-        rows[:, 3] = _bootstrap_cell_means(rng, y12, take.size)
-        rows[:, 2] = _bootstrap_cell_means(rng, y02, take.size)
-        rows[:, 4] = _bootstrap_cell_means(rng, y22, take.size)
-        need -= take.size
-
-    return out
+    """``(b, 5)`` cell means of the accepted resamples of one trial: the
+    ``k = 1`` call of :func:`bootstrap_group`, on the trial's five cells'
+    responses in ``CELLS`` order. Raises :class:`BootstrapError` after
+    ``100 * b`` consecutive rejections."""
+    resamples, failed = bootstrap_group(
+        tuple(values[:, np.newaxis] for values in cells), config, b, rng
+    )
+    if failed[0]:
+        raise BootstrapError("bootstrap cannot satisfy continuation condition")
+    return resamples[0]
 
 
 def resample_variances(config: DesignConfig, resamples: np.ndarray) -> np.ndarray:
     """``(4, k)`` bootstrap variances of ``ADJUSTED_METHODS`` for ``k`` trials.
 
     ``resamples`` is ``(k, b, 5)``: each trial's accepted resample cell means
-    from :func:`bootstrap_resamples`. All ``k * b`` rows are analysed with
+    from :func:`bootstrap_group`. All ``k * b`` rows are analysed with
     one :func:`point_estimates` call and each trial's variance is taken over
     its ``b`` estimates (divisor ``b``, matching the resample-count
     convention). The analysis works element by element and a row-wise

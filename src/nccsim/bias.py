@@ -13,6 +13,7 @@ estimate of ``theta1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,17 @@ def marginal_bias(inputs: BiasInputs) -> float:
 def conditional_bias(inputs: BiasInputs):
     """Bias conditional on arm 1 continuing past the interim,
     ``rho * se1 * hazard(gamma)``: finite and non-increasing in ``theta1``,
-    also where arm 1 almost never continues. A Python float for a scalar
-    ``theta1``; broadcasts over an array."""
-    out = inputs.rho * inputs.se1 * normal.hazard(inputs.gamma)
+    also where arm 1 almost never continues. Where ``theta1 / se1``
+    overflows to ``-inf``, ``hazard`` is not evaluated at the infinite
+    ``gamma`` this would give: the bias is its limit
+    ``rho * (c1 * se1 - theta1)``, since ``hazard(g) = g + O(1 / g)``. A
+    Python float for a scalar ``theta1``; broadcasts over an array."""
+    theta1 = np.asarray(inputs.theta1, dtype=float)
+    with np.errstate(over="ignore"):
+        shift = theta1 / inputs.se1
+    overflow = (shift == -np.inf) & np.isfinite(theta1)
+    gamma = inputs.c1 - np.where(overflow, 0.0, shift)
+    out = inputs.rho * inputs.se1 * normal.hazard(gamma)
+    if math.isfinite(inputs.c1):
+        out = np.where(overflow, inputs.rho * (inputs.c1 * inputs.se1 - theta1), out)
     return float(out) if np.ndim(out) == 0 else out

@@ -8,16 +8,17 @@ decision, every estimate, bias correction and known-sigma test is computed
 for the whole chunk in one numpy pass (:mod:`nccsim.adjusted`). Replicate
 ``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``, and each stream draws
 its rows in order, so a row does not depend on how many replicates follow
-it. For the bootstrap of a continuing replicate ``i``, its five cells'
-responses (not patient rows) are drawn from a stream keyed by ``(master
-seed, scenario id, i)``, and resampled from a stream keyed by the same
-triple and the bootstrap seed. The chunk analyses the accepted resamples of
-its continuing replicates together, in groups of at most
-:data:`ANALYSIS_ROWS` rows. Results are therefore bit-identical for any
-worker count and execution order, and :func:`run_replicate` replays a
-replicate exactly as its row of its chunk. Each chunk returns its rows of the one
-per-replicate record, :class:`ReplicateArrays`; aggregation reduces it in
-index order.
+it. The bootstrap serves a chunk's continuing replicates in groups of at
+most ``max(1, ANALYSIS_ROWS // b)``, in index order. The five cells'
+responses (not patient rows) of replicate ``i`` are drawn from a stream
+keyed by ``(master seed, scenario id, i, 0)``. Group ``g`` of chunk ``c``
+draws one resample-count matrix per cell, shared by its replicates, from a
+stream keyed by ``(master seed, scenario id, c, 1, g, bootstrap seed)``,
+and its accepted resamples are analysed together (:mod:`nccsim.adjusted`).
+Results are therefore bit-identical for any worker count and execution
+order, and :func:`run_replicate` replays a replicate exactly as its row of
+its chunk. Each chunk returns its rows of the one per-replicate record,
+:class:`ReplicateArrays`; aggregation reduces it in index order.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import numpy as np
 from .adjusted import (
     ADJUSTED_METHODS,
     METHODS,
-    BootstrapError,
     BootstrapSettings,
-    bootstrap_resamples,
+    bootstrap_group,
     point_estimates,
     rejections,
     resample_variances,
@@ -60,12 +60,13 @@ MAX_FAILURE_FRACTION = 0.01
 #: Replicates drawn and analysed together; also the unit of work of a pool.
 CHUNK = 512
 
-#: Bootstrap resample rows analysed per call: a chunk's continuing
-#: replicates are analysed in groups of ``max(1, ANALYSIS_ROWS // b)``. A
-#: call costs about 0.25 ms plus 0.6 us per row, so groups of 2^13 rows pay
-#: almost none of the fixed part. The cap bounds the analysis's temporaries:
-#: at B = 1000 and ``alpha1 = 0.95``, a run's peak RSS is 41 MB with it and
-#: 190 MB with a whole chunk in one call (40 MB with one call per replicate).
+#: Bootstrap resample rows per group: a chunk's continuing replicates are
+#: bootstrapped in groups of ``max(1, ANALYSIS_ROWS // b)``, which share
+#: their resample counts and are analysed with one call. A call costs about
+#: 0.25 ms plus 0.6 us per row, so groups of 2^13 rows pay almost none of
+#: the fixed part. The cap bounds the analysis's temporaries: at B = 1000
+#: and ``alpha1 = 0.95``, a run's peak RSS is 41 MB with it and 190 MB with
+#: a whole chunk in one call (40 MB with one call per replicate).
 ANALYSIS_ROWS = 2**13
 
 HYPOTHESES = ("null", "alternative")
@@ -150,12 +151,12 @@ def replicate_stream(
 ) -> np.random.SeedSequence:
     """Seed stream keyed by ``(master seed, scenario id, index, *stream)``.
 
-    A chunk ``c`` draws the noise of its trials from ``(c)`` and their
-    period-``s`` recruitment orders from ``(c, 2, s)``; a replicate ``i``
-    draws its cells (then, when replayed without a linear trend, its
-    recruitment order) from ``(i, 0)`` and its bootstrap resamples from
-    ``(i, 1, bootstrap seed)``. No two of these keys coincide: they differ
-    in length or in the entry after the index.
+    A chunk ``c`` draws the noise of its trials from ``(c)``, their
+    period-``s`` recruitment orders from ``(c, 2, s)`` and the resample
+    counts of its bootstrap group ``g`` from ``(c, 1, g, bootstrap seed)``;
+    a replicate ``i`` draws its cells (then, when replayed without a linear
+    trend, its recruitment order) from ``(i, 0)``. No two of these keys
+    coincide: they differ in length.
     """
     return np.random.SeedSequence(
         entropy=master_seed,
@@ -198,15 +199,17 @@ def replicate_trial(
     return expand_trial(scenario.config, draws, index % CHUNK, rng)
 
 
-def _bootstrap_replicate(
-    scenario: Scenario, master_seed: int, index: int, draws: TrialDraws
-) -> np.ndarray:
-    """``(b, 5)`` accepted resample cell means of one continuing replicate;
-    the resamples are shared by all adjusted methods."""
-    key = (scenario, master_seed, index)
-    cells = trial_cells(scenario.config, draws, index % CHUNK, _rng(*key, 0))
-    bootstrap = scenario.bootstrap
-    return bootstrap_resamples(cells, scenario.config, bootstrap.b, _rng(*key, 1, bootstrap.seed))
+def _group_cells(
+    scenario: Scenario, master_seed: int, draws: TrialDraws, indices: list[int]
+) -> tuple[np.ndarray, ...]:
+    """The five cells of the replicates ``indices`` of one chunk, each an
+    ``(n, k)`` array with one column per replicate; a replicate's cells come
+    from its ``(i, 0)`` stream."""
+    columns = [
+        trial_cells(scenario.config, draws, index % CHUNK, _rng(scenario, master_seed, index, 0))
+        for index in indices
+    ]
+    return tuple(np.column_stack(cell) for cell in zip(*columns))
 
 
 def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
@@ -218,13 +221,16 @@ def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exceptio
 
 def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArrays:
     """Draw and analyse one chunk into its rows of the record. Every
-    continuing replicate is bootstrapped, in slices of ``max(1,
-    ANALYSIS_ROWS // b)`` continuing rows, and the accepted resamples of a
-    slice are analysed with one :func:`resample_variances` call.
+    continuing replicate is bootstrapped, in groups of ``max(1,
+    ANALYSIS_ROWS // b)`` continuing rows: a group's replicates share their
+    resample counts (:func:`~nccsim.adjusted.bootstrap_group`) and their
+    accepted resamples are analysed with one :func:`resample_variances`
+    call.
 
-    A :class:`BootstrapError` marks a replicate failed. Any other error
-    raises :class:`ReplicateError`, naming the replicate when it comes from
-    its resampling and the chunk's range otherwise.
+    A replicate whose bootstrap reaches the rejection limit is marked
+    failed. Any other error raises :class:`ReplicateError`, naming the
+    group's replicates when it comes from their cells or resampling and the
+    chunk's range otherwise.
     """
     rows = _chunk_rows(scenario, chunk)
     chunk_key = f"replicates {rows.start}..{rows.stop - 1}"
@@ -236,24 +242,24 @@ def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArr
     failed = np.zeros(len(rows), dtype=bool)
     bootstrap = np.full((len(ADJUSTED_METHODS), len(rows)), np.nan)
     if scenario.bootstrap is not None:
+        b, seed = scenario.bootstrap.b, scenario.bootstrap.seed
         continuing = np.flatnonzero(point.continued)
-        group = max(1, ANALYSIS_ROWS // scenario.bootstrap.b)
-        for start in range(0, continuing.size, group):
-            block = continuing[start : start + group]
-            resamples = []
-            for row in block:
-                index = rows[row]
-                try:
-                    resamples.append(_bootstrap_replicate(scenario, master_seed, index, draws))
-                except BootstrapError:
-                    failed[row] = True
-                except Exception as exc:
-                    raise _keyed_error(scenario, master_seed, f"replicate {index}", exc) from exc
-            done = block[~failed[block]]
-            if done.size == 0:
+        size = max(1, ANALYSIS_ROWS // b)
+        for group, start in enumerate(range(0, continuing.size, size)):
+            block = continuing[start : start + size]
+            indices = [rows[row] for row in block]
+            try:
+                cells = _group_cells(scenario, master_seed, draws, indices)
+                rng = _rng(scenario, master_seed, chunk, 1, group, seed)
+                resamples, lost = bootstrap_group(cells, scenario.config, b, rng)
+            except Exception as exc:
+                which = "replicates " + ", ".join(map(str, indices))
+                raise _keyed_error(scenario, master_seed, which, exc) from exc
+            failed[block] = lost
+            if lost.all():
                 continue
             try:
-                bootstrap[:, done] = resample_variances(scenario.config, np.stack(resamples))
+                bootstrap[:, block[~lost]] = resample_variances(scenario.config, resamples[~lost])
             except Exception as exc:
                 raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
     variances = wald_variances(point.continued, scenario.config, bootstrap)
@@ -299,8 +305,9 @@ def collect_replicates(
 
     The pool runs whole chunks and is started only when there is more than
     one. The chunks are joined in index order, so the output is identical
-    for any ``workers`` value. Only a :class:`BootstrapError` counts as a
-    failed replicate; any other error raises :class:`ReplicateError`.
+    for any ``workers`` value. Only a bootstrap that reaches its rejection
+    limit counts as a failed replicate; any other error raises
+    :class:`ReplicateError`.
     """
     n_chunks = -(-scenario.replicates // CHUNK)
     args = (repeat(scenario), repeat(master_seed), range(n_chunks))

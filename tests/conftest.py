@@ -48,3 +48,20 @@ def default_config(**overrides) -> DesignConfig:
 @pytest.fixture
 def config():
     return default_config()
+
+
+def failing_group(real, fails=lambda position: True):
+    """A stand-in for ``harness.bootstrap_group`` that runs ``real`` and
+    then marks failed each trial for which ``fails(position)`` holds,
+    ``position`` counting the trials of every call in order; ``calls``
+    holds how many trials it has seen."""
+
+    def group(cells, config, b, rng):
+        resamples, failed = real(cells, config, b, rng)
+        for j in range(failed.size):
+            failed[j] |= fails(group.calls)
+            group.calls += 1
+        return resamples, failed
+
+    group.calls = 0
+    return group

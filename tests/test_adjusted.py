@@ -19,10 +19,12 @@ from nccsim import (
     adjusted,
 )
 from nccsim.adjusted import (
-    GATHER_BLOCK_VALUES,
+    COUNT_BLOCK_VALUES,
     METHODS,
-    _bootstrap_cell_means,
+    _resample_means,
+    bootstrap_group,
     bootstrap_resamples,
+    interim_look,
     point_estimates,
     rejections,
     t_statistic,
@@ -236,19 +238,21 @@ class TestMae:
 class TestResampler:
     @staticmethod
     def _assert_one_shot_mean(n, draws):
-        values = np.random.default_rng(n).normal(size=n)
+        # three columns share each resample's rows
+        values = np.random.default_rng(n).normal(size=(n, 3))
         rng, reference = np.random.default_rng(11), np.random.default_rng(11)
-        means = _bootstrap_cell_means(rng, values, draws)
+        means = _resample_means(rng, values, draws)
         dtype = np.uint16 if n <= 2**16 else np.int64
         idx = reference.integers(0, n, size=(draws, n), dtype=dtype)
         expected = values[idx].mean(axis=1)
-        assert means.tobytes() == expected.tobytes()
+        # counts times values sums in another order than the gathered mean
+        np.testing.assert_allclose(means, expected, rtol=1e-12, atol=1e-15)
         # the stream is left where the one-shot draw leaves it
         assert rng.random() == reference.random()
 
     # n = 2**15 + 1 gives one-row blocks; 63 and 500 draws leave a partial
     # last block at n = 150 and n = 1500
-    @pytest.mark.parametrize("n", [1, 7, 150, 1500, GATHER_BLOCK_VALUES + 1])
+    @pytest.mark.parametrize("n", [1, 7, 150, 1500, COUNT_BLOCK_VALUES + 1])
     @pytest.mark.parametrize("draws", [1, 63, 64, 500])
     def test_blocked_gather_is_the_one_shot_mean(self, n, draws):
         self._assert_one_shot_mean(n, draws)
@@ -259,6 +263,92 @@ class TestResampler:
     @pytest.mark.parametrize("draws", [1, 2, 3, 4])
     def test_index_dtype_switches_above_two_to_the_sixteen(self, n, draws):
         self._assert_one_shot_mean(n, draws)
+
+
+def group_cells(config, k, seed, shift=None):
+    """The five cells of ``k`` trials of ``config``, each ``(n, k)``; column
+    ``j`` of the arm-1 period-1 cell is moved by ``shift[j]`` when given."""
+    rng = np.random.default_rng(seed)
+    draws = draw_trials(config, rng, k, (rng, rng))
+    columns = [trial_cells(config, draws, j, rng) for j in range(k)]
+    cells = [np.column_stack(cell) for cell in zip(*columns)]
+    if shift is not None:
+        cells[1] = cells[1] + np.asarray(shift, dtype=float)
+    return tuple(cells)
+
+
+class TestBootstrapGroup:
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_each_replicate_follows_its_own_law(self, k):
+        # With alpha1 = 1 every proposal is accepted, so each of a trial's
+        # resample means is the mean of n draws with replacement from its
+        # own column of its own cell: centred on the cell's mean with
+        # variance s^2 / n (divisor n). Unequal cell sizes and independent
+        # trials make a mean drawn from another cell or another trial miss.
+        config = default_config(n01=60, n11=80, n02=70, n12=90, n22=50, alpha1=1.0)
+        cells = group_cells(config, k, 21)
+        b = 2000
+        resamples, failed = bootstrap_group(cells, config, b, np.random.default_rng(5))
+        assert resamples.shape == (k, b, 5) and not failed.any()
+        for c, values in enumerate(cells):
+            target = values.var(axis=0) / values.shape[0]
+            means = resamples[:, :, c].T
+            z_mean = (means.mean(axis=0) - values.mean(axis=0)) / np.sqrt(target / b)
+            # the SE of a variance of b (close to normal) means
+            z_var = (means.var(axis=0) - target) / (target * math.sqrt(2.0 / (b - 1)))
+            assert np.all(np.abs(z_mean) < 4), (CELLS[c], z_mean)
+            assert np.all(np.abs(z_var) < 4), (CELLS[c], z_var)
+
+    def test_a_replicate_at_the_rejection_limit_fails_alone(self):
+        # the middle trial's period-1 cells are constant with z11 below the
+        # cutoff, so every one of its resamples is rejected
+        config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20, alpha1=0.9)
+        cells = [values.copy() for values in group_cells(config, 3, 8, shift=[1.0, 0.0, 1.0])]
+        cells[0][:, 1] = 0.0
+        cells[1][:, 1] = -1.0
+        resamples, failed = bootstrap_group(tuple(cells), config, 10, np.random.default_rng(2))
+        assert failed.tolist() == [False, True, False]
+        for j in (0, 2):
+            assert np.all(interim_look(config, resamples[j, :, 0], resamples[j, :, 1])[1])
+            assert np.all(np.isfinite(resamples[j]))
+        with pytest.raises(BootstrapError):
+            bootstrap_resamples(tuple(c[:, 1] for c in cells), config, 10,
+                                np.random.default_rng(2))
+
+    def test_short_replicates_draw_a_second_batch(self, monkeypatch):
+        # trial 0 continues far above the cutoff and fills its b resamples
+        # from the first batch; trials 1 and 2 sit at the cutoff, accept
+        # about half their proposals and draw more, alone
+        config = default_config(n01=30, n11=30, n02=30, n12=30, n22=30)
+        se1 = config.period1_se
+        cells = [values.copy() for values in group_cells(config, 3, 4)]
+        for c in (0, 1):
+            cells[c] -= cells[c].mean(axis=0)
+        cells[1] += np.array([10.0, 0.0, 0.0]) * se1
+        calls = []
+        resample_means = adjusted._resample_means
+
+        def spy(rng, values, draws):
+            calls.append((values.shape[1], draws))
+            return resample_means(rng, values, draws)
+
+        monkeypatch.setattr(adjusted, "_resample_means", spy)
+        b = 100
+        resamples, failed = bootstrap_group(tuple(cells), config, b, np.random.default_rng(3))
+        assert not failed.any()
+        period1 = calls[:-3]
+        assert period1[:2] == [(3, 125), (3, 125)]
+        assert len(period1) >= 4 and all(k == 2 for k, _ in period1[2:4])
+        assert calls[-3:] == [(3, b)] * 3
+        for j in range(3):
+            assert np.all(interim_look(config, resamples[j, :, 0], resamples[j, :, 1])[1])
+
+    def test_mismatched_cell_counts_raise(self):
+        config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
+        cells = list(group_cells(config, 2, 1))
+        cells[3] = cells[3][:19]
+        with pytest.raises(ValueError, match="cell counts"):
+            bootstrap_group(tuple(cells), config, 10, np.random.default_rng(0))
 
 
 class TestBootstrap:
@@ -307,13 +397,13 @@ class TestBootstrap:
         data = simulate_trial(config, 1)
         assert analyse(data, config).continued[0]
         draws = []
-        cell_means = adjusted._bootstrap_cell_means
+        resample_means = adjusted._resample_means
 
         def spy(rng, values, count):
             draws.append(count)
-            return cell_means(rng, values, count)
+            return resample_means(rng, values, count)
 
-        monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
+        monkeypatch.setattr(adjusted, "_resample_means", spy)
         estimates = resample_estimates(data, config, 200, 4)
         assert draws[:2] == [250, 250]  # arm 1 and control of period 1
         for method in ALL_METHODS:
@@ -326,18 +416,18 @@ class TestBootstrap:
         # batches of 64, so only those carried over from the earlier
         # batches bring the run to the limit.
         config = default_config(n01=4, n11=4, n02=4, n12=4, n22=4)
-        cells = tuple(np.zeros(4) for _ in CELLS)
+        cells = tuple(np.full(4, float(k)) for k in range(len(CELLS)))
         stream = np.concatenate([[1.0], np.full(gap, -1.0), np.ones(256)])
         batches = []
 
         def fake(rng, values, draws):
-            if values is not cells[1]:
-                return np.zeros(draws)
+            if values[0, 0] != cells[1][0]:
+                return np.zeros((draws, 1))
             start = sum(batches)
             batches.append(draws)
-            return stream[start : start + draws]  # arm-1 mean; c1 = 0
+            return stream[start : start + draws, np.newaxis]  # arm-1 mean; c1 = 0
 
-        monkeypatch.setattr(adjusted, "_bootstrap_cell_means", fake)
+        monkeypatch.setattr(adjusted, "_resample_means", fake)
         args = (cells, config, 2, np.random.default_rng(0))
         if raises:
             with pytest.raises(BootstrapError):
@@ -362,14 +452,14 @@ class TestBootstrap:
             cell /= cell.std()
         cells[1] += z11 * config.period1_se
         batches = []
-        cell_means = adjusted._bootstrap_cell_means
+        resample_means = adjusted._resample_means
 
         def spy(rng, values, draws):
-            if values is cells[0] or values is cells[1]:
+            if any(np.array_equal(values[:, 0], cell) for cell in cells[:2]):
                 batches.append(draws)
-            return cell_means(rng, values, draws)
+            return resample_means(rng, values, draws)
 
-        monkeypatch.setattr(adjusted, "_bootstrap_cell_means", spy)
+        monkeypatch.setattr(adjusted, "_resample_means", spy)
         try:
             bootstrap_resamples(tuple(cells), config, b, np.random.default_rng(1))
         except BootstrapError:

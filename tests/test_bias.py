@@ -5,6 +5,7 @@ import pytest
 
 from nccsim import (
     BiasInputs,
+    normal,
     bias_inputs,
     conditional_bias,
     marginal_bias,
@@ -89,6 +90,25 @@ class TestConditionalBias:
             assert math.isfinite(value)
             limit = inputs.rho * (inputs.c1 * inputs.se1 - theta1)
             assert abs(value / limit - 1.0) <= 1.0 / (inputs.gamma * inputs.gamma) + 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gamma_gives_the_linear_limit(self):
+        # se1 = 0.0365 (panel B's r = 10) makes theta1 / se1 overflow at
+        # theta1 = -1e307; the bias is then the limit, not inf, and the
+        # entries whose gamma is finite keep the plain formula bit for bit
+        theta1 = np.array([-1e307, -1e300, -1.0, 0.0, 1e307])
+        inputs = BiasInputs(rho=0.45, se1=0.0365, c1=0.0, theta1=theta1)
+        values = conditional_bias(inputs)
+        assert np.all(np.isfinite(values))
+        limit = inputs.rho * (inputs.c1 * inputs.se1 - theta1[0])
+        assert values[0] == limit
+        assert conditional_bias(BiasInputs(0.45, 0.0365, 0.0, -1e307)) == limit
+        plain = inputs.rho * inputs.se1 * normal.hazard(inputs.c1 - theta1[1:4] / inputs.se1)
+        assert values[1:4].tobytes() == plain.tobytes()
+        # an overflow to +inf leaves gamma = -inf, where arm 1 always continues
+        assert values[4] == 0.0
+        # a never-stop rule (c1 = -inf) has no bias at any theta1
+        assert conditional_bias(BiasInputs(0.45, 0.0365, -math.inf, -1e307)) == 0.0
 
     def test_total_expectation_reconstruction(self):
         # stop-branch bias is 0, so P(stop)*0 + P(continue)*conditional = marginal

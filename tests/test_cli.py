@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nccsim import (
-    CELLS, METHODS, STATISTICS, BootstrapError, DesignConfig, Scenario, TimeTrendSpec, TrendPattern,
+    CELLS, METHODS, STATISTICS, DesignConfig, Scenario, TimeTrendSpec, TrendPattern,
     harness, run_replicate, run_scenario, scenario_grid,
 )
 from nccsim.cli import (
@@ -29,7 +29,7 @@ from nccsim.cli import (
     parse_config,
     resolve_workers,
 )
-from conftest import default_config
+from conftest import default_config, failing_group
 
 DATA = Path(__file__).parent / "data"
 
@@ -271,10 +271,7 @@ class TestSimulateCommand:
 
     def test_csv_carries_failures_and_validity(self, tmp_path, monkeypatch):
         # every bootstrap fails, so every continuing replicate is a failure
-        def fail(*args):
-            raise BootstrapError("bootstrap cannot satisfy continuation condition")
-
-        monkeypatch.setattr(harness, "bootstrap_resamples", fail)
+        monkeypatch.setattr(harness, "bootstrap_group", failing_group(harness.bootstrap_group))
         plan = write_plan(tmp_path, CUSTOM_PLAN.replace("bootstrap_b: 0", "bootstrap_b: 5"))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(plan), "--seed", "7", "--out", str(out)]) == 0
@@ -466,7 +463,7 @@ class TestAnalyticCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 133
         assert all(row["marginal_bias"] == "0.0" for row in rows)
-        assert all(row["conditional_bias"] != "" for row in rows)
+        assert all(math.isfinite(float(row["conditional_bias"])) for row in rows)
 
     @pytest.mark.parametrize("theta1", ["nan", "inf"])
     def test_non_finite_theta1_exits_2(self, tmp_path, capsys, theta1):
@@ -504,10 +501,7 @@ class TestSingleCommand:
         assert capsys.readouterr().out == expected
 
     def test_failed_bootstrap_is_reported(self, capsys, monkeypatch):
-        def fail(*args):
-            raise BootstrapError("bootstrap cannot satisfy continuation condition")
-
-        monkeypatch.setattr(harness, "bootstrap_resamples", fail)
+        monkeypatch.setattr(harness, "bootstrap_group", failing_group(harness.bootstrap_group))
         assert main(["single", "--seed", "12", "--bootstrap-b", "40", "--alpha1", "1.0"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[3:5] == ["decision: continue", "bootstrap: failed"]

@@ -15,7 +15,6 @@ import nccsim.harness as harness_module
 from nccsim import (
     CELLS,
     CHUNK,
-    BootstrapError,
     BootstrapSettings,
     DesignConfig,
     METHODS,
@@ -31,10 +30,10 @@ from nccsim import (
     run_replicate,
     run_scenario,
 )
-from nccsim.adjusted import ADJUSTED_METHODS, point_estimates
+from nccsim.adjusted import ADJUSTED_METHODS, bootstrap_group, point_estimates, resample_variances
 from nccsim.cli import emit_results
 from nccsim.datagen import draw_trials, expand_trial
-from conftest import analyse, default_config
+from conftest import analyse, default_config, failing_group
 from oracle import TrialDataset, bootstrap_variances, ols_fit, simulate_trial
 
 CELL_SIZE = st.integers(1, 12)
@@ -222,35 +221,40 @@ class TestChunkBootstrap:
 
     @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
     def test_variances_are_the_bootstrap_of_the_replicate_trial(self, pattern):
+        # b = 40 puts the chunk's continuing replicates in one group, whose
+        # resamples come from the (chunk 0, 1, group 0, bootstrap seed 3) key
         scenario = _scenario(
             30, BootstrapSettings(b=40, seed=3), n01=25, n11=25, n02=25, n12=25, n22=25,
             trend=TimeTrendSpec(pattern, 0.15),
         )
         arrays = collect_replicates(scenario, 17)
         continuing = np.flatnonzero(arrays.continued)
-        assert continuing.size >= 5
-        for index in continuing[:5]:
-            index = int(index)
-            seed = replicate_stream(17, scenario, index, 1, 3)
-            expected = bootstrap_variances(
-                TrialDataset(*replicate_trial(scenario, 17, index)), scenario.config, 40, seed
-            )
-            replayed = run_replicate(scenario, 17, index)
-            for label, value in expected.items():
-                row = METHODS.index(label)
-                assert replayed.variances[row, 0] == value, label
-                assert arrays.variances[row, index] == value, label
+        assert continuing.size >= 5 and not arrays.failed.any()
+        datasets = [TrialDataset(*replicate_trial(scenario, 17, int(i))) for i in continuing]
+        cells = tuple(
+            np.column_stack([data.cell(*cell) for data in datasets]) for cell in CELLS
+        )
+        rng = np.random.default_rng(replicate_stream(17, scenario, 0, 1, 0, 3))
+        resamples, failed = bootstrap_group(cells, scenario.config, 40, rng)
+        assert not failed.any()
+        expected = resample_variances(scenario.config, resamples)
+        for label, row in zip(ADJUSTED_METHODS, expected):
+            method = METHODS.index(label)
+            assert arrays.variances[method, continuing].tobytes() == row.tobytes(), label
+            for index in continuing[:3]:
+                replayed = run_replicate(scenario, 17, int(index))
+                assert replayed.variances[method, 0] == arrays.variances[method, index], label
 
     @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
     def test_replicate_trial_holds_the_resampled_cells(self, pattern, monkeypatch):
         resampled = []
-        real = harness_module.bootstrap_resamples
+        real = harness_module.bootstrap_group
 
         def spy(cells, *args):
-            resampled.append(cells)
+            resampled.extend(zip(*(values.T for values in cells)))
             return real(cells, *args)
 
-        monkeypatch.setattr(harness_module, "bootstrap_resamples", spy)
+        monkeypatch.setattr(harness_module, "bootstrap_group", spy)
         scenario = _scenario(
             CHUNK + 20, BootstrapSettings(b=5), alpha1=1.0,
             n01=12, n11=9, n02=10, n12=7, n22=11, trend=TimeTrendSpec(pattern, 0.15),
@@ -260,7 +264,7 @@ class TestChunkBootstrap:
             run_replicate(scenario, 19, index)
             data = TrialDataset(*replicate_trial(scenario, 19, index))
             # a replay bootstraps its whole chunk; every row continues at
-            # alpha1 = 1, so call k resamples row k
+            # alpha1 = 1, so the k-th trial resampled is row k
             assert len(resampled) == chunk_size
             for values, cell in zip(resampled[index % CHUNK], CELLS, strict=True):
                 assert data.cell(*cell).tobytes() == values.tobytes(), cell
@@ -302,15 +306,10 @@ class TestChunkBootstrap:
         scenario = _scenario(CHUNK, BootstrapSettings(b=b), alpha1=0.5,
                              n01=10, n11=10, n02=10, n12=10, n22=10)
         clean = collect_replicates(scenario, 31)
-        real = harness_module.bootstrap_resamples
-        calls = iter(range(CHUNK))
-
-        def every_third_fails(*args):
-            if next(calls) % 3 == 0:
-                raise BootstrapError("injected")
-            return real(*args)
-
-        monkeypatch.setattr(harness_module, "bootstrap_resamples", every_third_fails)
+        every_third_fails = failing_group(
+            harness_module.bootstrap_group, lambda position: position % 3 == 0
+        )
+        monkeypatch.setattr(harness_module, "bootstrap_group", every_third_fails)
         arrays = collect_replicates(scenario, 31)
         continuing = np.flatnonzero(clean.continued)
         assert continuing.size > 200 and not clean.failed.any()
@@ -330,10 +329,16 @@ class TestFailures:
         def broken(*args, **kwargs):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(harness_module, "bootstrap_resamples", broken)
         scenario = _scenario(50, BootstrapSettings(b=5), scenario_id="broken")
-        with pytest.raises(RuntimeError, match=r"'broken', replicate \d+, master seed 13") as info:
+        continuing = np.flatnonzero(collect_replicates(scenario, 13).continued)
+        monkeypatch.setattr(harness_module, "bootstrap_group", broken)
+        # b = 5 bootstraps all continuing replicates in one group
+        replicates = ", ".join(map(str, continuing))
+        with pytest.raises(RuntimeError) as info:
             run_scenario(scenario, 13)
+        assert str(info.value) == (
+            f"scenario 'broken', replicates {replicates}, master seed 13: RuntimeError: injected"
+        )
         assert isinstance(info.value, ReplicateError)
         assert str(info.value.__cause__) == "injected"
 
@@ -346,10 +351,9 @@ class TestFailures:
             run_scenario(_scenario(20), 13)
 
     def test_replay_of_a_failed_replicate_marks_it_failed(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise BootstrapError("injected")
-
-        monkeypatch.setattr(harness_module, "bootstrap_resamples", failing)
+        monkeypatch.setattr(
+            harness_module, "bootstrap_group", failing_group(harness_module.bootstrap_group)
+        )
         scenario = _scenario(50, BootstrapSettings(b=5), alpha1=1.0)
         replayed = run_replicate(scenario, 13, 7)
         assert replayed.failed[0]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nccsim import (
-    BootstrapError,
     BootstrapSettings,
     METHODS,
     STATISTICS,
@@ -18,7 +17,7 @@ from nccsim import (
     scenario_grid,
     summarize,
 )
-from conftest import default_config
+from conftest import default_config, failing_group
 
 
 def small_scenario(replicates=200, bootstrap=None, **config_overrides) -> Scenario:
@@ -172,16 +171,8 @@ class TestRunScenario:
     def test_failed_replicates_are_counted_and_bounded(self, monkeypatch):
         import nccsim.harness as harness_module
 
-        real = harness_module.bootstrap_resamples
-
-        def flaky(*args, **kwargs):
-            flaky.calls += 1
-            if flaky.calls % 10 == 0:
-                raise BootstrapError("injected failure")
-            return real(*args, **kwargs)
-
-        flaky.calls = 0
-        monkeypatch.setattr(harness_module, "bootstrap_resamples", flaky)
+        flaky = failing_group(harness_module.bootstrap_group, lambda position: position % 10 == 9)
+        monkeypatch.setattr(harness_module, "bootstrap_group", flaky)
         oc = run_scenario(small_scenario(replicates=100, bootstrap=BootstrapSettings(b=5)), 59)
         # one bootstrap per continuing replicate; failed ones are not counted as continuing
         assert flaky.calls == oc.n_continuing + oc.n_failed
