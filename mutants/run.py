@@ -245,9 +245,23 @@ CATALOGUE = (
     Mutant(
         "bootstrap_reads_the_next_row",
         "src/nccsim/harness.py",
-        "trial_cells(scenario.config, draws, index % CHUNK, _rng(scenario, master_seed, index, 0))",
-        "trial_cells(scenario.config, draws, (index + 1) % CHUNK, _rng(scenario, master_seed, index, 0))",
+        "trial_cells(scenario.config, draws, block, rngs)",
+        "trial_cells(scenario.config, draws, (block + 1) % len(rows), rngs)",
         "a replicate's bootstrap resamples the next replicate's cells",
+    ),
+    Mutant(
+        "linear_drift_left_out_of_the_cells",
+        "src/nccsim/datagen.py",
+        "residual += drift - drift.mean(axis=1, keepdims=True)",
+        "pass",
+        "under a linear trend a cell's responses no longer follow their slots' drifts",
+    ),
+    Mutant(
+        "cell_noise_not_centred",
+        "src/nccsim/datagen.py",
+        "residual -= residual.mean(axis=1, keepdims=True)",
+        "pass",
+        "a trial's cells no longer average to its drawn cell means",
     ),
     Mutant(
         "group_variances_to_its_first_rows",

@@ -12,12 +12,12 @@ Every analysis is a function of the five cell means, so trials are drawn as
 cell means, a batch at a time (:func:`draw_trials`). Responses are normal
 with known ``sigma``, so a cell mean is exactly ``Normal(theta_k + drift,
 sigma^2 / n)``, where ``drift`` is the mean trend over the cell's
-recruitment slots. A trial's responses are drawn only where they are
-needed, from their exact conditional distribution given the cell means:
-cell by cell by :func:`trial_cells`, which is all the bootstrap resamples,
-and as the ``(arm, period, y)`` arrays of its patient rows in recruitment
-order by :func:`expand_trial`, which ``single --csv`` writes. The package
-has no trial type besides its five cells; patient rows are plain arrays.
+recruitment slots. Trials' responses are drawn only where needed, from
+their exact conditional distribution given the cell means: the five cells
+of a batch of trials, one ``(n, k)`` array each, by :func:`trial_cells`
+(what a bootstrap group resamples), and a trial's patient rows by
+:func:`expand_trial`, its one-row cells in a recruitment order (what
+``single --csv`` writes). There is no trial type besides the five cells.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ def _patient_layout(config: DesignConfig):
 class TrialDraws:
     """A batch of trials drawn as their five cell means.
 
-    ``means`` has one row per trial, columns in ``CELLS`` order. ``arms`` holds each trial's recruitment-order arm labels
-    when the cell means depend on them (a linear trend), else ``None``.
+    ``means`` has one row per trial, columns in ``CELLS`` order. ``arms``
+    holds each trial's recruitment-order arm labels when the cell means
+    depend on them (a linear trend), else ``None``.
     """
 
     means: np.ndarray
@@ -126,31 +127,42 @@ def draw_trials(
 
 
 def trial_cells(
-    config: DesignConfig, draws: TrialDraws, row: int, rng: np.random.Generator
+    config: DesignConfig, draws: TrialDraws, rows, rngs
 ) -> tuple[np.ndarray, ...]:
-    """The responses of trial ``row`` of ``draws``, one array per cell in
-    ``CELLS`` order, consistent with its cell means.
+    """The responses of the trials ``rows`` of ``draws``, consistent with
+    their cell means: one ``(n, k)`` array per cell in ``CELLS`` order,
+    column ``j`` the cell of trial ``rows[j]``.
 
     Given a cell mean ``m``, the responses of the cell are distributed as
     ``m + (d_i - mean(d)) + sigma * (e_i - mean(e))`` with ``d`` the
     patients' drifts and ``e`` fresh standard normals, so drawing the cells
-    of a drawn trial is exact. ``e`` is drawn from ``rng`` cell by cell.
-    Without a linear trend the patients of a cell share one drift and the
-    drift term is zero. With one, ``d`` are the drifts of the cell's slots in
-    the trial's drawn recruitment order, and a cell's values follow it.
+    of a drawn trial is exact. Column ``j``'s ``e`` of all five cells, in
+    ``CELLS`` order, are one draw from ``rngs[j]``. Without a linear trend
+    the patients of a cell share one drift and the drift term is zero. With
+    one, ``d`` are the drifts of the cell's slots in the trial's drawn
+    recruitment order, and a cell's values follow it.
     """
-    means = draws.means[row]
+    noise = np.empty((len(rows), config.total_planned))
+    for row, rng in zip(noise, rngs, strict=True):
+        rng.standard_normal(row.size, out=row)
+    means = draws.means[rows]
     if draws.arms is not None:
         period, slot_drift = _patient_layout(config)
-        slot_cell = draws.arms[row] + 2 * (period - 1)  # index into CELLS
+        slot_cell = draws.arms[rows] + 2 * (period - 1)  # index into CELLS
+        slot_drift = np.broadcast_to(slot_drift, slot_cell.shape)
     cells = []
-    for k, n in enumerate(config.cells):
-        noise = rng.standard_normal(n)
-        residual = config.sigma * (noise - noise.mean())
+    stop = 0
+    for c, n in enumerate(config.cells):
+        start, stop = stop, stop + n
+        residual = noise[:, start:stop]
+        residual -= residual.mean(axis=1, keepdims=True)
+        residual *= config.sigma
         if draws.arms is not None:
-            drift = slot_drift[slot_cell == k]
-            residual = (drift - drift.mean()) + residual
-        cells.append(means[k] + residual)
+            drift = slot_drift[slot_cell == c].reshape(residual.shape)
+            residual += drift - drift.mean(axis=1, keepdims=True)
+        residual += means[:, c, np.newaxis]
+        # C order: on another layout BLAS may sum the bootstrap's products in another order
+        cells.append(residual.T.copy())
     return tuple(cells)
 
 
@@ -159,15 +171,14 @@ def expand_trial(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Patient rows of trial ``row`` of ``draws``: aligned ``arm``,
     ``period`` and ``y`` arrays, row ``j`` the ``j + 1``-th patient
-    recruited. Its cells come from :func:`trial_cells`, placed into a
-    recruitment order.
+    recruited. Its cells are the one-row :func:`trial_cells` draw from
+    ``rng``, placed into a recruitment order.
 
     The order is the drawn one when ``draws`` kept it (a linear trend), else
     it is drawn from ``rng`` after the cells. The responses of each cell, in
-    recruitment order, are the array :func:`trial_cells` drew from the same
-    ``rng``.
+    recruitment order, are the cell's column.
     """
-    cells = trial_cells(config, draws, row, rng)
+    cells = trial_cells(config, draws, [row], [rng])
     if draws.arms is None:
         arm = _recruitment_arms(config, (rng, rng), 1)[0]
     else:
@@ -177,5 +188,5 @@ def expand_trial(
     slot_cell = arm + 2 * (period - 1)
     y = np.empty(arm.size)
     for k, values in enumerate(cells):
-        y[slot_cell == k] = values
+        y[slot_cell == k] = values[:, 0]
     return arm, period, y

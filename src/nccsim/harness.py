@@ -9,11 +9,11 @@ for the whole chunk in one numpy pass (:mod:`nccsim.adjusted`). Replicate
 ``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``, and each stream draws
 its rows in order, so a row does not depend on how many replicates follow
 it. The bootstrap serves a chunk's continuing replicates in groups of at
-most ``max(1, ANALYSIS_ROWS // b)``, in index order. The five cells'
-responses (not patient rows) of replicate ``i`` are drawn from a stream
-keyed by ``(master seed, scenario id, i, 0)``. Group ``g`` of chunk ``c``
-draws one resample-count matrix per cell, shared by its replicates, from a
-stream keyed by ``(master seed, scenario id, c, 1, g, bootstrap seed)``,
+most ``max(1, ANALYSIS_ROWS // b)``, in index order. A group's five cells
+are one :func:`~nccsim.datagen.trial_cells` call, replicate ``i``'s column
+drawn from the stream ``(master seed, scenario id, i, 0)``. Group ``g`` of
+chunk ``c`` draws one resample-count matrix per cell, shared by its
+replicates, from ``(master seed, scenario id, c, 1, g, bootstrap seed)``,
 and its accepted resamples are analysed together (:mod:`nccsim.adjusted`).
 Results are therefore bit-identical for any worker count and execution
 order, and :func:`run_replicate` replays a replicate exactly as its row of
@@ -199,19 +199,6 @@ def replicate_trial(
     return expand_trial(scenario.config, draws, index % CHUNK, rng)
 
 
-def _group_cells(
-    scenario: Scenario, master_seed: int, draws: TrialDraws, indices: list[int]
-) -> tuple[np.ndarray, ...]:
-    """The five cells of the replicates ``indices`` of one chunk, each an
-    ``(n, k)`` array with one column per replicate; a replicate's cells come
-    from its ``(i, 0)`` stream."""
-    columns = [
-        trial_cells(scenario.config, draws, index % CHUNK, _rng(scenario, master_seed, index, 0))
-        for index in indices
-    ]
-    return tuple(np.column_stack(cell) for cell in zip(*columns))
-
-
 def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
     return ReplicateError(
         f"scenario {scenario.scenario_id!r}, {which}, master seed {master_seed}: "
@@ -249,7 +236,8 @@ def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArr
             block = continuing[start : start + size]
             indices = [rows[row] for row in block]
             try:
-                cells = _group_cells(scenario, master_seed, draws, indices)
+                rngs = [_rng(scenario, master_seed, index, 0) for index in indices]
+                cells = trial_cells(scenario.config, draws, block, rngs)
                 rng = _rng(scenario, master_seed, chunk, 1, group, seed)
                 resamples, lost = bootstrap_group(cells, scenario.config, b, rng)
             except Exception as exc:

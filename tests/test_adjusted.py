@@ -270,8 +270,7 @@ def group_cells(config, k, seed, shift=None):
     ``j`` of the arm-1 period-1 cell is moved by ``shift[j]`` when given."""
     rng = np.random.default_rng(seed)
     draws = draw_trials(config, rng, k, (rng, rng))
-    columns = [trial_cells(config, draws, j, rng) for j in range(k)]
-    cells = [np.column_stack(cell) for cell in zip(*columns)]
+    cells = list(trial_cells(config, draws, range(k), [rng] * k))
     if shift is not None:
         cells[1] = cells[1] + np.asarray(shift, dtype=float)
     return tuple(cells)
@@ -516,7 +515,7 @@ class TestBootstrap:
                                 trend=TimeTrendSpec(pattern, 0.5))
         rng = np.random.default_rng(11)
         draws = draw_trials(config, rng, 1, (rng, rng))
-        cells = trial_cells(config, draws, 0, rng)
+        cells = tuple(values[:, 0] for values in trial_cells(config, draws, [0], [rng]))
         b = 4000
         resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(7))
         for k, values in enumerate(cells):

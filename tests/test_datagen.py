@@ -9,6 +9,7 @@ from nccsim import (
     TimeTrendSpec,
     TrendPattern,
 )
+from nccsim.datagen import draw_trials, expand_trial, trial_cells
 from conftest import default_config
 from oracle import simulate_trial
 
@@ -135,3 +136,45 @@ class TestSimulateTrial:
         for z in (z11, z22):
             _, p = stats.kstest(z, "norm")
             assert p > 1e-3
+
+
+class TestTrialCells:
+    @pytest.mark.parametrize("shared", [False, True], ids=["own_rng", "shared_rng"])
+    @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
+    def test_batch_is_the_one_row_calls(self, pattern, shared):
+        # column j of a batch is bit for bit the one-row call on row j with
+        # the generator of column j; one generator shared by every column
+        # draws them in column order
+        config = default_config(n01=40, n11=25, n02=30, n12=17, n22=9,
+                                trend=TimeTrendSpec(pattern, 0.4))
+        rng = np.random.default_rng(31)
+        draws = draw_trials(config, rng, 6, (rng, rng))
+        rows = np.array([5, 0, 2, 3])
+
+        def generators():
+            if shared:
+                return [np.random.default_rng(9)] * rows.size
+            return [np.random.default_rng([9, row]) for row in rows]
+
+        batch = trial_cells(config, draws, rows, generators())
+        assert [values.shape for values in batch] == [(n, rows.size) for n in config.cells]
+        for j, (row, gen) in enumerate(zip(rows, generators())):
+            single = trial_cells(config, draws, [row], [gen])
+            for values, one in zip(batch, single, strict=True):
+                assert values[:, j].tobytes() == one[:, 0].tobytes()
+
+    def test_cells_follow_their_slots_drift(self):
+        # with negligible noise a response is its cell mean plus its slot's
+        # drift less the cell's mean drift, so within a cell the responses
+        # less their slots' drifts are constant
+        sizes = dict(n01=30, n11=20, n02=25, n12=15, n22=10)
+        trend = TimeTrendSpec(TrendPattern.LINEAR, 50.0)
+        config = default_config(sigma=1e-9, trend=trend, **sizes)
+        slot_drift = drift(trend, **sizes).y
+        rng = np.random.default_rng(17)
+        draws = draw_trials(config, rng, 3, (rng, rng))
+        for row in range(3):
+            arm, period, y = expand_trial(config, draws, row, rng)
+            residual = y - slot_drift
+            for k, s in CELLS:
+                assert np.ptp(residual[(arm == k) & (period == s)]) < 1e-8, (row, k, s)
