@@ -266,9 +266,16 @@ CATALOGUE = (
     Mutant(
         "group_variances_to_its_first_rows",
         "src/nccsim/harness.py",
-        "bootstrap[:, block[~lost]] = ",
-        "bootstrap[:, block[: (~lost).sum()]] = ",
-        "after a failure in a group, its variances land on the wrong replicates",
+        "bootstrap[:, block] = ",
+        "bootstrap[:, : block.size] = ",
+        "a group's variances land on the chunk's first rows, not on its replicates",
+    ),
+    Mutant(
+        "failed_trial_rows_left_finite",
+        "src/nccsim/adjusted.py",
+        "out[failed] = np.nan",
+        "pass",
+        "a failed trial's resample rows are left as whatever the buffer held, not NaN",
     ),
     Mutant(
         "unadjusted_estimate_in_separate_row",

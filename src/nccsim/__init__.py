@@ -2,7 +2,6 @@
 non-concurrent controls under a futility interim analysis."""
 
 from .adjusted import (
-    BootstrapError,
     BootstrapSettings,
     METHOD_SEPARATE,
     METHOD_UNADJUSTED,

@@ -13,13 +13,14 @@ continues, the model-based estimate is debiased by subtracting its
 conditional bias, :func:`~nccsim.bias.conditional_bias`, at each arm-1
 plug-in, and its variance is estimated with a stratified bootstrap that
 replays the trial including the futility rule.
-The bootstrap has two steps: :func:`bootstrap_group` resamples the five
-cells of a group of trials into the cell means of each trial's accepted
-resamples, every resample a row of counts shared by the group, so a cell's
-resample means for the whole group are one matrix product; and
-:func:`resample_variances` analyses the resamples of many trials with one
-:func:`point_estimates` call. :func:`bootstrap_resamples` is the one-trial
-call of :func:`bootstrap_group`. Each method is then tested with a Wald-type
+The bootstrap has two steps: :func:`bootstrap_group`, its one entry for
+one trial or many, resamples the five cells of a group of trials into the
+cell means of each trial's accepted resamples, every resample a row of
+counts shared by the group, so a cell's resample means for the whole group
+are one matrix product; and :func:`resample_variances` analyses the
+resamples of many trials with one :func:`point_estimates` call. A trial
+whose bootstrap fails is marked in a mask and its resamples are NaN, so its
+variances are NaN too. Each method is then tested with a Wald-type
 statistic: known-sigma for a stopped trial and the unadjusted estimate,
 bootstrap for the adjusted ones.
 """
@@ -49,10 +50,6 @@ ADJUSTED_METHODS = tuple(method_label(m) for m in Theta1Method)
 
 #: Output order of the estimator methods.
 METHODS = (METHOD_UNADJUSTED, METHOD_SEPARATE) + ADJUSTED_METHODS
-
-
-class BootstrapError(RuntimeError):
-    """Raised when the resampling loop cannot satisfy the continuation rule."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +162,10 @@ COUNT_BLOCK_VALUES = 2**15
 #: OpenBLAS runs a larger product on several threads, which cost 2.6x the
 #: time of one thread on a 2-vCPU host with the other vCPU busy
 #: (21 x 1500 x 40: 334 us against 130 us), and far more when two such
-#: processes share the host.
+#: processes share the host. The slices also fix the order in which each
+#: product sums, so another slicing changes results: one product per block
+#: moved the resample means of 23 of 81 ``(n, k, draws)`` shapes, all with
+#: ``k >= 9``, by up to 4.3e-16.
 PRODUCT_VALUES = 2**18
 
 
@@ -234,7 +234,7 @@ def bootstrap_group(
     proposal. For a given state of ``rng`` all of it is deterministic.
 
     A trial fails after ``100 * b`` consecutive rejections and sees no
-    further batch; its rows of the result are undefined. Raises
+    further batch; its rows of the result are NaN. Raises
     ``ValueError`` when the cell counts differ from the design's, since the
     look and the correction use the design's cutoff and SE.
     """
@@ -249,27 +249,25 @@ def bootstrap_group(
     rejection_limit = 100 * b
     need = np.full(k, b)
     streak = np.zeros(k, dtype=np.int64)
-    accepted = np.zeros(k, dtype=np.int64)
     failed = np.zeros(k, dtype=bool)
     attempts = 0
     active = np.arange(k)
     out = np.empty((k, b, len(CELLS)))
 
     while active.size:
-        rate = np.maximum(accepted[active] / attempts if attempts else 1.0, 0.02)
+        # an active trial took every hit it drew, b - need of them
+        rate = np.maximum((b - need[active]) / attempts if attempts else 1.0, 0.02)
         batch = int(min(8192, max(64, math.ceil(np.max(need[active] / rate) * 1.25))))
         m11 = _resample_means(rng, y11[:, active], batch)
         m01 = _resample_means(rng, y01[:, active], batch)
         attempts += batch
         hit = interim_look(config, m01, m11)[1]
-        n_hits = hit.sum(axis=0)
-        accepted[active] += n_hits
 
         # The run of rejections up to a trial's first hit of this batch, or
         # through the batch. A batch holds at most max(64, ceil(62.5 * b)) <
         # 100 * b proposals, so no run between two of its hits reaches the
         # limit.
-        missed = n_hits == 0
+        missed = ~hit.any(axis=0)
         run = streak[active] + np.where(missed, batch, hit.argmax(axis=0))
         lost = run >= rejection_limit
         streak[active] = np.where(missed, run, hit[::-1].argmax(axis=0))
@@ -287,6 +285,7 @@ def bootstrap_group(
         failed[active[lost]] = True
         active = active[(need[active] > 0) & ~lost]
 
+    out[failed] = np.nan
     done = np.flatnonzero(~failed)
     if done.size:
         # the stream draws the period-2 cells in the order y12, y02, y22
@@ -294,21 +293,6 @@ def bootstrap_group(
         out[done, :, 2] = _resample_means(rng, y02[:, done], b).T
         out[done, :, 4] = _resample_means(rng, y22[:, done], b).T
     return out, failed
-
-
-def bootstrap_resamples(
-    cells: tuple[np.ndarray, ...], config: DesignConfig, b: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``(b, 5)`` cell means of the accepted resamples of one trial: the
-    ``k = 1`` call of :func:`bootstrap_group`, on the trial's five cells'
-    responses in ``CELLS`` order. Raises :class:`BootstrapError` after
-    ``100 * b`` consecutive rejections."""
-    resamples, failed = bootstrap_group(
-        tuple(values[:, np.newaxis] for values in cells), config, b, rng
-    )
-    if failed[0]:
-        raise BootstrapError("bootstrap cannot satisfy continuation condition")
-    return resamples[0]
 
 
 def resample_variances(config: DesignConfig, resamples: np.ndarray) -> np.ndarray:
@@ -320,7 +304,8 @@ def resample_variances(config: DesignConfig, resamples: np.ndarray) -> np.ndarra
     its ``b`` estimates (divisor ``b``, matching the resample-count
     convention). The analysis works element by element and a row-wise
     ``np.var`` equals the 1-D one bit for bit, so a trial's variance does not
-    depend on which trials share its call.
+    depend on which trials share its call; a failed trial's NaN rows give
+    NaN variances.
     """
     k, b, _ = resamples.shape
     point = point_estimates(config, resamples.reshape(k * b, len(CELLS)))

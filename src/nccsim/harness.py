@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import repeat
 
@@ -199,33 +200,37 @@ def replicate_trial(
     return expand_trial(scenario.config, draws, index % CHUNK, rng)
 
 
-def _keyed_error(scenario: Scenario, master_seed: int, which: str, exc: Exception):
-    return ReplicateError(
-        f"scenario {scenario.scenario_id!r}, {which}, master seed {master_seed}: "
-        f"{type(exc).__name__}: {exc}"
-    )
+@contextmanager
+def _keyed(scenario: Scenario, master_seed: int, which: str):
+    """Re-raise any error of the block as a :class:`ReplicateError` naming
+    ``which`` replicates."""
+    try:
+        yield
+    except Exception as exc:
+        raise ReplicateError(
+            f"scenario {scenario.scenario_id!r}, {which}, master seed {master_seed}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArrays:
     """Draw and analyse one chunk into its rows of the record. Every
     continuing replicate is bootstrapped, in groups of ``max(1,
-    ANALYSIS_ROWS // b)`` continuing rows: a group's replicates share their
-    resample counts (:func:`~nccsim.adjusted.bootstrap_group`) and their
-    accepted resamples are analysed with one :func:`resample_variances`
-    call.
+    ANALYSIS_ROWS // b)`` continuing rows: one step draws a group's cells,
+    resamples them with shared counts
+    (:func:`~nccsim.adjusted.bootstrap_group`) and analyses all its
+    resamples with one :func:`resample_variances` call.
 
     A replicate whose bootstrap reaches the rejection limit is marked
-    failed. Any other error raises :class:`ReplicateError`, naming the
-    group's replicates when it comes from their cells or resampling and the
-    chunk's range otherwise.
+    failed, and its variances are NaN. Any other error raises
+    :class:`ReplicateError`, naming the group's replicates when it comes
+    from their bootstrap step and the chunk's range otherwise.
     """
     rows = _chunk_rows(scenario, chunk)
     chunk_key = f"replicates {rows.start}..{rows.stop - 1}"
-    try:
+    with _keyed(scenario, master_seed, chunk_key):
         draws = _draw_chunk(scenario, master_seed, chunk)
         point = point_estimates(scenario.config, draws.means)
-    except Exception as exc:
-        raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
     failed = np.zeros(len(rows), dtype=bool)
     bootstrap = np.full((len(ADJUSTED_METHODS), len(rows)), np.nan)
     if scenario.bootstrap is not None:
@@ -235,22 +240,15 @@ def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArr
         for group, start in enumerate(range(0, continuing.size, size)):
             block = continuing[start : start + size]
             indices = [rows[row] for row in block]
-            try:
+            with _keyed(scenario, master_seed, "replicates " + ", ".join(map(str, indices))):
                 rngs = [_rng(scenario, master_seed, index, 0) for index in indices]
                 cells = trial_cells(scenario.config, draws, block, rngs)
                 rng = _rng(scenario, master_seed, chunk, 1, group, seed)
-                resamples, lost = bootstrap_group(cells, scenario.config, b, rng)
-            except Exception as exc:
-                which = "replicates " + ", ".join(map(str, indices))
-                raise _keyed_error(scenario, master_seed, which, exc) from exc
-            failed[block] = lost
-            if lost.all():
-                continue
-            try:
-                bootstrap[:, block[~lost]] = resample_variances(scenario.config, resamples[~lost])
-            except Exception as exc:
-                raise _keyed_error(scenario, master_seed, chunk_key, exc) from exc
-    variances = wald_variances(point.continued, scenario.config, bootstrap)
+                resamples, failed[block] = bootstrap_group(cells, scenario.config, b, rng)
+                bootstrap[:, block] = resample_variances(scenario.config, resamples)
+    with _keyed(scenario, master_seed, chunk_key):
+        variances = wald_variances(point.continued, scenario.config, bootstrap)
+        rejected = rejections(point.estimates, variances, scenario.config.z_alpha)
     return ReplicateArrays(
         z11=point.z11,
         continued=point.continued,
@@ -258,7 +256,7 @@ def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArr
         estimates=point.estimates,
         corrections=point.corrections,
         variances=variances,
-        rejected=rejections(point.estimates, variances, scenario.config.z_alpha),
+        rejected=rejected,
     )
 
 

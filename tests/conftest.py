@@ -52,15 +52,17 @@ def config():
 
 def failing_group(real, fails=lambda position: True):
     """A stand-in for ``harness.bootstrap_group`` that runs ``real`` and
-    then marks failed each trial for which ``fails(position)`` holds,
-    ``position`` counting the trials of every call in order; ``calls``
-    holds how many trials it has seen."""
+    then fails each trial for which ``fails(position)`` holds, as the real
+    one does: marked in the mask, with NaN rows. ``position`` counts the
+    trials of every call in order; ``calls`` holds how many trials it has
+    seen."""
 
     def group(cells, config, b, rng):
         resamples, failed = real(cells, config, b, rng)
         for j in range(failed.size):
             failed[j] |= fails(group.calls)
             group.calls += 1
+        resamples[failed] = np.nan
         return resamples, failed
 
     group.calls = 0

@@ -6,7 +6,8 @@ These are the independent checks of that path, and the tests seeded on
 them: :func:`simulate_trial` draws the same law as ``draw_trials`` followed
 by ``expand_trial``, from its own stream; :func:`ols_fit` checks the closed
 form of the model-based estimate; :func:`bootstrap_variances` is
-``bootstrap_resamples`` followed by ``resample_variances`` on one trial.
+``bootstrap_group`` followed by ``resample_variances`` on one trial, and
+raises where the engine would mark the trial failed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nccsim import CELLS, DesignConfig
-from nccsim.adjusted import ADJUSTED_METHODS, bootstrap_resamples, resample_variances
+from nccsim.adjusted import ADJUSTED_METHODS, bootstrap_group, resample_variances
 from nccsim.datagen import _patient_layout, _recruitment_arms
 
 
@@ -109,8 +110,11 @@ def bootstrap_variances(
     """Bootstrap variance of every mean-adjusted method, keyed by its
     ``method_label``, from one shared resampling pass of ``b`` resamples of
     one trial's rows (``resample_variances``), drawn from
-    ``default_rng(seed)``: ``seed`` may be anything numpy accepts."""
-    cells = tuple(data.cell(*cell) for cell in CELLS)
-    resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(seed))
-    variances = resample_variances(config, resamples[None])
+    ``default_rng(seed)``: ``seed`` may be anything numpy accepts. Raises
+    ``RuntimeError`` when the bootstrap fails."""
+    cells = tuple(data.cell(*cell)[:, np.newaxis] for cell in CELLS)
+    resamples, failed = bootstrap_group(cells, config, b, np.random.default_rng(seed))
+    if failed[0]:
+        raise RuntimeError("bootstrap cannot satisfy the continuation condition")
+    variances = resample_variances(config, resamples)
     return {label: float(v[0]) for label, v in zip(ADJUSTED_METHODS, variances)}

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from nccsim import (
-    BootstrapError,
     BootstrapSettings,
     CELLS,
     Theta1Method,
@@ -23,10 +23,10 @@ from nccsim.adjusted import (
     METHODS,
     _resample_means,
     bootstrap_group,
-    bootstrap_resamples,
     interim_look,
     point_estimates,
     rejections,
+    resample_variances,
     t_statistic,
     wald_variances,
 )
@@ -49,9 +49,10 @@ def bias_correction(theta1_hat, config):
 def resample_estimates(data, config, b, seed):
     """Every method's estimate on each accepted resample of one trial, keyed
     by label."""
-    cells = tuple(data.cell(*cell) for cell in CELLS)
-    resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(seed))
-    return dict(zip(METHODS, point_estimates(config, resamples).estimates))
+    cells = tuple(data.cell(*cell)[:, np.newaxis] for cell in CELLS)
+    resamples, failed = bootstrap_group(cells, config, b, np.random.default_rng(seed))
+    assert not failed[0]
+    return dict(zip(METHODS, point_estimates(config, resamples[0]).estimates))
 
 
 def wald_tests(data, config, bootstrap=None):
@@ -276,6 +277,16 @@ def group_cells(config, k, seed, shift=None):
     return tuple(cells)
 
 
+def failing_middle_group(config):
+    """The five cells of three trials of ``config`` whose middle one has
+    constant period-1 cells with z11 below the cutoff, so that every one of
+    its resamples is rejected."""
+    cells = [values.copy() for values in group_cells(config, 3, 8, shift=[1.0, 0.0, 1.0])]
+    cells[0][:, 1] = 0.0
+    cells[1][:, 1] = -1.0
+    return tuple(cells)
+
+
 class TestBootstrapGroup:
     @pytest.mark.parametrize("k", [1, 40])
     def test_each_replicate_follows_its_own_law(self, k):
@@ -299,20 +310,33 @@ class TestBootstrapGroup:
             assert np.all(np.abs(z_var) < 4), (CELLS[c], z_var)
 
     def test_a_replicate_at_the_rejection_limit_fails_alone(self):
-        # the middle trial's period-1 cells are constant with z11 below the
-        # cutoff, so every one of its resamples is rejected
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20, alpha1=0.9)
-        cells = [values.copy() for values in group_cells(config, 3, 8, shift=[1.0, 0.0, 1.0])]
-        cells[0][:, 1] = 0.0
-        cells[1][:, 1] = -1.0
-        resamples, failed = bootstrap_group(tuple(cells), config, 10, np.random.default_rng(2))
+        cells = failing_middle_group(config)
+        resamples, failed = bootstrap_group(cells, config, 10, np.random.default_rng(2))
         assert failed.tolist() == [False, True, False]
+        assert np.all(np.isnan(resamples[1]))
         for j in (0, 2):
             assert np.all(interim_look(config, resamples[j, :, 0], resamples[j, :, 1])[1])
             assert np.all(np.isfinite(resamples[j]))
-        with pytest.raises(BootstrapError):
-            bootstrap_resamples(tuple(c[:, 1] for c in cells), config, 10,
-                                np.random.default_rng(2))
+        alone, failed = bootstrap_group(tuple(c[:, 1:2] for c in cells), config, 10,
+                                        np.random.default_rng(2))
+        assert failed.tolist() == [True] and np.all(np.isnan(alone))
+
+    def test_a_failed_replicate_gets_nan_variances_and_leaves_the_others(self):
+        # the failed trial's variances are NaN, and the others' are those of
+        # the group's resamples without it, bit for bit
+        config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20, alpha1=0.9)
+        cells = failing_middle_group(config)
+        resamples, failed = bootstrap_group(cells, config, 10, np.random.default_rng(2))
+        assert failed.tolist() == [False, True, False]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            variances = resample_variances(config, resamples)
+        assert variances.shape == (4, 3)
+        assert np.all(np.isnan(variances[:, 1]))
+        others = resample_variances(config, resamples[[0, 2]])
+        assert np.all(np.isfinite(others))
+        assert variances[:, [0, 2]].tobytes() == others.tobytes()
 
     def test_short_replicates_draw_a_second_batch(self, monkeypatch):
         # trial 0 continues far above the cutoff and fills its b resamples
@@ -368,7 +392,7 @@ class TestBootstrap:
         # is rejected, so the consecutive-rejection guard must fire
         config = default_config(n01=4, n11=4, n02=4, n12=4, n22=4, alpha1=0.2)
         data = make_dataset(constant_cells(n=4, z11_positive=False))
-        with pytest.raises(BootstrapError):
+        with pytest.raises(RuntimeError, match="continuation"):
             bootstrap_variances(data, config, 2, 1)
 
     def test_deterministic_in_seed(self):
@@ -408,31 +432,28 @@ class TestBootstrap:
         for method in ALL_METHODS:
             assert estimates[method_label(method)].shape == (200,)
 
-    @pytest.mark.parametrize("gap, raises", [(199, False), (200, True)])
-    def test_rejections_carried_across_batches_reach_the_limit(self, monkeypatch, gap, raises):
+    @pytest.mark.parametrize("gap, fails", [(199, False), (200, True)])
+    def test_rejections_carried_across_batches_reach_the_limit(self, monkeypatch, gap, fails):
         # b = 2 allows 199 rejections in a row. The period-1 proposals are a
         # fixed stream: a hit, `gap` misses, then hits. The misses span four
         # batches of 64, so only those carried over from the earlier
         # batches bring the run to the limit.
         config = default_config(n01=4, n11=4, n02=4, n12=4, n22=4)
-        cells = tuple(np.full(4, float(k)) for k in range(len(CELLS)))
+        cells = tuple(np.full((4, 1), float(k)) for k in range(len(CELLS)))
         stream = np.concatenate([[1.0], np.full(gap, -1.0), np.ones(256)])
         batches = []
 
         def fake(rng, values, draws):
-            if values[0, 0] != cells[1][0]:
+            if values[0, 0] != cells[1][0, 0]:
                 return np.zeros((draws, 1))
             start = sum(batches)
             batches.append(draws)
             return stream[start : start + draws, np.newaxis]  # arm-1 mean; c1 = 0
 
         monkeypatch.setattr(adjusted, "_resample_means", fake)
-        args = (cells, config, 2, np.random.default_rng(0))
-        if raises:
-            with pytest.raises(BootstrapError):
-                bootstrap_resamples(*args)
-        else:
-            assert bootstrap_resamples(*args).shape == (2, 5)
+        resamples, failed = bootstrap_group(cells, config, 2, np.random.default_rng(0))
+        assert failed.tolist() == [fails] and resamples.shape == (1, 2, 5)
+        assert np.all(np.isnan(resamples) if fails else np.isfinite(resamples))
         assert batches == [64, 64, 64, 64]
 
     @pytest.mark.parametrize("b", [2, 3, 50, 200, 1000])
@@ -459,10 +480,10 @@ class TestBootstrap:
             return resample_means(rng, values, draws)
 
         monkeypatch.setattr(adjusted, "_resample_means", spy)
-        try:
-            bootstrap_resamples(tuple(cells), config, b, np.random.default_rng(1))
-        except BootstrapError:
-            assert z11 < 0
+        resamples, failed = bootstrap_group(tuple(c[:, np.newaxis] for c in cells), config, b,
+                                            np.random.default_rng(1))
+        assert np.all(np.isnan(resamples) if failed[0] else np.isfinite(resamples))
+        assert z11 < 0 or not failed[0]
         assert max(batches) < 100 * b
         if z11 < 0:
             assert sum(batches) / 2 > 50 * b  # over 50 proposals per resample
@@ -515,12 +536,13 @@ class TestBootstrap:
                                 trend=TimeTrendSpec(pattern, 0.5))
         rng = np.random.default_rng(11)
         draws = draw_trials(config, rng, 1, (rng, rng))
-        cells = tuple(values[:, 0] for values in trial_cells(config, draws, [0], [rng]))
+        cells = trial_cells(config, draws, [0], [rng])
         b = 4000
-        resamples = bootstrap_resamples(cells, config, b, np.random.default_rng(7))
+        resamples, failed = bootstrap_group(cells, config, b, np.random.default_rng(7))
+        assert not failed[0]
         for k, values in enumerate(cells):
             target = values.var() / values.size
-            column = resamples[:, k]
+            column = resamples[0, :, k]
             z = (column.mean() - values.mean()) / math.sqrt(target / b)
             assert abs(z) < 4, (CELLS[k], z)
             assert column.var() / target == pytest.approx(1.0, abs=0.12), CELLS[k]

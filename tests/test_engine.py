@@ -363,16 +363,39 @@ class TestFailures:
             assert replayed.rejected[row, 0] == -1, label
         _assert_same_arrays(replayed, collect_replicates(scenario, 13), slice(7, 8))
 
-    def test_error_in_the_resample_analysis_names_the_chunk(self, monkeypatch):
+    def test_error_in_the_resample_analysis_names_the_group(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(harness_module, "resample_variances", broken)
+        # alpha1 = 1 continues every replicate, and b = 5 bootstraps a
+        # whole chunk in one group
         scenario = _scenario(CHUNK + 50, BootstrapSettings(b=5), scenario_id="broken",
                              alpha1=1.0)
-        with pytest.raises(ReplicateError, match=r"'broken', replicates 0\.\.511, master seed 13"):
+        first = ", ".join(map(str, range(CHUNK)))
+        with pytest.raises(ReplicateError) as info:
             run_scenario(scenario, 13)
-        with pytest.raises(ReplicateError, match=rf"replicates {CHUNK}\.\.{CHUNK + 49}, "):
+        assert str(info.value) == (
+            f"scenario 'broken', replicates {first}, master seed 13: RuntimeError: injected"
+        )
+        second = ", ".join(map(str, range(CHUNK, CHUNK + 50)))
+        with pytest.raises(ReplicateError, match=rf"replicates {second}, master seed 13"):
+            run_replicate(scenario, 13, CHUNK + 7)
+
+    @pytest.mark.parametrize("name", ["wald_variances", "rejections"])
+    def test_error_in_the_wald_step_names_the_chunk(self, monkeypatch, name):
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(harness_module, name, broken)
+        scenario = _scenario(CHUNK + 20, scenario_id="broken")
+        with pytest.raises(ReplicateError) as info:
+            run_scenario(scenario, 13)
+        assert str(info.value) == (
+            "scenario 'broken', replicates 0..511, master seed 13: RuntimeError: injected"
+        )
+        assert str(info.value.__cause__) == "injected"
+        with pytest.raises(ReplicateError, match=rf"replicates {CHUNK}\.\.{CHUNK + 19}, "):
             run_replicate(scenario, 13, CHUNK + 7)
 
 
