@@ -92,9 +92,9 @@ CATALOGUE = (
     Mutant(
         "bootstrap_stream_key_0",
         "src/nccsim/harness.py",
-        "_rng(scenario, master_seed, chunk, 1, group, seed)",
-        "_rng(scenario, master_seed, chunk, 0, group, seed)",
-        "a group's bootstrap resamples from another key than (chunk, 1, group, bootstrap seed)",
+        "_rng(scenario, master_seed, chunk, 1, 0, seed)",
+        "_rng(scenario, master_seed, chunk, 0, 0, seed)",
+        "a chunk's bootstrap resamples from another key than (chunk, 1, 0, bootstrap seed)",
     ),
     Mutant(
         "unadjusted_wald_uses_separate_variance",
@@ -135,8 +135,8 @@ CATALOGUE = (
     Mutant(
         "resample_variance_with_ddof_1",
         "src/nccsim/adjusted.py",
-        "return np.var(point.estimates[2:].reshape(-1, k, b), axis=-1)",
-        "return np.var(point.estimates[2:].reshape(-1, k, b), axis=-1, ddof=1)",
+        "np.var(estimates, axis=-1)",
+        "np.var(estimates, axis=-1, ddof=1)",
         "the bootstrap variance divides by b - 1 instead of the resample count b",
     ),
     Mutant(
@@ -245,8 +245,8 @@ CATALOGUE = (
     Mutant(
         "bootstrap_reads_the_next_row",
         "src/nccsim/harness.py",
-        "trial_cells(scenario.config, draws, block, rngs)",
-        "trial_cells(scenario.config, draws, (block + 1) % len(rows), rngs)",
+        "trial_cells(scenario.config, draws, continuing, rngs)",
+        "trial_cells(scenario.config, draws, (continuing + 1) % len(rows), rngs)",
         "a replicate's bootstrap resamples the next replicate's cells",
     ),
     Mutant(
@@ -266,9 +266,16 @@ CATALOGUE = (
     Mutant(
         "group_variances_to_its_first_rows",
         "src/nccsim/harness.py",
-        "bootstrap[:, block] = ",
-        "bootstrap[:, : block.size] = ",
-        "a group's variances land on the chunk's first rows, not on its replicates",
+        "bootstrap[:, continuing] = ",
+        "bootstrap[:, : continuing.size] = ",
+        "a chunk's bootstrap variances land on its first rows, not on its continuing replicates",
+    ),
+    Mutant(
+        "resample_slice_variances_to_the_first_trials",
+        "src/nccsim/adjusted.py",
+        "variances[:, start : start + size] = ",
+        "variances[:, : estimates.shape[1]] = ",
+        "each analysis slice's variances land on the first trials, not on its own",
     ),
     Mutant(
         "failed_trial_rows_left_finite",
@@ -287,8 +294,8 @@ CATALOGUE = (
     Mutant(
         "resample_variances_from_rows_1_to_4",
         "src/nccsim/adjusted.py",
-        "point.estimates[2:].reshape(-1, k, b)",
-        "point.estimates[1:5].reshape(-1, k, b)",
+        "point.estimates[2:].reshape(len(ADJUSTED_METHODS), -1, b)",
+        "point.estimates[1:5].reshape(len(ADJUSTED_METHODS), -1, b)",
         "the bootstrap variances are taken from the rows one method up",
     ),
     Mutant(

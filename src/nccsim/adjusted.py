@@ -18,11 +18,11 @@ one trial or many, resamples the five cells of a group of trials into the
 cell means of each trial's accepted resamples, every resample a row of
 counts shared by the group, so a cell's resample means for the whole group
 are one matrix product; and :func:`resample_variances` analyses the
-resamples of many trials with one :func:`point_estimates` call. A trial
-whose bootstrap fails is marked in a mask and its resamples are NaN, so its
-variances are NaN too. Each method is then tested with a Wald-type
-statistic: known-sigma for a stopped trial and the unadjusted estimate,
-bootstrap for the adjusted ones.
+resamples of many trials in :func:`point_estimates` calls of about
+:data:`ANALYSIS_ROWS` rows. A trial whose bootstrap fails is marked in a
+mask and its resamples are NaN, so its variances are NaN too. Each method
+is then tested with a Wald-type statistic: known-sigma for a stopped trial
+and the unadjusted estimate, bootstrap for the adjusted ones.
 """
 
 from __future__ import annotations
@@ -273,8 +273,8 @@ def bootstrap_group(
         streak[active] = np.where(missed, run, hit[::-1].argmax(axis=0))
 
         # each trial's first `need` hits, in proposal order; the t-th of
-        # them fills the trial's next free row
-        rank = np.cumsum(hit, axis=0)
+        # them fills the trial's next free row (int32: a batch is <= 8192)
+        rank = np.cumsum(hit, axis=0, dtype=np.int32)
         take = hit & (rank <= need[active]) & ~lost
         proposal, column = np.nonzero(take)
         trial = active[column]
@@ -295,21 +295,34 @@ def bootstrap_group(
     return out, failed
 
 
+#: Resample rows per :func:`point_estimates` call of :func:`resample_variances`
+#: (``max(1, ANALYSIS_ROWS // b)`` trials). 2^13 rows pay almost none of a
+#: call's fixed 0.25 ms and bound the analysis's temporaries: one call per
+#: chunk raised the peak RSS of ``table1`` at R = 600, B = 1000 from 94 to 277 MB.
+ANALYSIS_ROWS = 2**13
+
+
 def resample_variances(config: DesignConfig, resamples: np.ndarray) -> np.ndarray:
     """``(4, k)`` bootstrap variances of ``ADJUSTED_METHODS`` for ``k`` trials.
 
     ``resamples`` is ``(k, b, 5)``: each trial's accepted resample cell means
-    from :func:`bootstrap_group`. All ``k * b`` rows are analysed with
-    one :func:`point_estimates` call and each trial's variance is taken over
+    from :func:`bootstrap_group`. The trials are analysed in slices of
+    ``max(1, ANALYSIS_ROWS // b)``, each slice's rows with one
+    :func:`point_estimates` call, and each trial's variance is taken over
     its ``b`` estimates (divisor ``b``, matching the resample-count
     convention). The analysis works element by element and a row-wise
     ``np.var`` equals the 1-D one bit for bit, so a trial's variance does not
-    depend on which trials share its call; a failed trial's NaN rows give
-    NaN variances.
+    depend on the slicing or on which trials share its call; a failed
+    trial's NaN rows give NaN variances.
     """
     k, b, _ = resamples.shape
-    point = point_estimates(config, resamples.reshape(k * b, len(CELLS)))
-    return np.var(point.estimates[2:].reshape(-1, k, b), axis=-1)
+    size = max(1, ANALYSIS_ROWS // b)
+    variances = np.empty((len(ADJUSTED_METHODS), k))
+    for start in range(0, k, size):
+        point = point_estimates(config, resamples[start : start + size].reshape(-1, len(CELLS)))
+        estimates = point.estimates[2:].reshape(len(ADJUSTED_METHODS), -1, b)
+        variances[:, start : start + size] = np.var(estimates, axis=-1)
+    return variances
 
 
 def wald_variances(

@@ -8,13 +8,13 @@ decision, every estimate, bias correction and known-sigma test is computed
 for the whole chunk in one numpy pass (:mod:`nccsim.adjusted`). Replicate
 ``i`` is row ``i % CHUNK`` of chunk ``i // CHUNK``, and each stream draws
 its rows in order, so a row does not depend on how many replicates follow
-it. The bootstrap serves a chunk's continuing replicates in groups of at
-most ``max(1, ANALYSIS_ROWS // b)``, in index order. A group's five cells
-are one :func:`~nccsim.datagen.trial_cells` call, replicate ``i``'s column
-drawn from the stream ``(master seed, scenario id, i, 0)``. Group ``g`` of
-chunk ``c`` draws one resample-count matrix per cell, shared by its
-replicates, from ``(master seed, scenario id, c, 1, g, bootstrap seed)``,
-and its accepted resamples are analysed together (:mod:`nccsim.adjusted`).
+it. The bootstrap serves a chunk's continuing replicates as one group, in
+index order. Their five cells are one :func:`~nccsim.datagen.trial_cells`
+call, replicate ``i``'s column drawn from the stream ``(master seed,
+scenario id, i, 0)``. Chunk ``c`` draws one resample-count matrix per cell,
+shared by the group, from ``(master seed, scenario id, c, 1, 0, bootstrap
+seed)``, and the accepted resamples are analysed together
+(:mod:`nccsim.adjusted`).
 Results are therefore bit-identical for any worker count and execution
 order, and :func:`run_replicate` replays a replicate exactly as its row of
 its chunk. Each chunk returns its rows of the one per-replicate record,
@@ -60,15 +60,6 @@ MAX_FAILURE_FRACTION = 0.01
 
 #: Replicates drawn and analysed together; also the unit of work of a pool.
 CHUNK = 512
-
-#: Bootstrap resample rows per group: a chunk's continuing replicates are
-#: bootstrapped in groups of ``max(1, ANALYSIS_ROWS // b)``, which share
-#: their resample counts and are analysed with one call. A call costs about
-#: 0.25 ms plus 0.6 us per row, so groups of 2^13 rows pay almost none of
-#: the fixed part. The cap bounds the analysis's temporaries: at B = 1000
-#: and ``alpha1 = 0.95``, a run's peak RSS is 41 MB with it and 190 MB with
-#: a whole chunk in one call (40 MB with one call per replicate).
-ANALYSIS_ROWS = 2**13
 
 HYPOTHESES = ("null", "alternative")
 
@@ -154,8 +145,9 @@ def replicate_stream(
 
     A chunk ``c`` draws the noise of its trials from ``(c)``, their
     period-``s`` recruitment orders from ``(c, 2, s)`` and the resample
-    counts of its bootstrap group ``g`` from ``(c, 1, g, bootstrap seed)``;
-    a replicate ``i`` draws its cells (then, when replayed without a linear
+    counts of its bootstrap from ``(c, 1, 0, bootstrap seed)``, a key whose
+    0 keeps the resamples of runs with one bootstrap group per chunk; a
+    replicate ``i`` draws its cells (then, when replayed without a linear
     trend, its recruitment order) from ``(i, 0)``. No two of these keys
     coincide: they differ in length.
     """
@@ -214,39 +206,30 @@ def _keyed(scenario: Scenario, master_seed: int, which: str):
 
 
 def _run_chunk(scenario: Scenario, master_seed: int, chunk: int) -> ReplicateArrays:
-    """Draw and analyse one chunk into its rows of the record. Every
-    continuing replicate is bootstrapped, in groups of ``max(1,
-    ANALYSIS_ROWS // b)`` continuing rows: one step draws a group's cells,
-    resamples them with shared counts
-    (:func:`~nccsim.adjusted.bootstrap_group`) and analyses all its
-    resamples with one :func:`resample_variances` call.
+    """Draw and analyse one chunk into its rows of the record. Its
+    continuing replicates are bootstrapped as one group: one step draws
+    their cells, resamples them with shared counts
+    (:func:`~nccsim.adjusted.bootstrap_group`) and analyses their resamples
+    (:func:`resample_variances`).
 
     A replicate whose bootstrap reaches the rejection limit is marked
     failed, and its variances are NaN. Any other error raises
-    :class:`ReplicateError`, naming the group's replicates when it comes
-    from their bootstrap step and the chunk's range otherwise.
+    :class:`ReplicateError` naming the chunk's range.
     """
     rows = _chunk_rows(scenario, chunk)
-    chunk_key = f"replicates {rows.start}..{rows.stop - 1}"
-    with _keyed(scenario, master_seed, chunk_key):
+    with _keyed(scenario, master_seed, f"replicates {rows.start}..{rows.stop - 1}"):
         draws = _draw_chunk(scenario, master_seed, chunk)
         point = point_estimates(scenario.config, draws.means)
-    failed = np.zeros(len(rows), dtype=bool)
-    bootstrap = np.full((len(ADJUSTED_METHODS), len(rows)), np.nan)
-    if scenario.bootstrap is not None:
-        b, seed = scenario.bootstrap.b, scenario.bootstrap.seed
-        continuing = np.flatnonzero(point.continued)
-        size = max(1, ANALYSIS_ROWS // b)
-        for group, start in enumerate(range(0, continuing.size, size)):
-            block = continuing[start : start + size]
-            indices = [rows[row] for row in block]
-            with _keyed(scenario, master_seed, "replicates " + ", ".join(map(str, indices))):
-                rngs = [_rng(scenario, master_seed, index, 0) for index in indices]
-                cells = trial_cells(scenario.config, draws, block, rngs)
-                rng = _rng(scenario, master_seed, chunk, 1, group, seed)
-                resamples, failed[block] = bootstrap_group(cells, scenario.config, b, rng)
-                bootstrap[:, block] = resample_variances(scenario.config, resamples)
-    with _keyed(scenario, master_seed, chunk_key):
+        failed = np.zeros(len(rows), dtype=bool)
+        bootstrap = np.full((len(ADJUSTED_METHODS), len(rows)), np.nan)
+        if scenario.bootstrap is not None:
+            b, seed = scenario.bootstrap.b, scenario.bootstrap.seed
+            continuing = np.flatnonzero(point.continued)
+            rngs = [_rng(scenario, master_seed, rows[row], 0) for row in continuing]
+            cells = trial_cells(scenario.config, draws, continuing, rngs)
+            rng = _rng(scenario, master_seed, chunk, 1, 0, seed)
+            resamples, failed[continuing] = bootstrap_group(cells, scenario.config, b, rng)
+            bootstrap[:, continuing] = resample_variances(scenario.config, resamples)
         variances = wald_variances(point.continued, scenario.config, bootstrap)
         rejected = rejections(point.estimates, variances, scenario.config.z_alpha)
     return ReplicateArrays(

@@ -30,7 +30,7 @@ from nccsim import (
     run_replicate,
     run_scenario,
 )
-from nccsim.adjusted import ADJUSTED_METHODS, bootstrap_group, point_estimates, resample_variances
+from nccsim.adjusted import ADJUSTED_METHODS, bootstrap_group, point_estimates
 from nccsim.cli import emit_results
 from nccsim.datagen import draw_trials, expand_trial
 from conftest import analyse, default_config, failing_group
@@ -216,28 +216,38 @@ class TestChunks:
 
 
 class TestChunkBootstrap:
-    """The bootstrap of a chunk's continuing replicates: per-replicate
-    resamples, analysed in groups of at most ``ANALYSIS_ROWS`` rows."""
+    """The bootstrap of a chunk's continuing replicates: one group of
+    per-replicate resamples, analysed in slices of at most
+    ``ANALYSIS_ROWS`` rows."""
 
-    @pytest.mark.parametrize("pattern", list(TrendPattern), ids=lambda p: p.value)
-    def test_variances_are_the_bootstrap_of_the_replicate_trial(self, pattern):
-        # b = 40 puts the chunk's continuing replicates in one group, whose
-        # resamples come from the (chunk 0, 1, group 0, bootstrap seed 3) key
+    @pytest.mark.parametrize(("pattern", "b"), [
+        pytest.param(pattern, b, id=pattern.value + ("" if b == 40 else f"-b{b}"))
+        for b in (40, 1000) for pattern in TrendPattern
+    ])
+    def test_variances_are_the_bootstrap_of_the_replicate_trial(self, pattern, b):
+        # the chunk's continuing replicates are one group, whose resamples
+        # come from the (chunk 0, 1, 0, bootstrap seed 3) key; at b = 1000
+        # they span several analysis slices
         scenario = _scenario(
-            30, BootstrapSettings(b=40, seed=3), n01=25, n11=25, n02=25, n12=25, n22=25,
+            30, BootstrapSettings(b=b, seed=3), n01=25, n11=25, n02=25, n12=25, n22=25,
             trend=TimeTrendSpec(pattern, 0.15),
         )
         arrays = collect_replicates(scenario, 17)
         continuing = np.flatnonzero(arrays.continued)
-        assert continuing.size >= 5 and not arrays.failed.any()
+        assert continuing.size > max(5, adjusted_module.ANALYSIS_ROWS // 1000)
+        assert not arrays.failed.any()
         datasets = [TrialDataset(*replicate_trial(scenario, 17, int(i))) for i in continuing]
         cells = tuple(
             np.column_stack([data.cell(*cell) for data in datasets]) for cell in CELLS
         )
         rng = np.random.default_rng(replicate_stream(17, scenario, 0, 1, 0, 3))
-        resamples, failed = bootstrap_group(cells, scenario.config, 40, rng)
+        resamples, failed = bootstrap_group(cells, scenario.config, b, rng)
         assert not failed.any()
-        expected = resample_variances(scenario.config, resamples)
+        # each replicate's variances over its own b estimates, with no slicing
+        expected = np.column_stack([
+            np.var(point_estimates(scenario.config, own).estimates[2:], axis=-1)
+            for own in resamples
+        ])
         for label, row in zip(ADJUSTED_METHODS, expected):
             method = METHODS.index(label)
             assert arrays.variances[method, continuing].tobytes() == row.tobytes(), label
@@ -295,14 +305,14 @@ class TestChunkBootstrap:
         arrays = collect_replicates(scenario, 29)
         n_continuing = int(arrays.continued.sum())
         assert n_continuing > 400 and not arrays.failed.any()
-        assert max(rows) <= harness_module.ANALYSIS_ROWS
+        assert max(rows) <= adjusted_module.ANALYSIS_ROWS
         assert sum(rows) == 1000 * n_continuing
-        # the groups are as large as the cap allows
-        assert len(rows) == -(-n_continuing // (harness_module.ANALYSIS_ROWS // 1000))
+        # the slices are as large as the cap allows
+        assert len(rows) == -(-n_continuing // (adjusted_module.ANALYSIS_ROWS // 1000))
 
     @pytest.mark.parametrize("b", [5, 1000])
     def test_a_failure_inside_a_group_leaves_the_others_unchanged(self, b, monkeypatch):
-        # b = 5 analyses the chunk in one group, b = 1000 in groups of 8 rows
+        # b = 5 analyses the chunk in one slice, b = 1000 in slices of 8 replicates
         scenario = _scenario(CHUNK, BootstrapSettings(b=b), alpha1=0.5,
                              n01=10, n11=10, n02=10, n12=10, n22=10)
         clean = collect_replicates(scenario, 31)
@@ -330,14 +340,12 @@ class TestFailures:
             raise RuntimeError("injected")
 
         scenario = _scenario(50, BootstrapSettings(b=5), scenario_id="broken")
-        continuing = np.flatnonzero(collect_replicates(scenario, 13).continued)
+        assert collect_replicates(scenario, 13).continued.any()
         monkeypatch.setattr(harness_module, "bootstrap_group", broken)
-        # b = 5 bootstraps all continuing replicates in one group
-        replicates = ", ".join(map(str, continuing))
         with pytest.raises(RuntimeError) as info:
             run_scenario(scenario, 13)
         assert str(info.value) == (
-            f"scenario 'broken', replicates {replicates}, master seed 13: RuntimeError: injected"
+            "scenario 'broken', replicates 0..49, master seed 13: RuntimeError: injected"
         )
         assert isinstance(info.value, ReplicateError)
         assert str(info.value.__cause__) == "injected"
@@ -363,23 +371,21 @@ class TestFailures:
             assert replayed.rejected[row, 0] == -1, label
         _assert_same_arrays(replayed, collect_replicates(scenario, 13), slice(7, 8))
 
-    def test_error_in_the_resample_analysis_names_the_group(self, monkeypatch):
+    def test_error_in_the_resample_analysis_names_the_chunk(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(harness_module, "resample_variances", broken)
-        # alpha1 = 1 continues every replicate, and b = 5 bootstraps a
-        # whole chunk in one group
+        # alpha1 = 1 continues every replicate
         scenario = _scenario(CHUNK + 50, BootstrapSettings(b=5), scenario_id="broken",
                              alpha1=1.0)
-        first = ", ".join(map(str, range(CHUNK)))
         with pytest.raises(ReplicateError) as info:
             run_scenario(scenario, 13)
         assert str(info.value) == (
-            f"scenario 'broken', replicates {first}, master seed 13: RuntimeError: injected"
+            f"scenario 'broken', replicates 0..{CHUNK - 1}, master seed 13: "
+            "RuntimeError: injected"
         )
-        second = ", ".join(map(str, range(CHUNK, CHUNK + 50)))
-        with pytest.raises(ReplicateError, match=rf"replicates {second}, master seed 13"):
+        with pytest.raises(ReplicateError, match=rf"replicates {CHUNK}\.\.{CHUNK + 49}, "):
             run_replicate(scenario, 13, CHUNK + 7)
 
     @pytest.mark.parametrize("name", ["wald_variances", "rejections"])
