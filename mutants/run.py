@@ -168,7 +168,7 @@ CATALOGUE = (
         "period2_resampled_from_the_neighbouring_trial",
         "src/nccsim/adjusted.py",
         "out[done, :, 3] = _resample_means(rng, y12[:, done], b).T",
-        "out[done, :, 3] = _resample_means(rng, y12[:, done - 1], b).T",
+        "out[done, :, 3] = _resample_means(rng, np.roll(y12, 1, axis=1)[:, done], b).T",
         "cross-talk: a trial's accepted proposals are paired with the period-2 arm-1 cell"
         " of its neighbour in the group",
     ),
@@ -199,6 +199,13 @@ CATALOGUE = (
         "return period1_se(self.n01, self.n11, self.sigma)",
         "return period1_se(self.n02, self.n11, self.sigma)",
         "the interim SE uses the period-2 control count",
+    ),
+    Mutant(
+        "period1_se_without_sigma",
+        "src/nccsim/design.py",
+        "return sigma * math.sqrt(1.0 / n11 + 1.0 / n01)",
+        "return math.sqrt(1.0 / n11 + 1.0 / n01)",
+        "the interim SE, and so the look, ignores sigma",
     ),
     Mutant(
         "i1_with_n02",
@@ -241,6 +248,21 @@ CATALOGUE = (
         "hit = interim_look(config, m01, m11)[1]",
         "hit = np.ones_like(m11, dtype=bool)",
         "the bootstrap no longer replays the futility rule",
+    ),
+    Mutant(
+        "every_batch_fills_from_row_0",
+        "src/nccsim/adjusted.py",
+        "fill = (filled[:, np.newaxis] <= rows) & (rows < (b - need)[:, np.newaxis])",
+        "fill = rows < (b - need - filled)[:, np.newaxis]",
+        "a later period-1 batch overwrites a trial's first rows instead of filling its next ones",
+    ),
+    Mutant(
+        "period1_control_means_filled_across_trials",
+        "src/nccsim/adjusted.py",
+        "out[..., 0][fill] = m01.T[take.T]",
+        "out[..., 0][fill] = m01[take]",
+        "cross-talk: a trial's accepted period-1 control means come from the group's"
+        " proposals in proposal order, not from its own",
     ),
     Mutant(
         "bootstrap_reads_the_next_row",

@@ -221,17 +221,17 @@ def bootstrap_group(
     resamples of its own data; only the trials of one call are dependent.
 
     Period-1 proposals come in shared batches. Each trial applies the look
-    to its own column and takes its first accepted proposals, up to the
-    ``need`` it still misses. A batch is sized for the trial that needs
-    most: ``ceil(1.25 * need / rate)`` proposals, at least 64 and at most
-    8192, where ``rate`` is that trial's acceptance rate so far (floored at
-    0.02). The first batch assumes every proposal is accepted, because a
-    continuing trial's own resamples mostly are: ``ceil(1.25 * b)``
-    proposals, 250 at ``b = 200``. Only the trials still short see the
-    next batch. The period-2 cells are drawn once, ``b`` rows after the
-    last batch, for the trials that did not fail: they are independent of
-    period 1, so row ``t`` pairs with each trial's ``t``-th accepted
-    proposal. For a given state of ``rng`` all of it is deterministic.
+    to its own column; its first accepted proposals, up to the ``need`` it
+    still misses, fill its next rows through one boolean ``(k, b)`` mask. A
+    batch is sized for the trial that needs most: ``ceil(1.25 * need /
+    rate)`` proposals, at least 64 and at most 8192, where ``rate`` is that
+    trial's acceptance rate so far (floored at 0.02). The first batch
+    assumes every proposal is accepted, as a continuing trial's own
+    resamples mostly are: ``ceil(1.25 * b)`` proposals. Only the trials
+    still short see the next batch. The period-2 cells are drawn once, ``b``
+    rows after the last batch, for the trials that did not fail: they are
+    independent of period 1, so row ``t`` pairs with each trial's ``t``-th
+    accepted proposal. For a given ``rng`` state, all of it is deterministic.
 
     A trial fails after ``100 * b`` consecutive rejections and sees no
     further batch; its rows of the result are NaN. Raises
@@ -251,10 +251,11 @@ def bootstrap_group(
     streak = np.zeros(k, dtype=np.int64)
     failed = np.zeros(k, dtype=bool)
     attempts = 0
-    active = np.arange(k)
+    active = np.ones(k, dtype=bool)
+    rows = np.arange(b)
     out = np.empty((k, b, len(CELLS)))
 
-    while active.size:
+    while active.any():
         # an active trial took every hit it drew, b - need of them
         rate = np.maximum((b - need[active]) / attempts if attempts else 1.0, 0.02)
         batch = int(min(8192, max(64, math.ceil(np.max(need[active] / rate) * 1.25))))
@@ -272,22 +273,20 @@ def bootstrap_group(
         lost = run >= rejection_limit
         streak[active] = np.where(missed, run, hit[::-1].argmax(axis=0))
 
-        # each trial's first `need` hits, in proposal order; the t-th of
-        # them fills the trial's next free row (int32: a batch is <= 8192)
-        rank = np.cumsum(hit, axis=0, dtype=np.int32)
-        take = hit & (rank <= need[active]) & ~lost
-        proposal, column = np.nonzero(take)
-        trial = active[column]
-        row = b - need[trial] + rank[proposal, column] - 1
-        out[trial, row, 0] = m01[proposal, column]
-        out[trial, row, 1] = m11[proposal, column]
+        # a trial's first `need` hits, in proposal order, fill its rows from
+        # b - need before the batch to b - need after it (int32: batch <= 8192)
+        take = hit & (np.cumsum(hit, axis=0, dtype=np.int32) <= need[active]) & ~lost
+        filled = b - need
         need[active] -= take.sum(axis=0)
-        failed[active[lost]] = True
-        active = active[(need[active] > 0) & ~lost]
+        fill = (filled[:, np.newaxis] <= rows) & (rows < (b - need)[:, np.newaxis])
+        out[..., 0][fill] = m01.T[take.T]
+        out[..., 1][fill] = m11.T[take.T]
+        failed[active] = lost
+        active[active] = (need[active] > 0) & ~lost
 
     out[failed] = np.nan
-    done = np.flatnonzero(~failed)
-    if done.size:
+    done = ~failed
+    if done.any():
         # the stream draws the period-2 cells in the order y12, y02, y22
         out[done, :, 3] = _resample_means(rng, y12[:, done], b).T
         out[done, :, 2] = _resample_means(rng, y02[:, done], b).T

@@ -145,11 +145,11 @@ def replicate_stream(
 
     A chunk ``c`` draws the noise of its trials from ``(c)``, their
     period-``s`` recruitment orders from ``(c, 2, s)`` and the resample
-    counts of its bootstrap from ``(c, 1, 0, bootstrap seed)``, a key whose
-    0 keeps the resamples of runs with one bootstrap group per chunk; a
-    replicate ``i`` draws its cells (then, when replayed without a linear
-    trend, its recruitment order) from ``(i, 0)``. No two of these keys
-    coincide: they differ in length.
+    counts of its bootstrap from ``(c, 1, 0, bootstrap seed)``, whose 0 is
+    the former group index, kept fixed so that B > 0 results do not
+    change; a replicate ``i`` draws its cells (then, when replayed without
+    a linear trend, its recruitment order) from ``(i, 0)``. No two of these
+    keys coincide: they differ in length.
     """
     return np.random.SeedSequence(
         entropy=master_seed,

@@ -287,6 +287,17 @@ def failing_middle_group(config):
     return tuple(cells)
 
 
+def cutoff_group(config):
+    """The five cells of three trials of ``config``: trial 0 continues far
+    above the cutoff, and trials 1 and 2 sit at the cutoff, so they accept
+    about half their proposals and need more than one batch."""
+    cells = [values.copy() for values in group_cells(config, 3, 4)]
+    for c in (0, 1):
+        cells[c] -= cells[c].mean(axis=0)
+    cells[1] += np.array([10.0, 0.0, 0.0]) * config.period1_se
+    return tuple(cells)
+
+
 class TestBootstrapGroup:
     @pytest.mark.parametrize("k", [1, 40])
     def test_each_replicate_follows_its_own_law(self, k):
@@ -343,11 +354,7 @@ class TestBootstrapGroup:
         # from the first batch; trials 1 and 2 sit at the cutoff, accept
         # about half their proposals and draw more, alone
         config = default_config(n01=30, n11=30, n02=30, n12=30, n22=30)
-        se1 = config.period1_se
-        cells = [values.copy() for values in group_cells(config, 3, 4)]
-        for c in (0, 1):
-            cells[c] -= cells[c].mean(axis=0)
-        cells[1] += np.array([10.0, 0.0, 0.0]) * se1
+        cells = cutoff_group(config)
         calls = []
         resample_means = adjusted._resample_means
 
@@ -357,7 +364,7 @@ class TestBootstrapGroup:
 
         monkeypatch.setattr(adjusted, "_resample_means", spy)
         b = 100
-        resamples, failed = bootstrap_group(tuple(cells), config, b, np.random.default_rng(3))
+        resamples, failed = bootstrap_group(cells, config, b, np.random.default_rng(3))
         assert not failed.any()
         period1 = calls[:-3]
         assert period1[:2] == [(3, 125), (3, 125)]
@@ -365,6 +372,39 @@ class TestBootstrapGroup:
         assert calls[-3:] == [(3, b)] * 3
         for j in range(3):
             assert np.all(interim_look(config, resamples[j, :, 0], resamples[j, :, 1])[1])
+
+    def test_accepted_proposals_fill_each_trial_in_order(self, monkeypatch):
+        # Rebuilt one value at a time: a trial's period-1 rows are its hits
+        # in proposal order, batch after batch, the first b of them. The
+        # trials of a batch are those still short, in index order.
+        config = default_config(n01=30, n11=30, n02=30, n12=30, n22=30)
+        cells = cutoff_group(config)
+        batches = []
+        resample_means = adjusted._resample_means
+
+        def spy(rng, values, draws):
+            means = resample_means(rng, values, draws)
+            batches.append(means)
+            return means
+
+        monkeypatch.setattr(adjusted, "_resample_means", spy)
+        b = 100
+        resamples, failed = bootstrap_group(cells, config, b, np.random.default_rng(3))
+        assert not failed.any()
+        period1 = batches[:-3]
+        assert len(period1) >= 4  # trials 1 and 2 draw a second batch
+        rows = [[] for _ in range(3)]
+        for m11, m01 in zip(period1[::2], period1[1::2]):
+            short = [j for j in range(3) if len(rows[j]) < b]
+            assert m11.shape[1] == len(short)
+            hit = interim_look(config, m01, m11)[1]
+            for column, j in enumerate(short):
+                for proposal in range(m11.shape[0]):
+                    if hit[proposal, column] and len(rows[j]) < b:
+                        rows[j].append((m01[proposal, column], m11[proposal, column]))
+        expected = np.array(rows)
+        assert expected.shape == (3, b, 2)
+        assert resamples[..., :2].tobytes() == expected.tobytes()
 
     def test_mismatched_cell_counts_raise(self):
         config = default_config(n01=20, n11=20, n02=20, n12=20, n22=20)
