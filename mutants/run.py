@@ -13,14 +13,16 @@ behaviour is marked equivalent, with the reason.
 
 Usage, from the repository root::
 
-    python3 mutants/run.py
+    python3 mutants/run.py               # every mutant
+    python3 mutants/run.py NAME...       # only the named mutants
 
 Before any run, every mutant's old text is checked against its file, and
-all the texts that do not occur exactly once are listed. The unmutated copy
-then runs and must pass. Then every mutant runs, one at a time, and the
-survivors are listed. The exit code is 0 when every mutant that is not
-marked equivalent is killed, 1 when one survives, and 2 when a mutant's
-text is not found exactly once or the unmutated tests fail.
+all the texts that do not occur exactly once are listed, as are the names
+given that no mutant has. The unmutated copy then runs and must pass. Then
+every mutant, or every named one, runs, one at a time, and the survivors
+are listed. The exit code is 0 when every mutant run that is not marked
+equivalent is killed, 1 when one survives, and 2 when a mutant's text is
+not found exactly once, a name is unknown or the unmutated tests fail.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ CATALOGUE = (
     Mutant(
         "rmse_se_without_delta_factor",
         "src/nccsim/harness.py",
-        "Statistic(rmse, se / (2.0 * rmse) if rmse > 0.0 else None)",
-        "Statistic(rmse, se / rmse if rmse > 0.0 else None)",
+        "mse.mc_se / (2.0 * rmse)",
+        "mse.mc_se / rmse",
         "the rMSE's MC SE drops the delta method's factor 1/2",
     ),
     Mutant(
@@ -342,6 +344,53 @@ CATALOGUE = (
         "cumvue's lift is evaluated at the cutoff on the wrong information scale",
     ),
     Mutant(
+        "zero_variance_t_is_always_0",
+        "src/nccsim/adjusted.py",
+        "np.where((estimate == 0.0) & (variance == 0.0), 0.0, t)",
+        "np.where(variance == 0.0, 0.0, t)",
+        "a non-zero estimate over a zero variance gets t = 0 instead of +/-inf, and is never"
+        " rejected (killed by test_adjusted.py::TestWaldTest::test_zero_and_missing_variances)",
+    ),
+    Mutant(
+        "step_drift_in_the_arm2_cell_only",
+        "src/nccsim/datagen.py",
+        "drift = np.where(_CELL_PERIOD == 2, step, 0.0)",
+        "drift = np.where(_CELL_ARM == 2, step, 0.0)",
+        "a stepwise trend shifts only the arm-2 cell, not every period-2 cell (killed by"
+        " test_symmetries.py::test_a_period2_step_cancels_from_every_estimate)",
+    ),
+    Mutant(
+        "look_with_its_sign_flipped",
+        "src/nccsim/adjusted.py",
+        "z11 = (m11 - m01) / config.period1_se",
+        "z11 = (m01 - m11) / config.period1_se",
+        "the interim look continues when arm 1 does worse than control (killed by"
+        " test_symmetries.py::test_a_larger_arm1_effect_only_adds_continuing_replicates)",
+    ),
+    Mutant(
+        "look_reads_m22",
+        "src/nccsim/adjusted.py",
+        "z11, continued = interim_look(config, m01, m11)",
+        "z11, continued = interim_look(config, m01 - m22, m11 - m22)",
+        "the interim look reads the arm-2 mean; m22 cancels in exact arithmetic, so only its"
+        " rounding shows (killed by"
+        " test_symmetries.py::test_an_arm2_effect_shifts_every_estimate_by_itself)",
+    ),
+    Mutant(
+        "no_value_printed_as_nan",
+        "src/nccsim/cli.py",
+        'return "" if math.isnan(value) else repr(float(value))',
+        "return repr(float(value))",
+        "a method without a test prints nan in the single trace instead of an empty field",
+    ),
+    Mutant(
+        "csv_without_header",
+        "src/nccsim/cli.py",
+        "writer.writerow(columns)",
+        "pass",
+        "results.csv, analytic_bias.csv and the patient dump lose their header row",
+    ),
+    Mutant(
         "replay_key_with_chunk_minus_1",
         "src/nccsim/harness.py",
         "chunk, row = divmod(replicate_index, CHUNK)",
@@ -395,18 +444,21 @@ def _tests_pass(mutant: Mutant | None) -> tuple[bool, float]:
         return proc.returncode == 0, time.monotonic() - start
 
 
-def main() -> int:
-    stale = stale_texts()
-    for message in stale:
+def main(argv: list[str] | None = None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    known = {mutant.name for mutant in CATALOGUE}
+    errors = stale_texts() + [f"unknown mutant '{name}'" for name in names if name not in known]
+    for message in errors:
         print(f"error: {message}", file=sys.stderr)
-    if stale:
+    if errors:
         return 2
+    selected = [mutant for mutant in CATALOGUE if not names or mutant.name in names]
     passed, seconds = _tests_pass(None)
     print(f"unmutated: {'pass' if passed else 'FAIL'} ({seconds:.0f} s)", flush=True)
     if not passed:
         return 2
     survivors = []
-    for mutant in CATALOGUE:
+    for mutant in selected:
         passed, seconds = _tests_pass(mutant)
         if not passed:
             verdict = "killed"
@@ -416,8 +468,8 @@ def main() -> int:
             verdict = "SURVIVED"
             survivors.append(mutant)
         print(f"{mutant.name}: {verdict} ({seconds:.0f} s) - {mutant.breaks}", flush=True)
-    killed = len(CATALOGUE) - len(survivors)
-    print(f"{killed} of {len(CATALOGUE)} mutants killed or equivalent")
+    killed = len(selected) - len(survivors)
+    print(f"{killed} of {len(selected)} mutants killed or equivalent")
     for mutant in survivors:
         print(f"survivor: {mutant.name} ({mutant.path}): {mutant.breaks}")
     return 1 if survivors else 0

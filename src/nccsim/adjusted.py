@@ -56,9 +56,11 @@ METHODS = (METHOD_UNADJUSTED, METHOD_SEPARATE) + ADJUSTED_METHODS
 class BootstrapSettings:
     """``b`` accepted resamples per bootstrap and the user's bootstrap
     ``seed``. One resample has zero variance, so ``b`` must be an integer of
-    at least 2, and at most ``MAX_COUNT // 48`` so that the bootstrap's
-    largest array, ``(6, b)`` float64, has a valid size; ``seed`` is a
-    non-negative integer. Numpy integers are stored as ``int``."""
+    at least 2, and at most ``MAX_COUNT // 48``, so that numpy can describe
+    one trial's ``(6, b)`` float64 analysis block; a larger bootstrap array
+    that numpy cannot build fails inside its chunk, as a ``ReplicateError``
+    naming the chunk. ``seed`` is a non-negative integer. Numpy integers are
+    stored as ``int``."""
 
     b: int
     seed: int = 0
@@ -69,7 +71,7 @@ class BootstrapSettings:
             raise ValueError(f"bootstrap resample count b must be an integer, got {self.b!r}")
         if b < 2:
             raise ValueError(f"bootstrap resample count must be >= 2, got {b}")
-        # point_estimates' (6, b) float64 block is the largest array a bootstrap builds
+        # one trial's (6, b) float64 analysis block must have a size numpy can describe
         if 48 * b > MAX_COUNT:
             raise ValueError(f"bootstrap resample count must be at most {MAX_COUNT // 48}, got {b}")
         seed = as_integer(self.seed)
@@ -342,11 +344,12 @@ def wald_variances(
 
 
 def t_statistic(estimate: np.ndarray, variance: np.ndarray) -> np.ndarray:
-    """``estimate / sqrt(variance)``; a zero variance gives 0 or +/-inf."""
+    """``estimate / sqrt(variance)``: +/-inf for a non-zero estimate over a
+    zero variance and NaN for a NaN variance, as the division gives them,
+    and 0 for a zero estimate over a zero variance."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t = estimate / np.sqrt(variance)
-    degenerate = np.where(estimate == 0.0, 0.0, np.copysign(np.inf, estimate))
-    return np.where(variance > 0.0, t, np.where(np.isnan(variance), np.nan, degenerate))
+    return np.where((estimate == 0.0) & (variance == 0.0), 0.0, t)
 
 
 def rejections(estimate, variance, z_alpha: float) -> np.ndarray:

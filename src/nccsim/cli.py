@@ -212,9 +212,22 @@ def parse_config(
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value)) if isinstance(value, float) else str(value)
+    """A field of the outputs: empty for ``None`` and NaN (no value), a
+    float's ``repr``, else ``str``."""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return "" if value is None else str(value)
+
+
+def _write_csv(path: Path, columns, rows) -> Path:
+    """Write ``columns`` and then ``rows`` to the CSV file ``path``, making
+    its directory; returns ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return path
 
 
 def _result_rows(result: OperatingCharacteristics):
@@ -254,13 +267,8 @@ def emit_results(
 ) -> tuple[Path, Path]:
     """Write ``results.csv`` and its JSON mirror; returns both paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "results.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESULTS_CSV_COLUMNS)
-        for result in results:
-            writer.writerows(_result_rows(result))
+    rows = (row for result in results for row in _result_rows(result))
+    csv_path = _write_csv(out_dir / "results.csv", RESULTS_CSV_COLUMNS, rows)
 
     payload = {
         "master_seed": master_seed,
@@ -335,14 +343,7 @@ def emit_analytic(rows, out_dir: Path | str) -> Path:
     """Write ``analytic_bias.csv``. Every row is computed before the file is
     opened, so a row that raises leaves no partial file."""
     lines = [[_fmt(v) for v in row] for row in rows]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "analytic_bias.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ANALYTIC_CSV_COLUMNS)
-        writer.writerows(lines)
-    return path
+    return _write_csv(Path(out_dir) / "analytic_bias.csv", ANALYTIC_CSV_COLUMNS, lines)
 
 
 # --- single-trial trace ------------------------------------------------------
@@ -355,19 +356,13 @@ def _single_scenario(args) -> Scenario:
     return _build_scenario(block, 1, 1, _bootstrap_settings(args.bootstrap_b, 0))
 
 
-def _number(value) -> float | None:
-    """A number of the trace; NaN (no test) prints as an empty field."""
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
 def run_single(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     scenario = _single_scenario(args)
     record = run_replicate(scenario, args.seed, 0)
     decision = "continue" if record.continued[0] else "stop"
     print(f"seed: {args.seed}", file=out)
-    print(f"z11: {_fmt(float(record.z11[0]))}", file=out)
+    print(f"z11: {_fmt(record.z11[0])}", file=out)
     print(f"c1: {_fmt(scenario.config.c1)}", file=out)
     print(f"decision: {decision}", file=out)
     if record.failed[0]:
@@ -380,20 +375,15 @@ def run_single(args, out=None) -> int:
     )
     for method, estimate, correction, variance, t, flag in rows:
         print(
-            f"{method:<14} {_fmt(_number(estimate)):>22} {_fmt(_number(correction)):>22} "
-            f"{_fmt(_number(variance)):>22} {_fmt(_number(t)):>22} "
+            f"{method:<14} {_fmt(estimate):>22} {_fmt(correction):>22} "
+            f"{_fmt(variance):>22} {_fmt(t):>22} "
             f"{_fmt(None if flag < 0 else bool(flag)):>8}",
             file=out,
         )
     if args.csv is not None:
         arms, periods, ys = replicate_trial(scenario, args.seed, 0)
-        path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("j", "arm", "period", "y"))
-            for j, (arm, period, y) in enumerate(zip(arms, periods, ys), start=1):
-                writer.writerow((j, int(arm), int(period), repr(float(y))))
+        rows = zip(range(1, arms.size + 1), arms, periods, map(_fmt, ys))
+        path = _write_csv(Path(args.csv), ("j", "arm", "period", "y"), rows)
         print(f"patient data written to {path}", file=out)
     return 0
 

@@ -307,21 +307,15 @@ def _mean_statistics(values: np.ndarray) -> list[Statistic]:
 
 
 def _rmse_statistics(errors: np.ndarray) -> list[Statistic]:
-    """Root mean square and MC SE of each row of an ``(m, k)`` block; no SE
-    for a row whose rMSE is 0."""
-    m, n = errors.shape
-    if n == 0:
-        return [Statistic(None, None)] * m
-    sq = np.square(errors)
-    rmses = np.sqrt(sq.mean(axis=1)).tolist()
-    if n == 1:
-        return [Statistic(rmse, None) for rmse in rmses]
-    # delta method: se(rmse) = se(mse) / (2 * rmse)
-    mse_ses = (sq.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
-    return [
-        Statistic(rmse, se / (2.0 * rmse) if rmse > 0.0 else None)
-        for rmse, se in zip(rmses, mse_ses)
-    ]
+    """Root mean square and MC SE of each row of an ``(m, k)`` block: the
+    root of the squared errors' :func:`_mean_statistics`, its SE by the delta
+    method, ``se(mse) / (2 * rmse)``; no SE for a row whose rMSE is 0."""
+    stats = []
+    for mse in _mean_statistics(np.square(errors)):
+        rmse = None if mse.value is None else math.sqrt(mse.value)
+        se = None if mse.mc_se is None or rmse == 0.0 else mse.mc_se / (2.0 * rmse)
+        stats.append(Statistic(rmse, se))
+    return stats
 
 
 def _rate_statistics(flags: np.ndarray) -> list[Statistic]:

@@ -599,7 +599,7 @@ class TestBootstrap:
         assert stored == 3 and type(stored) is int
 
     def test_oversized_count_is_rejected(self):
-        # the bound is what the bootstrap's (6, b) float64 block can address
+        # the bound is what one trial's (6, b) float64 analysis block can address
         largest = MAX_COUNT // 48
         assert BootstrapSettings(b=largest).b == largest
         for b in (largest + 1, 2**62, MAX_COUNT + 1):
@@ -636,6 +636,18 @@ class TestWaldTest:
         record = wald_tests(data, config)["mae_pooled"]
         assert record["t"] == 0.0
         assert record["rejected"] == 0
+
+    def test_zero_and_missing_variances(self):
+        # 0 / 0 is t = 0, a non-zero estimate over a zero variance is +/-inf,
+        # a NaN variance (no test) is NaN and flagged -1, and a positive
+        # variance gives the plain ratio
+        estimate = np.array([0.0, -0.0, 0.5, -0.5, 0.5, -0.5, 0.5, -0.3])
+        variance = np.array([0.0, 0.0, 0.0, 0.0, np.nan, np.nan, 0.04, 0.09])
+        expected = [0.0, 0.0, np.inf, -np.inf, np.nan, np.nan,
+                    0.5 / math.sqrt(0.04), -0.3 / math.sqrt(0.09)]
+        np.testing.assert_array_equal(t_statistic(estimate, variance), expected)
+        flags = rejections(estimate, variance, 1.96)
+        assert flags.tolist() == [0, 0, 1, 0, -1, -1, 1, 0]
 
     def test_continued_without_settings_gives_point_estimate_only(self):
         config = default_config(n01=15, n11=15, n02=15, n12=15, n22=15)

@@ -158,6 +158,18 @@ class TestParseConfig:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"replicates: 10\n\xff\n", "not UTF-8 text"),
+        (b"grid: table2\n", "unknown grid preset 'table2'"),
+        (b"[scenario]\nid: twin\n[scenario]\nid: twin\n", "duplicate scenario ids"),
+    ], ids=["not_utf8", "unknown_grid", "duplicate_ids"])
+    def test_plan_error_exits_2_with_its_message(self, tmp_path, capsys, content, message):
+        path = tmp_path / "plan.txt"
+        path.write_bytes(content)
+        code = main(["simulate", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 PLAN_KEYS = sorted(key for section in _PLAN_DEFAULTS.values() for key in section) + ["bogus"]
 PLAN_VALUES = st.one_of(

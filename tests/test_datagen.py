@@ -97,6 +97,11 @@ class TestSimulateTrial:
         with pytest.raises(ValueError):
             data.y[0] = 99.0
 
+    def test_a_linear_trend_needs_the_recruitment_orders(self):
+        config = default_config(trend=LINEAR)
+        with pytest.raises(ValueError, match="a linear trend needs the generators of the recruitment orders"):
+            draw_trials(config, np.random.default_rng(0), 3)
+
     def test_stepwise_shift_between_control_periods(self):
         # E[mean(0,2) - mean(0,1)] = lambda under a null design
         config = default_config(n01=40, n11=40, n02=40, n12=40, n22=40, trend=STEPWISE)

@@ -29,3 +29,10 @@ def test_runner_reports_every_stale_text(tmp_path):
         (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / path).write_text("")
     assert len(runner.stale_texts(tmp_path)) == len(runner.CATALOGUE)
+
+
+def test_runner_exits_2_on_an_unknown_name(capsys):
+    assert runner.main(["cell_noise_not_centred", "no_such_mutant"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown mutant 'no_such_mutant'" in err
+    assert "cell_noise_not_centred" not in err
